@@ -38,8 +38,7 @@ class RunConfig:
     """Everything a sub-command needs, pulled out of argparse.
 
     Paths are checked up front so commands never get halfway through a run
-    before tripping on a missing input.  `threads` is the parallelism cap
-    from SMEMSYNTH_THREADS (commands are free to stay serial).
+    before tripping on a missing input.
     """
 
     command: str
@@ -51,21 +50,10 @@ class RunConfig:
     ar_tol: float | None = None
     boundary: str = "wrap"
     bounds: dict | None = None
-    threads: int = 1
     inputs: list = field(default_factory=list)
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        env = os.environ.get("SMEMSYNTH_THREADS")
-        if env is None:
-            threads = os.cpu_count() or 1
-        else:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise UsageError(f"SMEMSYNTH_THREADS={env!r} is not an integer")
-            if threads < 1:
-                raise UsageError("SMEMSYNTH_THREADS must be >= 1")
         return cls(
             command=args.command,
             lib=getattr(args, "lib", None),
@@ -76,7 +64,6 @@ class RunConfig:
             ar_tol=getattr(args, "ar_tol", None),
             boundary=getattr(args, "boundary", "wrap"),
             bounds=_parse_bounds(getattr(args, "bounds", None)),
-            threads=threads,
             inputs=list(getattr(args, "inputs", []) or []),
         )
 
@@ -228,17 +215,7 @@ def cmd_explore(rc: RunConfig, args) -> int:
     if not cfgs:
         print("no legal organization for this spec and library", file=sys.stderr)
         return 1
-
-    def _eval(cfg):
-        return evaluate_ppa(cfg, lib, tech)
-
-    if rc.threads > 1 and len(cfgs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=rc.threads) as ex:
-            ests = list(ex.map(_eval, cfgs))     # map keeps input order
-    else:
-        ests = [_eval(c) for c in cfgs]
-    points = list(zip(cfgs, ests))
+    points = [(c, evaluate_ppa(c, lib, tech)) for c in cfgs]
     front = pareto_front(points)
 
     out = Path(rc.out)

@@ -149,8 +149,119 @@ def bounding_box(fp: Floorplan):
     return max(r.x2 for r in fp.placements), max(r.y2 for r in fp.placements)
 
 
+def _overlapping_pairs(solid: list) -> list[tuple[int, int]]:
+    """Sorted index pairs (i, j), i < j, of rects in `solid` that overlap.
+
+    Rects are half-open: a and b overlap when a.x < b.x2, b.x < a.x2,
+    a.y < b.y2 and b.y < a.y2, so touching edges do not count.  Rects of
+    positive extent go through a sweep over x, with removals before inserts
+    at equal x (Bentley & Wood, IEEE TC 1980).  The active rects live in a
+    binary tree over the compressed y coordinates.  A rect r being inserted
+    meets an active rect a in one of two disjoint ways:
+      * a.y <= r.y < a.y2: a's y-span was split into O(log n) canonical
+        nodes, and one of them is an ancestor of r.y's leaf (stabbing);
+      * r.y < a.y < r.y2: a starts inside r's y-span, found by descending
+        only into subtrees where some active rect starts (range reporting).
+    That costs O((n + k) log n) for n rects and k reported pairs.  Rects
+    with a non-positive extent, already violations, are compared with every
+    other rect instead.
+    """
+    pairs = []
+    live = []
+    for i, r in enumerate(solid):
+        if r.w > 0 and r.h > 0:
+            live.append(i)
+        else:
+            pairs.extend((min(i, j), max(i, j)) for j, b in enumerate(solid)
+                         if j != i and (b.w > 0 and b.h > 0 or j > i)
+                         and r.x < b.x2 and b.x < r.x2
+                         and r.y < b.y2 and b.y < r.y2)
+    if not live:
+        return sorted(pairs)
+
+    slot = {y: s for s, y in enumerate(sorted(
+        {solid[i].y for i in live} | {solid[i].y2 for i in live}))}
+    size = 1 << (len(slot) - 2).bit_length()   # leaves >= y slots
+    cover: dict[int, set] = {}   # node -> active rects it canonically covers
+    first: dict[int, set] = {}   # leaf -> active rects whose y starts there
+    busy = bytearray(2 * size)   # node -> 1 if some active rect starts below
+
+    def span_nodes(lo, hi):
+        """The canonical nodes that cover leaves [lo, hi)."""
+        nodes = []
+        lo += size
+        hi += size
+        while lo < hi:
+            if lo & 1:
+                nodes.append(lo)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                nodes.append(hi)
+            lo >>= 1
+            hi >>= 1
+        return nodes
+
+    spans = {}                   # active rect -> (its leaf, its cover nodes)
+    events = sorted([(solid[i].x2, 0, i) for i in live]
+                    + [(solid[i].x, 1, i) for i in live])
+    for _, insert, i in events:
+        if insert:
+            r = solid[i]
+            lo, hi = slot[r.y], slot[r.y2]
+            leaf = lo + size
+            hits = []
+            node = leaf
+            while node:
+                if node in cover:
+                    hits.extend(cover[node])
+                node >>= 1
+            if lo + 1 < hi:
+                stack = span_nodes(lo + 1, hi)
+                while stack:
+                    node = stack.pop()
+                    if busy[node]:
+                        if node >= size:
+                            hits.extend(first[node])
+                        else:
+                            stack += (2 * node, 2 * node + 1)
+            # rects become active in index order, so every hit j is < i
+            pairs.extend((j, i) for j in hits)
+            nodes = span_nodes(lo, hi)
+            for node in nodes:
+                cover.setdefault(node, set()).add(i)
+            first.setdefault(leaf, set()).add(i)
+            spans[i] = leaf, nodes
+            node = leaf
+            while node and not busy[node]:
+                busy[node] = 1
+                node >>= 1
+        else:
+            leaf, nodes = spans.pop(i)
+            for node in nodes:
+                cover[node].discard(i)
+                if not cover[node]:
+                    del cover[node]
+            first[leaf].discard(i)
+            if not first[leaf]:
+                del first[leaf]
+                busy[leaf] = 0
+                node = leaf >> 1
+                while node and not (busy[2 * node] or busy[2 * node + 1]):
+                    busy[node] = 0
+                    node >>= 1
+    return sorted(pairs)
+
+
 def check(fp: Floorplan) -> list[str]:
-    """Overlap among macro/periph rectangles, containment for everything."""
+    """Containment for every rect, then overlap among macro/periph rects.
+
+    Overlaps are found by a sweep-line over x with the active rects kept in
+    a segment tree over y (see `_overlapping_pairs`), in O((n + k) log n)
+    for n solid rects and k overlapping pairs.  They are reported in the
+    order of the rects sorted by (x, y).  Pins and power rails are checked
+    for containment only, never for overlap.
+    """
     violations = []
     for r in fp.placements:
         if r.w <= 0 or r.h <= 0:
@@ -159,12 +270,8 @@ def check(fp: Floorplan) -> list[str]:
             violations.append(f"{r.name}: outside die")
     solid = [r for r in fp.placements if r.kind in ("macro", "periph_region")]
     solid.sort(key=lambda r: (r.x, r.y))
-    for i, a in enumerate(solid):
-        for b in solid[i + 1:]:
-            if b.x >= a.x2:
-                break
-            if a.x < b.x2 and b.x < a.x2 and a.y < b.y2 and b.y < a.y2:
-                violations.append(f"overlap: {a.name} / {b.name}")
+    for i, j in _overlapping_pairs(solid):
+        violations.append(f"overlap: {solid[i].name} / {solid[j].name}")
     return violations
 
 

@@ -468,14 +468,12 @@ def _graft(ir: netlist.NetlistIR, sub: netlist.NetlistIR, prefix: str,
             ir.add_net(f"{prefix}/{net.name}", net.width)
     for net in sub.nets.values():
         tgt = rename(net.name)
-        pdir = sub.port_dir(net.name)
         for cell, pin in net.drivers:
             ir.connect(tgt, f"{prefix}/{cell}", pin, "drive")
         for cell, pin in net.sinks:
             ir.connect(tgt, f"{prefix}/{cell}", pin, "sink")
         # a grafted output port keeps its driver; inputs keep their sinks,
         # both now on the mapped top-level net, so nothing else to do
-        del pdir
 
 
 def generate_pa(spec: PAWindowSpec, mode: str, tech: TechParams | None = None) -> netlist.NetlistIR:

@@ -39,7 +39,9 @@ class SimTrace:
 
     def __init__(self):
         self.ops: list[tuple] = []  # (cycle, kind, a, b)
-        self._ports: dict[int, set] = {}
+        # stamps never decrease, so only the last cycle's ports can clash
+        self._cycle = -1
+        self._used = ""  # ports ("r", "w") taken in self._cycle
 
     def _add(self, cycle, kind, a=0, b=0):
         if cycle is None:
@@ -49,11 +51,12 @@ class SimTrace:
         if self.ops and cycle < self.ops[-1][0]:
             raise TraceError("cycle stamps must not decrease")
         port = "r" if kind in _READ_KINDS else ("w" if kind == "W" else None)
-        used = self._ports.setdefault(cycle, set())
+        if cycle != self._cycle:
+            self._cycle, self._used = cycle, ""
         if port is not None:
-            if port in used:
+            if port in self._used:
                 raise TraceError(f"cycle {cycle}: second {port}-port op")
-            used.add(port)
+            self._used += port
         self.ops.append((cycle, kind, a, b))
         return self
 

@@ -150,8 +150,7 @@ def test_usage_errors(tmp_path):
 
 
 def test_thread_env_guard(tmp_path, monkeypatch):
-    monkeypatch.setenv("SMEMSYNTH_THREADS", "zero")
-    assert main(["genlib", "--out", str(tmp_path)]) == 2
+    # explore is serial; a leftover thread-count variable changes nothing
     monkeypatch.setenv("SMEMSYNTH_THREADS", "2")
     assert main(["explore", "--spec", SPEC, "--lib", LIB,
                  "--out", str(tmp_path)]) == 0

@@ -117,6 +117,23 @@ def test_trace_api_guards():
         SimTrace().write(0, -1)
 
 
+def test_trace_ports_per_cycle():
+    tr = SimTrace().idle(cycle=3).read(1, cycle=3).write(2, 7, cycle=3)
+    assert len(tr) == 3                  # 1R + 1W (+ IDLE) share cycle 3
+    with pytest.raises(TraceError):
+        tr.read(4, cycle=3)
+    with pytest.raises(TraceError):
+        tr.window(0, 0, cycle=3)         # a window read takes the read port
+    with pytest.raises(TraceError):
+        tr.write(5, 1, cycle=3)
+    assert len(tr) == 3                  # rejected ops are not recorded
+    tr.write(6, 2, cycle=4).read(6, cycle=4)
+    tr.window(1, 1, cycle=9).write(0, 0, cycle=9)
+    assert [op[0] for op in tr.ops] == [3, 3, 3, 4, 4, 9, 9]
+    with pytest.raises(TraceError):
+        tr.read(0, cycle=9)
+
+
 def test_trace_file_roundtrip(tmp_path):
     tr = SimTrace().write(4, 0xDE).idle().window(2, 3).read(4)
     path = tmp_path / "ops.tr"
