@@ -15,8 +15,8 @@ from .leafcell import (GridLayout, LayoutError, Shape, check_restrictions,
                        power_rail_efficiency, transistor_efficiency)
 from .netlist import (Cell, Net, NetlistError, NetlistIR, check_wellformed,
                       emit_hdl, emit_netlist, generate_sram, parse_netlist)
-from .pa import (PAComparison, PAError, PAWindowSpec, WindowPlan, check_plans,
-                 compare_pa_ppa, generate_pa, map_pixel, window_access_plan)
+from .pa import (PAComparison, PAError, PAWindowSpec, check_plans,
+                 compare_pa_ppa, generate_pa, map_pixel, window_planner)
 from .sim import (SimError, SimResult, SimTrace, TraceError, energy_report,
                   simulate, verify_pa)
 

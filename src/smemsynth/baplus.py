@@ -251,11 +251,6 @@ class Library:
         return (isinstance(other, Library) and self.tech == other.tech
                 and self.macros == other.macros)
 
-    def extended(self, extra) -> "Library":
-        """A new Library with extra macros appended (existing names win)."""
-        added = [m for m in extra if m.name not in self._by_name]
-        return Library(self.macros + added, self.tech)
-
 
 def default_library(tech: TechParams | None = None,
                     b_values=(8, 16, 32, 64),

@@ -333,7 +333,7 @@ def cmd_sim(rc: RunConfig, args) -> int:
     else:
         out_bits = meta["lanes"] * meta["pixel_bits"]
     digits = max(1, (out_bits + 3) // 4)
-    leak = meta["p_leak_nw"] * meta["t_cycle_ps"] * res.cycles * 1e-6
+    leak = sim.leak_fj(meta, res.cycles)
 
     out = Path(rc.out)
     with open(out / "result.txt", "w") as fh:

@@ -83,12 +83,6 @@ class PAWindowSpec:
     def image_h(self) -> int:
         return 1 << self.n
 
-    def clamp_origin(self, x: int, y: int) -> tuple[int, int]:
-        """Clamp a window origin so the window stays on the surface."""
-        xmax = self.image_w - self.banks_x
-        ymax = self.image_h - self.banks_y
-        return min(max(x, 0), xmax), min(max(y, 0), ymax)
-
 
 def map_pixel(spec: PAWindowSpec, x: int, y: int):
     """((bank_x, bank_y), (row, col)) storage location of pixel (x, y)."""
@@ -107,47 +101,48 @@ def bank_addr(spec: PAWindowSpec, row: int, col: int) -> int:
     return (row << (spec.n - spec.b)) | col
 
 
-@dataclass(frozen=True)
-class WindowPlan:
-    """Per-bank addresses plus the rotation for one window access."""
-    x0: int            # effective origin (after any clamping)
-    y0: int
-    rx: int            # rotation: bank-x index holding the window's corner
-    ry: int
-    rows: tuple        # rows[p] = row address issued to banks with x-index p
-    cols: tuple        # cols[q] = column address for banks with y-index q
+def _axis_plans(side_bits: int, low_bits: int, clamp: bool) -> list:
+    """Per-coordinate plans along one axis of a 2^side_bits surface.
 
-    def addr_for_bank(self, spec: PAWindowSpec, p: int, q: int) -> int:
-        return bank_addr(spec, self.rows[p], self.cols[q])
-
-    def lane_for_offset(self, spec: PAWindowSpec, dx: int, dy: int):
-        """Bank (p, q) that supplies the pixel at window offset (dx, dy)."""
-        p = (self.rx + dx) & (spec.banks_x - 1)
-        q = (self.ry + dy) & (spec.banks_y - 1)
-        return p, q
-
-
-def window_access_plan(spec: PAWindowSpec, x: int, y: int) -> WindowPlan:
-    """Conflict-free access plan for the window whose corner is (x, y).
-
-    Banks whose x-index precedes the rotation point take the next row
-    (carry); likewise for columns.  Addresses wrap toroidally unless the
-    spec clamps the origin onto the surface first.
+    Entry [c] is (c0, r, addrs): the effective coordinate (clamped so the
+    window stays on the surface, else c itself), the rotation (the bank
+    index holding the window's first pixel), and the address issued to
+    each of the 2^low_bits banks along the axis.  Banks whose index
+    precedes the rotation point take the next address (carry), wrapping at
+    the edge of the bank.
     """
-    if spec.boundary == "clamp":
-        x, y = spec.clamp_origin(x, y)
-    else:
-        x &= spec.image_w - 1
-        y &= spec.image_h - 1
-    rx = x & (spec.banks_x - 1)
-    ry = y & (spec.banks_y - 1)
-    xbase = x >> spec.a
-    ybase = y >> spec.b
-    rows = tuple((xbase + (1 if p < rx else 0)) & (spec.rows - 1)
-                 for p in range(spec.banks_x))
-    cols = tuple((ybase + (1 if q < ry else 0)) & (spec.cols - 1)
-                 for q in range(spec.banks_y))
-    return WindowPlan(x, y, rx, ry, rows, cols)
+    cmax = (1 << side_bits) - (1 << low_bits)
+    bmask = (1 << low_bits) - 1
+    amask = (1 << (side_bits - low_bits)) - 1
+    plans = []
+    for c in range(1 << side_bits):
+        c0 = min(c, cmax) if clamp else c
+        r, base = c0 & bmask, c0 >> low_bits
+        plans.append((c0, r, tuple((base + (p < r)) & amask
+                                   for p in range(bmask + 1))))
+    return plans
+
+
+def window_planner(spec: PAWindowSpec):
+    """plan(x, y) -> ((x0, rx, rows), (y0, ry, cols)) for a window corner.
+
+    rows[p] is the row address issued to the banks with x-index p, cols[q]
+    the column address for y-index q; (rx, ry) is the rotation.  A corner
+    off the surface wraps toroidally, or clamps when the spec clamps.  A
+    plan's rows depend only on x and its columns only on y, so both axes
+    are tabulated once per spec.
+    """
+    clamp = spec.boundary == "clamp"
+    xs = _axis_plans(spec.m, spec.a, clamp)
+    ys = _axis_plans(spec.n, spec.b, clamp)
+    xm, ym = spec.image_w - 1, spec.image_h - 1
+    if not clamp:
+        return lambda x, y: (xs[x & xm], ys[y & ym])
+
+    def plan(x, y):
+        return (xs[x if 0 <= x <= xm else (0 if x < 0 else xm)],
+                ys[y if 0 <= y <= ym else (0 if y < 0 else ym)])
+    return plan
 
 
 def check_plans(spec: PAWindowSpec, origins=None) -> dict:
@@ -166,21 +161,25 @@ def check_plans(spec: PAWindowSpec, origins=None) -> dict:
     clamp = spec.boundary == "clamp"
     xmax = spec.image_w - spec.banks_x
     ymax = spec.image_h - spec.banks_y
+    plan = window_planner(spec)
     if origins is None:
         origins = ((x, y) for x in range(spec.image_w)
                    for y in range(spec.image_h))
     checked = mismatches = conflicts = 0
     for ox, oy in origins:
-        x, y = (min(ox, xmax), min(oy, ymax)) if clamp else (ox & mx, oy & my)
-        plan = window_access_plan(spec, ox, oy)
-        if plan.rx != (x & ma) or plan.ry != (y & mb):
+        if clamp:
+            x, y = min(max(ox, 0), xmax), min(max(oy, 0), ymax)
+        else:
+            x, y = ox & mx, oy & my
+        (x0, rx, rows), (y0, ry, cols) = plan(ox, oy)
+        if (x0, rx, y0, ry) != (x, x & ma, y, y & mb):
             mismatches += 1
         seen_p = set()
         for dx in range(ma + 1):
             px = (x + dx) & mx if not clamp else x + dx
             p = px & ma
             seen_p.add(p)
-            if plan.rows[p] != (px >> a) & (rows_n - 1):
+            if rows[p] != (px >> a) & (rows_n - 1):
                 mismatches += 1
         if len(seen_p) != ma + 1:
             conflicts += 1
@@ -189,7 +188,7 @@ def check_plans(spec: PAWindowSpec, origins=None) -> dict:
             py = (y + dy) & my if not clamp else y + dy
             q = py & mb
             seen_q.add(q)
-            if plan.cols[q] != (py >> b_) & (cols_n - 1):
+            if cols[q] != (py >> b_) & (cols_n - 1):
                 mismatches += 1
         if len(seen_q) != mb + 1:
             conflicts += 1

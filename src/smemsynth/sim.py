@@ -148,7 +148,8 @@ def _sorted_ops(trace: SimTrace):
     return sorted(trace.ops, key=lambda op: (op[0], op[1] == "W"))
 
 
-def _leak_fj(meta: dict, cycles: int) -> float:
+def leak_fj(meta: dict, cycles: int) -> float:
+    """Leakage energy (fJ) of a design's `meta` over `cycles` cycles."""
     # nW * ps = 1e-21 J = 1e-6 fJ
     return meta["p_leak_nw"] * meta["t_cycle_ps"] * cycles * 1e-6
 
@@ -181,13 +182,12 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     e_wire = meta["e_wire_op_fj"]
 
     mem = [None] * words
-    lKB = lK + lB
     poison = (1 << bits) - 1
     outputs = []
     warnings = []
     reads = writes = 0
-    rk_reads: dict[int, int] = {}
-    rk_writes: dict[int, int] = {}
+    addr_reads: dict[int, int] = {}
+    addr_writes: dict[int, int] = {}
 
     for cycle, kind, a, b in _sorted_ops(trace):
         if kind == "R":
@@ -199,8 +199,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
                 warnings.append(f"cycle {cycle}: uninitialized read at address {a}")
             outputs.append((cycle + 1, v))
             reads += 1
-            rk = ((a >> (lM + lB)) & ((1 << lK) - 1)) | ((a >> (lM + lKB)) << lK)
-            rk_reads[rk] = rk_reads.get(rk, 0) + 1
+            addr_reads[a] = addr_reads.get(a, 0) + 1
         elif kind == "W":
             if not 0 <= a < words:
                 raise SimError(f"cycle {cycle}: write address {a} out of range")
@@ -208,8 +207,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
                 raise SimError(f"cycle {cycle}: write data wider than {bits} bits")
             mem[a] = b
             writes += 1
-            rk = ((a >> (lM + lB)) & ((1 << lK) - 1)) | ((a >> (lM + lKB)) << lK)
-            rk_writes[rk] = rk_writes.get(rk, 0) + 1
+            addr_writes[a] = addr_writes.get(a, 0) + 1
         elif kind == "WIN":
             raise SimError("window reads apply to parallel-access designs only")
 
@@ -217,9 +215,13 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     if M > 1:
         act["mux"] = reads
         act["sel_reg"] = reads
-    for rk_map, suffix in ((rk_reads, ":read"), (rk_writes, ":write")):
-        for rk, n in rk_map.items():
-            r, k = rk >> lK, rk & ((1 << lK) - 1)
+    for addr_map, suffix in ((addr_reads, ":read"), (addr_writes, ":write")):
+        # (bank row, macro) -> accesses, in order of first access
+        rk_map: dict[tuple, int] = {}
+        for a, n in addr_map.items():
+            r, k, _row, _s = netlist.split_address(a, lR, lK, lB, lM)
+            rk_map[r, k] = rk_map.get((r, k), 0) + n
+        for (r, k), n in rk_map.items():
             for c in range(C):
                 bank = f"bank_{r}_{c}"
                 act[f"{bank}/wlg_{k}"] = act.get(f"{bank}/wlg_{k}", 0) + n
@@ -229,7 +231,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
 
     e = (act["dec"] * e_dec + act["__wire__"] * e_wire
          + reads * C * e_read + writes * C * e_write
-         + _leak_fj(meta, trace.n_cycles))
+         + leak_fj(meta, trace.n_cycles))
     return SimResult(outputs, act, e, trace.n_cycles, warnings, ir)
 
 
@@ -304,12 +306,10 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
     lanes = spec.lanes
     a_, b_ = spec.a, spec.b
     bxm, bym = spec.banks_x - 1, spec.banks_y - 1
-    rmask, cmask = spec.rows - 1, spec.cols - 1
     xm, ym = spec.image_w - 1, spec.image_h - 1
     cols_n = spec.cols
-    clamp = spec.boundary == "clamp"
-    xmax, ymax = spec.image_w - spec.banks_x, spec.image_h - spec.banks_y
     pmask = (1 << P) - 1
+    plan = pa.window_planner(spec)
     tables = _pa_step_tables(spec)
     mem = [[None] * spec.bank_words for _ in range(lanes)]
     outputs = []
@@ -319,23 +319,14 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
 
     for cycle, kind, xa, yb in _sorted_ops(trace):
         if kind == "WIN":
-            if clamp:
-                x = xa if 0 <= xa <= xmax else (0 if xa < 0 else xmax)
-                y = yb if 0 <= yb <= ymax else (0 if yb < 0 else ymax)
-            else:
-                x, y = xa & xm, yb & ym
-            rx, ry = x & bxm, y & bym
-            xbase, ybase = x >> a_, y >> b_
-            xn = (xbase + 1) & rmask
-            yn = (ybase + 1) & cmask
+            (x, rx, rows), (y, ry, cols) = plan(xa, yb)
             shifts = tables[(rx << b_) | ry]
             out = 0
             bi = 0
             for p in range(bxm + 1):
-                row = xn if p < rx else xbase
-                base = row * cols_n
+                base = rows[p] * cols_n
                 for q in range(bym + 1):
-                    v = mem[bi][base + (yn if q < ry else ybase)]
+                    v = mem[bi][base + cols[q]]
                     if v is None:
                         v = pmask
                         warnings.append(
@@ -391,7 +382,7 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
     e = (e_dec_total + reads * e_inc_evt
          + (writes * e_inc_evt if mode == "tm" else 0.0)
          + reads * lanes * e_read + writes * e_write
-         + ops * e_wire + _leak_fj(ir.meta, trace.n_cycles))
+         + ops * e_wire + leak_fj(ir.meta, trace.n_cycles))
     return SimResult(outputs, act, e, trace.n_cycles, warnings, ir)
 
 
@@ -415,7 +406,7 @@ def energy_report(result: SimResult, lib: Library | None = None,
     if ir is None:
         raise SimError("result carries no netlist")
     tech = tech or (lib.tech if lib is not None else TechParams())
-    total = _leak_fj(ir.meta, result.cycles)
+    total = leak_fj(ir.meta, result.cycles)
     for key, count in result.activity.items():
         if key == "__wire__":
             total += count * ir.meta["e_wire_op_fj"]

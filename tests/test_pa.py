@@ -8,7 +8,7 @@ import pytest
 from smemsynth.netlist import check_wellformed, emit_netlist, parse_netlist
 from smemsynth.pa import (PAError, PAWindowSpec, bank_addr, bank_index,
                           check_plans, compare_pa_ppa, emit_hdl_pa,
-                          generate_pa, map_pixel, window_access_plan)
+                          generate_pa, map_pixel, window_planner)
 
 
 def test_spec_validation():
@@ -43,22 +43,24 @@ def test_window_plan_covers_window_exactly():
     rng = random.Random(1)
     for m, n, a, b in [(5, 5, 1, 1), (5, 4, 2, 1), (4, 4, 2, 2), (3, 5, 1, 0)]:
         spec = PAWindowSpec(m, n, a, b)
+        plan = window_planner(spec)
         for _ in range(50):
             x = rng.randrange(spec.image_w)
             y = rng.randrange(spec.image_h)
-            plan = window_access_plan(spec, x, y)
+            (x0, rx, rows), (y0, ry, cols) = plan(x, y)
+            assert (x0, y0) == (x, y)
             # every bank is told one address; together they fetch the window
             got = {}
             for p in range(spec.banks_x):
                 for q in range(spec.banks_y):
-                    addr = plan.addr_for_bank(spec, p, q)
+                    addr = bank_addr(spec, rows[p], cols[q])
                     row, col = addr >> (n - b), addr & (spec.cols - 1)
                     # invert the distribution to find the pixel this bank holds
                     px = (row << a) | p
                     py = (col << b) | q
                     dx = (px - x) % spec.image_w
                     dy = (py - y) % spec.image_h
-                    assert plan.lane_for_offset(spec, dx, dy) == (p, q)
+                    assert ((rx + dx) % (1 << a), (ry + dy) % (1 << b)) == (p, q)
                     got[(dx, dy)] = (px, py)
             want = {(dx, dy): ((x + dx) % spec.image_w, (y + dy) % spec.image_h)
                     for dx in range(1 << a) for dy in range(1 << b)}

@@ -6,7 +6,8 @@ import pytest
 
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
-from smemsynth.netlist import emit_netlist, generate_sram, parse_netlist
+from smemsynth.netlist import (emit_netlist, generate_sram, join_address,
+                               parse_netlist)
 from smemsynth.pa import PAWindowSpec, generate_pa
 from smemsynth.sim import (SimError, SimTrace, TraceError, energy_report,
                            simulate, verify_pa)
@@ -176,6 +177,29 @@ def test_single_read_energy_decomposition():
     assert res.e_total_fj == pytest.approx(read_part + write_part + leak)
 
 
+def test_sram_activity_lands_on_addressed_macros():
+    # R != K, so a bank row and a macro index swapped lands elsewhere
+    lib = small_lib()
+    R, C, K = 2, 2, 4
+    ir = generate_sram(MemoryConfig("ba_32x8", R, C, K, 2), lib)
+    fields = (1, 2, 5, 1)       # lR, lK, lB, lM
+    tr = SimTrace()
+    want = {}
+    for r in range(R):
+        for k in range(K):
+            # a distinct count per (r, k) and per event, over varied rows
+            n_read, n_write = 1 + r * K + k, R * K - r * K - k
+            for i in range(n_write):
+                tr.write(join_address(r, k, (3 * i) % 32, i % 2, *fields), i)
+            for i in range(n_read):
+                tr.read(join_address(r, k, (7 * i + 1) % 32, (i + 1) % 2, *fields))
+            for c in range(C):
+                want[f"bank_{r}_{c}/ba_{k}:read"] = n_read
+                want[f"bank_{r}_{c}/ba_{k}:write"] = n_write
+    act = simulate(ir, tr).activity
+    assert {key: n for key, n in act.items() if "/ba_" in key} == want
+
+
 def test_energy_tracks_analytic_model():
     lib = small_lib()
     for quad in [(1, 1, 1, 1), (2, 2, 2, 2), (1, 4, 2, 4), (8, 1, 1, 1)]:
@@ -223,7 +247,8 @@ def test_parsed_netlist_simulates(tmp_path):
 def pa_reference(spec, image, x, y):
     """Toroidal (or clamped) window gather, lanes packed row-major."""
     if spec.boundary == "clamp":
-        x, y = spec.clamp_origin(x, y)
+        x = min(max(x, 0), spec.image_w - spec.banks_x)
+        y = min(max(y, 0), spec.image_h - spec.banks_y)
     out = 0
     for dx in range(spec.banks_x):
         for dy in range(spec.banks_y):
@@ -267,7 +292,8 @@ def test_pa_write_then_window_matches_reference():
                         tr.write((px << n) | py, image[px][py], cycle)
                         cycle += 1
                 origins = [(0, 0), (spec.image_w - 1, spec.image_h - 1),
-                           (3, 2), (1, spec.image_h - 1)]
+                           (3, 2), (1, spec.image_h - 1), (-1, -2),
+                           (spec.image_w + 3, 2 * spec.image_h + 1)]
                 for ox, oy in origins:
                     tr.window(ox, oy, cycle)
                     cycle += 1
