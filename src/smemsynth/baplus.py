@@ -10,8 +10,7 @@ analytic model over (B, W) with coefficients held in TechParams.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 
 
 class LibraryError(ValueError):
@@ -22,8 +21,13 @@ class BoundsError(ValueError):
     """Requested macro dimensions outside the configured bounds."""
 
 
+def is_int(v) -> bool:
+    """An int that is not a bool, as a JSON integer parses."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def is_pow2(n) -> bool:
-    return isinstance(n, int) and n > 0 and (n & (n - 1)) == 0
+    return is_int(n) and n > 0 and (n & (n - 1)) == 0
 
 
 def ilog2(n: int) -> int:

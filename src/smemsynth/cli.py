@@ -11,11 +11,11 @@ diff cleanly in CI.
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import floorplan, leafcell, pa, sim
@@ -31,51 +31,6 @@ FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 class UsageError(ValueError):
     """Bad invocation: missing files, malformed spec strings, and so on."""
-
-
-@dataclass
-class RunConfig:
-    """Everything a sub-command needs, pulled out of argparse.
-
-    Paths are checked up front so commands never get halfway through a run
-    before tripping on a missing input.
-    """
-
-    command: str
-    lib: str | None = None
-    tech: str | None = None
-    spec: str | None = None
-    out: str = "."
-    seed: int = 0
-    ar_tol: float | None = None
-    boundary: str = "wrap"
-    bounds: dict | None = None
-    inputs: list = field(default_factory=list)
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            command=args.command,
-            lib=getattr(args, "lib", None),
-            tech=getattr(args, "tech", None),
-            spec=getattr(args, "spec", None),
-            out=args.out,
-            seed=args.seed,
-            ar_tol=getattr(args, "ar_tol", None),
-            boundary=getattr(args, "boundary", "wrap"),
-            bounds=_parse_bounds(getattr(args, "bounds", None)),
-            inputs=list(getattr(args, "inputs", []) or []),
-        )
-
-    def validate(self) -> None:
-        for p in (self.lib, self.tech, *self.inputs):
-            if p is not None and not os.path.isfile(p):
-                raise UsageError(f"input file not found: {p}")
-        # --spec may be an inline string or a file; only check file-looking ones
-        if self.spec and (os.sep in self.spec or self.spec.endswith(".json")):
-            if not os.path.isfile(self.spec):
-                raise UsageError(f"spec file not found: {self.spec}")
-        os.makedirs(self.out, exist_ok=True)
 
 
 # -- small parsers -------------------------------------------------------------
@@ -111,9 +66,9 @@ def _load_tech(path) -> TechParams | None:
     return TechParams.from_dict(d)
 
 
-def _load_lib(rc: RunConfig, tech: TechParams | None) -> Library:
-    if rc.lib:
-        lib = load_library(rc.lib)
+def _load_lib(args, tech: TechParams | None) -> Library:
+    if args.lib:
+        lib = load_library(args.lib)
         if tech is not None:
             # explicit --tech wins over whatever the library file recorded
             lib = Library(list(lib), tech)
@@ -121,13 +76,32 @@ def _load_lib(rc: RunConfig, tech: TechParams | None) -> Library:
     return default_library(tech or TechParams())
 
 
-def _user_spec(rc: RunConfig, args) -> UserSpec:
+def _spec_file(path) -> dict:
+    with open(path) as fh:
+        fields = json.load(fh)
+    if not isinstance(fields, dict):
+        raise UsageError(f"spec file {path} must hold a JSON object")
+    return fields
+
+
+def _make_spec(cls, fields: dict, what: str):
+    """cls(**fields), naming the unknown or missing keys as a usage error."""
+    known = dataclasses.fields(cls)
+    unknown = sorted(set(fields) - {f.name for f in known})
+    if unknown:
+        raise UsageError(f"{what} has unknown fields: {unknown}")
+    missing = [f.name for f in known
+               if f.default is dataclasses.MISSING and f.name not in fields]
+    if missing:
+        raise UsageError(f"{what} is missing fields: {missing}")
+    return cls(**fields)
+
+
+def _user_spec(args) -> UserSpec:
     """--spec as `WORDSxBITS` inline or a JSON file with the same fields."""
-    value = rc.spec
-    fields = {}
+    value = args.spec
     if value and os.path.isfile(value):
-        with open(value) as fh:
-            fields = json.load(fh)
+        fields = _spec_file(value)
     elif value:
         m = re.fullmatch(r"(\d+)x(\d+)", value)
         if not m:
@@ -135,26 +109,22 @@ def _user_spec(rc: RunConfig, args) -> UserSpec:
         fields = {"words": int(m.group(1)), "bits": int(m.group(2))}
     else:
         raise UsageError("--spec is required")
-    if getattr(args, "ar_target", None) is not None:
+    if args.ar_target is not None:
         fields["aspect_ratio_target"] = args.ar_target
-    if rc.ar_tol is not None:
-        fields["aspect_ratio_tol"] = rc.ar_tol
-    if getattr(args, "t_max_ps", None) is not None:
+    if args.ar_tol is not None:
+        fields["aspect_ratio_tol"] = args.ar_tol
+    if args.t_max_ps is not None:
         fields["t_max_ps"] = args.t_max_ps
-    if getattr(args, "e_max_fj", None) is not None:
+    if args.e_max_fj is not None:
         fields["e_max_fj"] = args.e_max_fj
-    try:
-        return UserSpec(**fields)
-    except TypeError:
-        raise UsageError(f"spec file {value} has unknown fields: {sorted(fields)}")
+    return _make_spec(UserSpec, fields, f"spec file {value}")
 
 
-def _pa_spec(rc: RunConfig, args) -> pa.PAWindowSpec:
+def _pa_spec(args) -> pa.PAWindowSpec:
     """--spec as `m,n,a,b` inline or a JSON file with the full field set."""
-    value = rc.spec
+    value = args.spec
     if value and os.path.isfile(value):
-        with open(value) as fh:
-            fields = json.load(fh)
+        fields = _spec_file(value)
     elif value:
         parts = _parse_int_list(value, "--spec")
         if len(parts) != 4:
@@ -163,11 +133,8 @@ def _pa_spec(rc: RunConfig, args) -> pa.PAWindowSpec:
     else:
         raise UsageError("--spec is required")
     fields.setdefault("pixel_bits", args.pixel_bits)
-    fields.setdefault("boundary", rc.boundary)
-    try:
-        return pa.PAWindowSpec(**fields)
-    except TypeError:
-        raise UsageError(f"pa spec has unknown fields: {sorted(fields)}")
+    fields.setdefault("boundary", args.boundary)
+    return _make_spec(pa.PAWindowSpec, fields, "pa spec")
 
 
 def _memory_config(text, lib: Library) -> MemoryConfig:
@@ -195,30 +162,30 @@ def _fmt(v: float, places: int) -> str:
 
 # -- sub-commands --------------------------------------------------------------
 
-def cmd_genlib(rc: RunConfig, args) -> int:
-    tech = _load_tech(rc.tech) or TechParams()
+def cmd_genlib(args) -> int:
+    tech = _load_tech(args.tech) or TechParams()
     b_values = _parse_int_list(args.b_values, "--b-values")
     w_values = _parse_int_list(args.w_values, "--w-values")
     lib = default_library(tech, b_values=b_values, w_values=w_values)
-    path = Path(rc.out) / "library.json"
+    path = Path(args.out) / "library.json"
     save_library(lib, path)
     print(f"library.json: {len(lib)} macros "
           f"(B in {sorted(set(b_values))}, W in {sorted(set(w_values))})")
     return 0
 
 
-def cmd_explore(rc: RunConfig, args) -> int:
-    tech = _load_tech(rc.tech)
-    lib = _load_lib(rc, tech)
-    spec = _user_spec(rc, args)
-    cfgs = enumerate_configs(spec, lib, rc.bounds)
+def cmd_explore(args) -> int:
+    tech = _load_tech(args.tech)
+    lib = _load_lib(args, tech)
+    spec = _user_spec(args)
+    cfgs = enumerate_configs(spec, lib, args.bounds)
     if not cfgs:
         print("no legal organization for this spec and library", file=sys.stderr)
         return 1
     points = [(c, evaluate_ppa(c, lib, tech)) for c in cfgs]
     front = pareto_front(points)
 
-    out = Path(rc.out)
+    out = Path(args.out)
     write_report_csv(out / "report.csv", points, front)
     with open(out / "front.dat", "w") as fh:
         # gnuplot-friendly: whitespace columns, front points only
@@ -250,9 +217,9 @@ def cmd_explore(rc: RunConfig, args) -> int:
     return 0 if sel.feasible else 1
 
 
-def cmd_synth(rc: RunConfig, args) -> int:
-    tech = _load_tech(rc.tech)
-    lib = _load_lib(rc, tech)
+def cmd_synth(args) -> int:
+    tech = _load_tech(args.tech)
+    lib = _load_lib(args, tech)
     cfg = _memory_config(args.config, lib)
     ir = generate_sram(cfg, lib)
     violations = check_wellformed(ir)
@@ -261,12 +228,12 @@ def cmd_synth(rc: RunConfig, args) -> int:
             print(f"netlist check: {v}", file=sys.stderr)
         return 1
 
-    out = Path(rc.out)
+    out = Path(args.out)
     emit_netlist(ir, out / f"{ir.name}.nl")
     emit_hdl(ir, out / f"{ir.name}.v")
     fp = floorplan.realize(cfg, lib, tech, args.logic_area_um2,
                            ar_target=args.ar_target,
-                           ar_tol=rc.ar_tol if rc.ar_tol is not None else 0.0,
+                           ar_tol=args.ar_tol if args.ar_tol is not None else 0.0,
                            transpose=args.transpose)
     problems = floorplan.check(fp)
     if problems:
@@ -280,10 +247,10 @@ def cmd_synth(rc: RunConfig, args) -> int:
     return 0
 
 
-def cmd_pa(rc: RunConfig, args) -> int:
-    tech = _load_tech(rc.tech)
-    spec = _pa_spec(rc, args)
-    out = Path(rc.out)
+def cmd_pa(args) -> int:
+    tech = _load_tech(args.tech)
+    spec = _pa_spec(args)
+    out = Path(args.out)
     irs = {}
     for mode in ("sm", "tm"):
         ir = pa.generate_pa(spec, mode, tech)
@@ -308,7 +275,7 @@ def cmd_pa(rc: RunConfig, args) -> int:
     lines = [f"window m={spec.m} n={spec.n} a={spec.a} b={spec.b} "
              f"pixel_bits={spec.pixel_bits} boundary={spec.boundary}"]
     for mode in ("sm", "tm"):
-        rep = sim.verify_pa(spec, irs[mode], seed=rc.seed)
+        rep = sim.verify_pa(spec, irs[mode], seed=args.seed)
         bad += rep["mismatches"] + rep["conflicts"]
         lines.append(f"{mode} origins={rep['origins']} "
                      f"mismatches={rep['mismatches']} "
@@ -323,7 +290,7 @@ def cmd_pa(rc: RunConfig, args) -> int:
     return 1 if bad else 0
 
 
-def cmd_sim(rc: RunConfig, args) -> int:
+def cmd_sim(args) -> int:
     ir = parse_netlist(args.netlist)
     trace = sim.SimTrace.from_file(args.trace)
     res = sim.simulate(ir, trace)
@@ -335,7 +302,7 @@ def cmd_sim(rc: RunConfig, args) -> int:
     digits = max(1, (out_bits + 3) // 4)
     leak = sim.leak_fj(meta, res.cycles)
 
-    out = Path(rc.out)
+    out = Path(args.out)
     with open(out / "result.txt", "w") as fh:
         fh.write(f"# smemsynth sim result {ir.name}\n")
         fh.write(f"# cycles {res.cycles}\n")
@@ -345,16 +312,16 @@ def cmd_sim(rc: RunConfig, args) -> int:
             fh.write(f"# warning {w}\n")
         for cycle, value in res.outputs:
             fh.write(f"OUT {cycle} {value:0{digits}x}\n")
-    if rc.lib:
-        check = sim.energy_report(res, load_library(rc.lib), _load_tech(rc.tech))
+    if args.lib:
+        check = sim.energy_report(res, load_library(args.lib), _load_tech(args.tech))
         print(f"energy_report cross-check: {check:.3f} fJ")
     print(f"{len(res.outputs)} outputs over {res.cycles} cycles, "
           f"e_total {res.e_total_fj:.3f} fJ ({leak:.3f} leak)")
     return 0
 
 
-def cmd_leafcell(rc: RunConfig, args) -> int:
-    paths = list(rc.inputs) or sorted(str(p) for p in FIXTURE_DIR.glob("*.cell"))
+def cmd_leafcell(args) -> int:
+    paths = args.inputs or sorted(str(p) for p in FIXTURE_DIR.glob("*.cell"))
     if not paths:
         print("no .cell files to score", file=sys.stderr)
         return 2
@@ -382,7 +349,7 @@ def cmd_leafcell(rc: RunConfig, args) -> int:
               "transistor_efficiency", "power_rail_efficiency", "violations"]
     if args.target_layer:
         header.append("constructs")
-    with open(Path(rc.out) / "leafcell_report.csv", "w", newline="") as fh:
+    with open(Path(args.out) / "leafcell_report.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(header)
         wr.writerows(rows)
@@ -473,21 +440,36 @@ COMMANDS = {
 }
 
 
+def _check_args(args) -> None:
+    """Parse --bounds, check that the input files exist, then create --out.
+
+    Checking up front means a command never gets halfway through a run
+    before tripping on a missing input.
+    """
+    if "bounds" in args:
+        args.bounds = _parse_bounds(args.bounds)
+    inputs = getattr(args, "inputs", [])
+    if args.command == "sim":
+        inputs = [args.netlist, args.trace]
+    for p in (getattr(args, "lib", None), args.tech, *inputs):
+        if p is not None and not os.path.isfile(p):
+            raise UsageError(f"input file not found: {p}")
+    # --spec may be an inline string or a file; only check file-looking ones
+    spec = getattr(args, "spec", None)
+    if spec and (os.sep in spec or spec.endswith(".json")) and not os.path.isfile(spec):
+        raise UsageError(f"spec file not found: {spec}")
+    os.makedirs(args.out, exist_ok=True)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        rc = RunConfig.from_args(args)
-        # sim takes positional input files; fold them into the path checks
-        if args.command == "sim":
-            rc.inputs = [args.netlist, args.trace]
-        rc.validate()
-        return COMMANDS[args.command](rc, args)
-    except UsageError as exc:
-        print(f"smemsynth {args.command}: {exc}", file=sys.stderr)
-        return 2
+        _check_args(args)
+        return COMMANDS[args.command](args)
     except (ValueError, OSError, KeyError) as exc:
-        # domain errors from the libraries are all ValueError subclasses
+        # bad usage (UsageError) and the libraries' domain errors are all
+        # ValueError subclasses
         print(f"smemsynth {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -10,11 +10,10 @@ selection pick the config to realize.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 from . import floorplan
-from .baplus import Library, TechParams, ilog2, is_pow2
+from .baplus import Library, TechParams, ilog2, is_int, is_pow2
 
 
 class ConfigError(ValueError):
@@ -31,14 +30,25 @@ class UserSpec:
     e_max_fj: float | None = None
 
     def validate(self) -> None:
+        for name in ("words", "bits"):
+            v = getattr(self, name)
+            if not is_int(v):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
+        for name in ("aspect_ratio_target", "aspect_ratio_tol", "t_max_ps", "e_max_fj"):
+            v = getattr(self, name)
+            if v is None and name != "aspect_ratio_tol":
+                continue
+            if not (is_int(v) or isinstance(v, float)):
+                raise ConfigError(f"{name} must be a number, got {v!r}")
         if self.words < 1 or self.bits < 1:
             raise ConfigError("words and bits must be >= 1")
         if not 0.0 <= self.aspect_ratio_tol < 1.0:
             raise ConfigError("aspect_ratio_tol must be in [0, 1)")
-        if self.aspect_ratio_target is not None and self.aspect_ratio_target <= 0:
+        # `not x > 0` also rejects NaN, which no comparison would bind
+        if self.aspect_ratio_target is not None and not self.aspect_ratio_target > 0:
             raise ConfigError("aspect_ratio_target must be positive")
         for lim in (self.t_max_ps, self.e_max_fj):
-            if lim is not None and lim <= 0:
+            if lim is not None and not lim > 0:
                 raise ConfigError("constraint limits must be positive")
 
 

@@ -44,9 +44,6 @@ class Floorplan:
     def aspect_ratio(self) -> float:
         return self.die_h / self.die_w
 
-    def by_kind(self, kind: str):
-        return [r for r in self.placements if r.kind == kind]
-
 
 def _grid_dims(cfg, lib: Library, tech: TechParams):
     """Common integer geometry pieces for a memory config."""
@@ -117,9 +114,7 @@ def realize(cfg, lib: Library, tech: TechParams | None = None,
                           die_w, rail_h))
 
     # address/data pins hug the decode-strip edge (x = 0)
-    m = lib[cfg.variant]
-    words = cfg.R * cfg.K * m.B * cfg.M
-    bits = cfg.C * m.W // cfg.M
+    words, bits = cfg.dims(lib)
     abits = max(1, words.bit_length() - 1)
     pin_names = ([f"raddr[{i}]" for i in range(abits)]
                  + [f"waddr[{i}]" for i in range(abits)]

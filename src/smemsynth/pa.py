@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import explorer, netlist
-from .baplus import Library, TechParams, generate_variant
+from .baplus import Library, TechParams, generate_variant, is_int
 
 BOUNDARY_MODES = ("wrap", "clamp")
 
@@ -40,6 +40,10 @@ class PAWindowSpec:
     boundary: str = "wrap"
 
     def validate(self):
+        for name in ("m", "n", "a", "b", "pixel_bits"):
+            v = getattr(self, name)
+            if not is_int(v):
+                raise PAError(f"{name} must be an integer, got {v!r}")
         if not (0 <= self.a <= self.m):
             raise PAError(f"need 0 <= a <= m, got a={self.a}, m={self.m}")
         if not (0 <= self.b <= self.n):
@@ -293,7 +297,7 @@ def _pa_ports(ir: netlist.NetlistIR, spec: PAWindowSpec):
     ir.add_port("rdata", "out", spec.lanes * spec.pixel_bits)
 
 
-def _add_rot_and_align(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams):
+def _add_rot_and_align(ir: netlist.NetlistIR, spec: PAWindowSpec):
     if spec.a + spec.b:
         ir.add_net("rot_q", spec.a + spec.b)
         reg = ir.add_cell("rot_reg", "output_reg", role="rotation_pipeline",
@@ -314,28 +318,49 @@ def _add_rot_and_align(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechPara
     ir.connect("rdata", "align", "out", "drive")
 
 
-def generate_pa_sm(spec: PAWindowSpec, tech: TechParams | None = None) -> netlist.NetlistIR:
-    """Select-mode netlist: shared base decode, per-bank one-hot rotate."""
+def generate_pa(spec: PAWindowSpec, mode: str, tech: TechParams | None = None) -> netlist.NetlistIR:
+    """Window-memory netlist in select ("sm") or translate ("tm") mode.
+
+    Both modes share the ports, the bank macro, the rotation register and
+    the alignment network.  The mode builds only what turns the window
+    corner into each bank's wordlines.
+    """
+    if mode not in ("sm", "tm"):
+        raise PAError(f"unknown parallel-access mode {mode!r}")
     spec.validate()
     tech = tech or TechParams()
-    macro = _bank_macro(spec, tech)
-    cmp_ = compare_pa_ppa(spec, tech)
-    _, w_nm, h_nm = _storage_dims_nm(spec, tech)
+    macro, w_nm, h_nm = _storage_dims_nm(spec, tech)
+    est = getattr(compare_pa_ppa(spec, tech), mode)
     wire_fj = tech.e_wire_per_um_fj * (w_nm + h_nm) / 1e3
-    mb, nb = spec.m - spec.a, spec.n - spec.b
 
     ir = netlist.NetlistIR(
-        f"pa_sm_m{spec.m}n{spec.n}a{spec.a}b{spec.b}",
-        meta={"design": "pa_sm", "m": spec.m, "n": spec.n, "a": spec.a,
+        f"pa_{mode}_m{spec.m}n{spec.n}a{spec.a}b{spec.b}",
+        meta={"design": f"pa_{mode}", "m": spec.m, "n": spec.n, "a": spec.a,
               "b": spec.b, "pixel_bits": spec.pixel_bits,
               "boundary": spec.boundary, "lanes": spec.lanes,
               "bank_words": spec.bank_words, "variant": macro.name,
-              "t_cycle_ps": cmp_.sm.t_cycle_ps, "p_leak_nw": cmp_.sm.p_leak_nw,
+              "t_cycle_ps": est.t_cycle_ps, "p_leak_nw": est.p_leak_nw,
               "e_wire_op_fj": round(wire_fj, 6)})
     _pa_ports(ir, spec)
+    add_bank = (_sm_banks if mode == "sm" else _tm_banks)(ir, spec, tech, macro)
+    for p in range(spec.banks_x):
+        for q in range(spec.banks_y):
+            add_bank(f"bank_{p}_{q}", p, q)
+    _add_rot_and_align(ir, spec)
+    return ir
 
-    for axis, bits, base in (("x", mb, spec.rows), ("y", nb, spec.cols)):
-        dec = ir.add_cell(f"{axis}dec", "decoder", in_bits=(spec.m if axis == "x" else spec.n),
+
+def _sm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro):
+    """Select mode: add the shared base decoders, return the bank builder.
+
+    Each bank rotates the base one-hot selects by its carry and ANDs row
+    and column selects at a divided wordline gate in front of its macro.
+    """
+    axes = (("x", spec.m, spec.a, spec.rows, "rsel"),
+            ("y", spec.n, spec.b, spec.cols, "csel"))
+    for axis, in_bits, low_bits, base, _ in axes:
+        bits = in_bits - low_bits
+        dec = ir.add_cell(f"{axis}dec", "decoder", in_bits=in_bits,
                           stages=bits, mux_bits=0, ports="rw", axis=axis,
                           boundary=spec.boundary,
                           e_event_fj=round(tech.e_dec0_fj + tech.e_dec1_fj * bits, 6))
@@ -348,110 +373,84 @@ def generate_pa_sm(spec: PAWindowSpec, tech: TechParams | None = None) -> netlis
         ir.connect(f"{axis}base_oh", dec.name, "base_oh", "drive")
         ir.connect(f"w{axis}base_oh", dec.name, "wbase_oh", "drive")
 
-    for p in range(spec.banks_x):
-        for q in range(spec.banks_y):
-            bank = f"bank_{p}_{q}"
-            for axis, sel, width in (("x", p, spec.rows), ("y", q, spec.cols)):
-                inc = ir.add_cell(f"{bank}/inc{axis}", "pa_increment",
-                                  axis=axis, sel=sel, low_bits=(spec.a if axis == "x" else spec.b),
-                                  boundary=spec.boundary,
-                                  e_event_fj=round(tech.e_inc_fj / 2, 6))
-                ir.connect(f"{axis}base_oh", inc.name, "base_oh")
-                ir.connect(axis, inc.name, axis)
-                sel_net = f"{bank}/rsel" if axis == "x" else f"{bank}/csel"
-                ir.add_net(sel_net, width)
-                ir.connect(sel_net, inc.name, "sel_oh", "drive")
+    def add_bank(bank: str, p: int, q: int):
+        for (axis, _, low_bits, width, sel_net), sel in zip(axes, (p, q)):
+            inc = ir.add_cell(f"{bank}/inc{axis}", "pa_increment",
+                              axis=axis, sel=sel, low_bits=low_bits,
+                              boundary=spec.boundary,
+                              e_event_fj=round(tech.e_inc_fj / 2, 6))
+            ir.connect(f"{axis}base_oh", inc.name, "base_oh")
+            ir.connect(axis, inc.name, axis)
+            ir.add_net(f"{bank}/{sel_net}", width)
+            ir.connect(f"{bank}/{sel_net}", inc.name, "sel_oh", "drive")
 
-            wlg = ir.add_cell(f"{bank}/wlg", "wordline_gate", mode="divided",
-                              p=p, q=q)
-            ir.connect(f"{bank}/rsel", wlg.name, "rsel")
-            ir.connect(f"{bank}/csel", wlg.name, "csel")
-            ir.connect("re", wlg.name, "re")
-            ir.connect("wxbase_oh", wlg.name, "wxbase_oh")
-            ir.connect("wybase_oh", wlg.name, "wybase_oh")
-            ir.connect("wx", wlg.name, "wx")
-            ir.connect("wy", wlg.name, "wy")
-            ir.connect("we", wlg.name, "we")
-            ir.add_net(f"{bank}/rwl", spec.bank_words)
-            ir.add_net(f"{bank}/wwl", spec.bank_words)
-            ir.connect(f"{bank}/rwl", wlg.name, "rwl", "drive")
-            ir.connect(f"{bank}/wwl", wlg.name, "wwl", "drive")
+        wlg = ir.add_cell(f"{bank}/wlg", "wordline_gate", mode="divided",
+                          p=p, q=q)
+        ir.connect(f"{bank}/rsel", wlg.name, "rsel")
+        ir.connect(f"{bank}/csel", wlg.name, "csel")
+        ir.connect("re", wlg.name, "re")
+        ir.connect("wxbase_oh", wlg.name, "wxbase_oh")
+        ir.connect("wybase_oh", wlg.name, "wybase_oh")
+        ir.connect("wx", wlg.name, "wx")
+        ir.connect("wy", wlg.name, "wy")
+        ir.connect("we", wlg.name, "we")
+        ir.add_net(f"{bank}/rwl", spec.bank_words)
+        ir.add_net(f"{bank}/wwl", spec.bank_words)
+        ir.connect(f"{bank}/rwl", wlg.name, "rwl", "drive")
+        ir.connect(f"{bank}/wwl", wlg.name, "wwl", "drive")
 
-            ba = ir.add_cell(f"{bank}/ba", "baplus_instance", variant=macro.name,
-                             B=macro.B, W=macro.W, col=0,
-                             e_read_fj=macro.e_read_fj, e_write_fj=macro.e_write_fj,
-                             p_leak_nw=macro.p_leak_nw, t_access_ps=macro.t_access_ps)
-            ir.connect("clk", ba.name, "clk")
-            ir.connect(f"{bank}/rwl", ba.name, "rwl")
-            ir.connect(f"{bank}/wwl", ba.name, "wwl")
-            ir.connect("wdata", ba.name, "din")
-            ir.add_net(f"{bank}/q", spec.pixel_bits)
-            ir.connect(f"{bank}/q", ba.name, "qout", "drive")
+        ba = ir.add_cell(f"{bank}/ba", "baplus_instance", variant=macro.name,
+                         B=macro.B, W=macro.W, col=0,
+                         e_read_fj=macro.e_read_fj, e_write_fj=macro.e_write_fj,
+                         p_leak_nw=macro.p_leak_nw, t_access_ps=macro.t_access_ps)
+        ir.connect("clk", ba.name, "clk")
+        ir.connect(f"{bank}/rwl", ba.name, "rwl")
+        ir.connect(f"{bank}/wwl", ba.name, "wwl")
+        ir.connect("wdata", ba.name, "din")
+        ir.add_net(f"{bank}/q", spec.pixel_bits)
+        ir.connect(f"{bank}/q", ba.name, "qout", "drive")
 
-            tri = ir.add_cell(f"{bank}/tri", "tristate_driver", col=0,
-                              registered_enable=1)
-            ir.connect("clk", tri.name, "clk")
-            ir.connect(f"{bank}/q", tri.name, "in")
-            ir.connect(f"{bank}/rwl", tri.name, "en")
-            ir.add_net(f"{bank}/lane", spec.pixel_bits)
-            ir.connect(f"{bank}/lane", tri.name, "out", "drive")
-
-    _add_rot_and_align(ir, spec, tech)
-    return ir
+        tri = ir.add_cell(f"{bank}/tri", "tristate_driver", col=0,
+                          registered_enable=1)
+        ir.connect("clk", tri.name, "clk")
+        ir.connect(f"{bank}/q", tri.name, "in")
+        ir.connect(f"{bank}/rwl", tri.name, "en")
+        ir.add_net(f"{bank}/lane", spec.pixel_bits)
+        ir.connect(f"{bank}/lane", tri.name, "out", "drive")
+    return add_bank
 
 
-def generate_pa_tm(spec: PAWindowSpec, tech: TechParams | None = None) -> netlist.NetlistIR:
-    """Translate-mode netlist: per-bank binary translator + private memory.
+def _tm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro):
+    """Translate mode: return the bank builder.
 
-    Each bank's storage is a regular single-macro memory grafted in under
-    the bank scope, so every bank carries its own full-depth decode tree.
+    Each bank gets a binary translator and a regular single-macro memory
+    grafted in under the bank scope, so every bank carries its own
+    full-depth decode tree.
     """
-    spec.validate()
-    tech = tech or TechParams()
-    macro = _bank_macro(spec, tech)
-    cmp_ = compare_pa_ppa(spec, tech)
-    _, w_nm, h_nm = _storage_dims_nm(spec, tech)
-    wire_fj = tech.e_wire_per_um_fj * (w_nm + h_nm) / 1e3
-    mb, nb = spec.m - spec.a, spec.n - spec.b
-    sublib = Library([macro], tech)
-    subcfg = explorer.MemoryConfig(macro.name, 1, 1, 1, 1)
+    abits = max(spec.m - spec.a + spec.n - spec.b, 1)
+    sub = netlist.generate_sram(explorer.MemoryConfig(macro.name, 1, 1, 1, 1),
+                                Library([macro], tech))
 
-    ir = netlist.NetlistIR(
-        f"pa_tm_m{spec.m}n{spec.n}a{spec.a}b{spec.b}",
-        meta={"design": "pa_tm", "m": spec.m, "n": spec.n, "a": spec.a,
-              "b": spec.b, "pixel_bits": spec.pixel_bits,
-              "boundary": spec.boundary, "lanes": spec.lanes,
-              "bank_words": spec.bank_words, "variant": macro.name,
-              "t_cycle_ps": cmp_.tm.t_cycle_ps, "p_leak_nw": cmp_.tm.p_leak_nw,
-              "e_wire_op_fj": round(wire_fj, 6)})
-    _pa_ports(ir, spec)
-
-    for p in range(spec.banks_x):
-        for q in range(spec.banks_y):
-            bank = f"bank_{p}_{q}"
-            tr = ir.add_cell(f"{bank}/translate", "pa_increment",
-                             axis="xy", mode="translate", sel_x=p, sel_y=q,
-                             a=spec.a, b=spec.b, boundary=spec.boundary,
-                             e_event_fj=round(tech.e_inc_fj, 6))
-            for pin in ("x", "y", "wx", "wy", "we"):
-                ir.connect(pin, tr.name, pin)
-            ir.add_net(f"{bank}/taddr", max(mb + nb, 1))
-            ir.add_net(f"{bank}/twaddr", max(mb + nb, 1))
-            ir.add_net(f"{bank}/twe", 1)
-            ir.connect(f"{bank}/taddr", tr.name, "taddr", "drive")
-            ir.connect(f"{bank}/twaddr", tr.name, "twaddr", "drive")
-            ir.connect(f"{bank}/twe", tr.name, "twe", "drive")
-            ir.add_net(f"{bank}/lane", spec.pixel_bits)
-
-            sub = netlist.generate_sram(subcfg, sublib)
-            _graft(ir, sub, f"{bank}/sram",
-                   {"clk": "clk", "raddr": f"{bank}/taddr",
-                    "waddr": f"{bank}/twaddr", "re": "re",
-                    "we": f"{bank}/twe", "wdata": "wdata",
-                    "rdata": f"{bank}/lane"})
-
-    _add_rot_and_align(ir, spec, tech)
-    return ir
+    def add_bank(bank: str, p: int, q: int):
+        tr = ir.add_cell(f"{bank}/translate", "pa_increment",
+                         axis="xy", mode="translate", sel_x=p, sel_y=q,
+                         a=spec.a, b=spec.b, boundary=spec.boundary,
+                         e_event_fj=round(tech.e_inc_fj, 6))
+        for pin in ("x", "y", "wx", "wy", "we"):
+            ir.connect(pin, tr.name, pin)
+        ir.add_net(f"{bank}/taddr", abits)
+        ir.add_net(f"{bank}/twaddr", abits)
+        ir.add_net(f"{bank}/twe", 1)
+        ir.connect(f"{bank}/taddr", tr.name, "taddr", "drive")
+        ir.connect(f"{bank}/twaddr", tr.name, "twaddr", "drive")
+        ir.connect(f"{bank}/twe", tr.name, "twe", "drive")
+        ir.add_net(f"{bank}/lane", spec.pixel_bits)
+        _graft(ir, sub, f"{bank}/sram",
+               {"clk": "clk", "raddr": f"{bank}/taddr",
+                "waddr": f"{bank}/twaddr", "re": "re",
+                "we": f"{bank}/twe", "wdata": "wdata",
+                "rdata": f"{bank}/lane"})
+    return add_bank
 
 
 def _graft(ir: netlist.NetlistIR, sub: netlist.NetlistIR, prefix: str,
@@ -475,38 +474,19 @@ def _graft(ir: netlist.NetlistIR, sub: netlist.NetlistIR, prefix: str,
         # both now on the mapped top-level net, so nothing else to do
 
 
-def generate_pa(spec: PAWindowSpec, mode: str, tech: TechParams | None = None) -> netlist.NetlistIR:
-    if mode == "sm":
-        return generate_pa_sm(spec, tech)
-    if mode == "tm":
-        return generate_pa_tm(spec, tech)
-    raise PAError(f"unknown parallel-access mode {mode!r}")
-
-
 # -- Verilog-2001 emission ---------------------------------------------------
 
-def _clamp_expr(name: str, bits: int, vmax: int) -> str:
-    return f"({name} > {bits}'d{vmax}) ? {bits}'d{vmax} : {name}"
+def _slice(sig: str, hi: int, lo: int) -> str:
+    """The bit field sig[hi-1:lo], or "" when it is empty."""
+    return f"{sig}[{hi - 1}:{lo}]" if hi > lo else ""
 
 
-def _emit_pa_top_common(ir: netlist.NetlistIR, L: list, spec: PAWindowSpec):
-    P = spec.pixel_bits
-    lanes = spec.lanes
-    L += [f"module {ir.name} (clk, x, y, re, wx, wy, we, wdata, rdata);",
-          "  input clk, re, we;",
-          f"  input [{spec.m - 1}:0] x, wx;",
-          f"  input [{spec.n - 1}:0] y, wy;",
-          f"  input [{P - 1}:0] wdata;",
-          f"  output [{lanes * P - 1}:0] rdata;", ""]
-    if spec.boundary == "clamp":
-        L.append(f"  wire [{spec.m - 1}:0] xe = "
-                 + _clamp_expr("x", spec.m, spec.image_w - spec.banks_x) + ";")
-        L.append(f"  wire [{spec.n - 1}:0] ye = "
-                 + _clamp_expr("y", spec.n, spec.image_h - spec.banks_y) + ";")
-    else:
-        L.append(f"  wire [{spec.m - 1}:0] xe = x;")
-        L.append(f"  wire [{spec.n - 1}:0] ye = y;")
-    L.append("")
+def _cat(fields: list) -> str:
+    """Concatenation of the non-empty fields; 1'b0 when there are none."""
+    fields = [f for f in fields if f]
+    if len(fields) > 1:
+        return f"{{{', '.join(fields)}}}"
+    return fields[0] if fields else "1'b0"
 
 
 def _emit_pa_align(L: list, spec: PAWindowSpec):
@@ -514,9 +494,7 @@ def _emit_pa_align(L: list, spec: PAWindowSpec):
     lanes = spec.lanes
     if spec.a + spec.b:
         L.append(f"  reg [{spec.a + spec.b - 1}:0] rot_q;")
-        rx = f"xe[{spec.a - 1}:0]" if spec.a else ""
-        ry = f"ye[{spec.b - 1}:0]" if spec.b else ""
-        cat = f"{{{rx}, {ry}}}" if rx and ry else (rx or ry)
+        cat = _cat([_slice("xe", spec.a, 0), _slice("ye", spec.b, 0)])
         L.append(f"  always @(posedge clk) if (re) rot_q <= {cat};")
     lane_names = [f"lane_{p}_{q}" for p in range(spec.banks_x)
                   for q in range(spec.banks_y)]
@@ -542,148 +520,70 @@ def _emit_pa_align(L: list, spec: PAWindowSpec):
     L.append("")
 
 
-def _emit_hdl_pa_sm(ir: netlist.NetlistIR) -> str:
-    spec = _spec_from_meta(ir.meta)
-    P = spec.pixel_bits
+def _hdl_sm(spec: PAWindowSpec):
+    """Select mode: shared one-hot base decode; each bank rotates it."""
     R, C = spec.rows, spec.cols
-    B = spec.bank_words
-    mb, nb = spec.m - spec.a, spec.n - spec.b
-    bank_mod = f"{ir.name}_bank"
-    ba_mod = f"ba_{B}x{P}"
-    L = [f"// generated parallel-access memory (select mode): {ir.name}"]
-    _emit_pa_top_common(ir, L, spec)
-    # shared base decode, one per axis
-    xbase = f"xe[{spec.m - 1}:{spec.a}]" if mb else "1'b0"
-    ybase = f"ye[{spec.n - 1}:{spec.b}]" if nb else "1'b0"
-    wxbase = f"wx[{spec.m - 1}:{spec.a}]" if mb else "1'b0"
-    wybase = f"wy[{spec.n - 1}:{spec.b}]" if nb else "1'b0"
-    L.append(f"  wire [{R - 1}:0] xbase_oh = "
-             + (netlist._onehot_shift(R, xbase) if mb else "1'b1") + ";")
-    L.append(f"  wire [{C - 1}:0] ybase_oh = "
-             + (netlist._onehot_shift(C, ybase) if nb else "1'b1") + ";")
-    L.append(f"  wire [{R - 1}:0] wxbase_oh = "
-             + (netlist._onehot_shift(R, wxbase) if mb else "1'b1") + ";")
-    L.append(f"  wire [{C - 1}:0] wybase_oh = "
-             + (netlist._onehot_shift(C, wybase) if nb else "1'b1") + ";")
-    xlow = f"xe[{spec.a - 1}:0]" if spec.a else "1'b0"
-    ylow = f"ye[{spec.b - 1}:0]" if spec.b else "1'b0"
-    wxlow = f"wx[{spec.a - 1}:0]" if spec.a else "1'b0"
-    wylow = f"wy[{spec.b - 1}:0]" if spec.b else "1'b0"
-    L.append("")
-    for p in range(spec.banks_x):
-        for q in range(spec.banks_y):
-            L.append(f"  wire [{P - 1}:0] lane_{p}_{q};")
-            L.append(f"  {bank_mod} #(.P_SEL({p}), .Q_SEL({q})) u_bank_{p}_{q} "
-                     f"(.clk(clk), .re(re), .we(we), .xbase_oh(xbase_oh),"
-                     f" .ybase_oh(ybase_oh), .xlow({xlow}), .ylow({ylow}),"
-                     f" .wxbase_oh(wxbase_oh), .wybase_oh(wybase_oh),"
-                     f" .wxlow({wxlow}), .wylow({wylow}), .din(wdata),"
-                     f" .lane(lane_{p}_{q}));")
-    L.append("")
-    _emit_pa_align(L, spec)
-
-    aw = max(spec.a, 1)
-    bw = max(spec.b, 1)
-    L += [f"module {bank_mod} (clk, re, we, xbase_oh, ybase_oh, xlow, ylow,"
-          " wxbase_oh, wybase_oh, wxlow, wylow, din, lane);",
-          "  parameter P_SEL = 0;",
-          "  parameter Q_SEL = 0;",
-          "  input clk, re, we;",
-          f"  input [{R - 1}:0] xbase_oh, wxbase_oh;",
-          f"  input [{C - 1}:0] ybase_oh, wybase_oh;",
-          f"  input [{aw - 1}:0] xlow, wxlow;",
-          f"  input [{bw - 1}:0] ylow, wylow;",
-          f"  input [{P - 1}:0] din;",
-          f"  output [{P - 1}:0] lane;"]
+    axes = {"x": (R, spec.m, spec.a), "y": (C, spec.n, spec.b)}
+    decode = []
+    for sig, src in (("x", "xe"), ("y", "ye"), ("wx", "wx"), ("wy", "wy")):
+        width, bits, low_bits = axes[sig[-1]]
+        base = _slice(src, bits, low_bits)
+        onehot = netlist._onehot_shift(width, base) if base else "1'b1"
+        decode.append(f"  wire [{width - 1}:0] {sig}base_oh = {onehot};")
+    decode.append("")
+    ports = [("xbase_oh", "xbase_oh"), ("ybase_oh", "ybase_oh"),
+             ("xlow", _slice("xe", spec.a, 0) or "1'b0"),
+             ("ylow", _slice("ye", spec.b, 0) or "1'b0"),
+             ("wxbase_oh", "wxbase_oh"), ("wybase_oh", "wybase_oh"),
+             ("wxlow", _slice("wx", spec.a, 0) or "1'b0"),
+             ("wylow", _slice("wy", spec.b, 0) or "1'b0")]
+    inputs = [(R, "xbase_oh, wxbase_oh"), (C, "ybase_oh, wybase_oh"),
+              (max(spec.a, 1), "xlow, wxlow"), (max(spec.b, 1), "ylow, wylow")]
     # local one-hot rotate: banks before the rotation point take the carry
-    if R > 1:
-        L.append("  wire cx = (P_SEL < xlow);")
-        L.append(f"  wire [{R - 1}:0] rsel = cx ? "
-                 f"{{xbase_oh[{R - 2}:0], xbase_oh[{R - 1}]}} : xbase_oh;")
-        L.append(f"  wire [{R - 1}:0] wrsel = wxbase_oh;")
-    else:
-        L.append("  wire [0:0] rsel = xbase_oh;")
-        L.append("  wire [0:0] wrsel = wxbase_oh;")
-    if C > 1:
-        L.append("  wire cy = (Q_SEL < ylow);")
-        L.append(f"  wire [{C - 1}:0] csel = cy ? "
-                 f"{{ybase_oh[{C - 2}:0], ybase_oh[{C - 1}]}} : ybase_oh;")
-        L.append(f"  wire [{C - 1}:0] wcsel = wybase_oh;")
-    else:
-        L.append("  wire [0:0] csel = ybase_oh;")
-        L.append("  wire [0:0] wcsel = wybase_oh;")
-    L.append("  wire wmatch = we & (wxlow == P_SEL) & (wylow == Q_SEL);")
-    L.append(f"  wire [{B - 1}:0] rwl, wwl;")
+    body = []
+    for axis, sel, par, width in (("x", "r", "P_SEL", R), ("y", "c", "Q_SEL", C)):
+        rot = f"{axis}base_oh"
+        if width > 1:
+            body.append(f"  wire c{axis} = ({par} < {axis}low);")
+            rot = (f"c{axis} ? {{{axis}base_oh[{width - 2}:0], "
+                   f"{axis}base_oh[{width - 1}]}} : {axis}base_oh")
+        body += [f"  wire [{width - 1}:0] {sel}sel = {rot};",
+                 f"  wire [{width - 1}:0] w{sel}sel = w{axis}base_oh;"]
+    body += ["  wire wmatch = we & (wxlow == P_SEL) & (wylow == Q_SEL);",
+             f"  wire [{spec.bank_words - 1}:0] rwl, wwl;"]
     for r in range(R):
         hi = (r + 1) * C - 1
-        L.append(f"  assign rwl[{hi}:{r * C}] = {{{C}{{re & rsel[{r}]}}}} & csel;")
-        L.append(f"  assign wwl[{hi}:{r * C}] = {{{C}{{wmatch & wrsel[{r}]}}}} & wcsel;")
-    L += [f"  wire [{P - 1}:0] q;",
-          f"  {ba_mod} u_ba (.clk(clk), .rwl(rwl), .wwl(wwl),"
-          f" .wmask({{{P}{{1'b1}}}}), .din(din), .qout(q));",
-          "  assign lane = q;",
-          "endmodule", ""]
-    L += netlist._ba_module_text(B, P, ba_mod)
-    return "\n".join(L) + "\n"
+        body.append(f"  assign rwl[{hi}:{r * C}] = {{{C}{{re & rsel[{r}]}}}} & csel;")
+        body.append(f"  assign wwl[{hi}:{r * C}] = {{{C}{{wmatch & wrsel[{r}]}}}} & wcsel;")
+    return "select", decode, ports, inputs, body
 
 
-def _emit_hdl_pa_tm(ir: netlist.NetlistIR) -> str:
-    spec = _spec_from_meta(ir.meta)
-    P = spec.pixel_bits
+def _hdl_tm(spec: PAWindowSpec):
+    """Translate mode: each bank translates the corner to a binary address."""
     B = spec.bank_words
-    mb, nb = spec.m - spec.a, spec.n - spec.b
-    bank_mod = f"{ir.name}_bank"
-    ba_mod = f"ba_{B}x{P}"
-    L = [f"// generated parallel-access memory (translate mode): {ir.name}"]
-    _emit_pa_top_common(ir, L, spec)
-    for p in range(spec.banks_x):
-        for q in range(spec.banks_y):
-            L.append(f"  wire [{P - 1}:0] lane_{p}_{q};")
-            L.append(f"  {bank_mod} #(.P_SEL({p}), .Q_SEL({q})) u_bank_{p}_{q} "
-                     f"(.clk(clk), .re(re), .we(we), .x(xe), .y(ye),"
-                     f" .wx(wx), .wy(wy), .din(wdata), .lane(lane_{p}_{q}));")
-    L.append("")
-    _emit_pa_align(L, spec)
-
-    L += [f"module {bank_mod} (clk, re, we, x, y, wx, wy, din, lane);",
-          "  parameter P_SEL = 0;",
-          "  parameter Q_SEL = 0;",
-          "  input clk, re, we;",
-          f"  input [{spec.m - 1}:0] x, wx;",
-          f"  input [{spec.n - 1}:0] y, wy;",
-          f"  input [{P - 1}:0] din;",
-          f"  output [{P - 1}:0] lane;"]
-    xlow = f"x[{spec.a - 1}:0]" if spec.a else "1'b0"
-    ylow = f"y[{spec.b - 1}:0]" if spec.b else "1'b0"
-    wxlow = f"wx[{spec.a - 1}:0]" if spec.a else "1'b0"
-    wylow = f"wy[{spec.b - 1}:0]" if spec.b else "1'b0"
+    ports = [("x", "xe"), ("y", "ye"), ("wx", "wx"), ("wy", "wy")]
+    inputs = [(spec.m, "x, wx"), (spec.n, "y, wy")]
     # binary translate: base plus carry, wrapping at the bank array edge
-    row = (f"(x[{spec.m - 1}:{spec.a}] + (P_SEL < {xlow}))" if mb else "1'b0")
-    col = (f"(y[{spec.n - 1}:{spec.b}] + (Q_SEL < {ylow}))" if nb else "1'b0")
-    wrow = f"wx[{spec.m - 1}:{spec.a}]" if mb else "1'b0"
-    wcol = f"wy[{spec.n - 1}:{spec.b}]" if nb else "1'b0"
-    if mb:
-        L.append(f"  wire [{mb - 1}:0] row_t = {row};")
-    if nb:
-        L.append(f"  wire [{nb - 1}:0] col_t = {col};")
-    addr = ("{row_t, col_t}" if mb and nb else
-            ("row_t" if mb else ("col_t" if nb else "1'b0")))
-    waddr = (f"{{{wrow}, {wcol}}}" if mb and nb else
-             (wrow if mb else (wcol if nb else "1'b0")))
-    L.append(f"  wire [{max(mb + nb, 1) - 1}:0] taddr = {addr};")
-    L.append(f"  wire [{max(mb + nb, 1) - 1}:0] twaddr = {waddr};")
-    L.append(f"  wire wmatch = we & ({wxlow} == P_SEL) & ({wylow} == Q_SEL);")
-    L.append(f"  wire [{B - 1}:0] rwl = re ? "
-             + netlist._onehot_shift(B, "taddr") + f" : {B}'d0;")
-    L.append(f"  wire [{B - 1}:0] wwl = wmatch ? "
-             + netlist._onehot_shift(B, "twaddr") + f" : {B}'d0;")
-    L += [f"  wire [{P - 1}:0] q;",
-          f"  {ba_mod} u_ba (.clk(clk), .rwl(rwl), .wwl(wwl),"
-          f" .wmask({{{P}{{1'b1}}}}), .din(din), .qout(q));",
-          "  assign lane = q;",
-          "endmodule", ""]
-    L += netlist._ba_module_text(B, P, ba_mod)
-    return "\n".join(L) + "\n"
+    body, addr = [], []
+    for name, sig, bits, low_bits, par in (("row_t", "x", spec.m, spec.a, "P_SEL"),
+                                           ("col_t", "y", spec.n, spec.b, "Q_SEL")):
+        if bits > low_bits:
+            low = _slice(sig, low_bits, 0) or "1'b0"
+            body.append(f"  wire [{bits - low_bits - 1}:0] {name} = "
+                        f"({_slice(sig, bits, low_bits)} + ({par} < {low}));")
+            addr.append(name)
+    waddr = _cat([_slice("wx", spec.m, spec.a), _slice("wy", spec.n, spec.b)])
+    abits = max(spec.m - spec.a + spec.n - spec.b, 1)
+    wxlow = _slice("wx", spec.a, 0) or "1'b0"
+    wylow = _slice("wy", spec.b, 0) or "1'b0"
+    body += [f"  wire [{abits - 1}:0] taddr = {_cat(addr)};",
+             f"  wire [{abits - 1}:0] twaddr = {waddr};",
+             f"  wire wmatch = we & ({wxlow} == P_SEL) & ({wylow} == Q_SEL);",
+             f"  wire [{B - 1}:0] rwl = re ? "
+             + netlist._onehot_shift(B, "taddr") + f" : {B}'d0;",
+             f"  wire [{B - 1}:0] wwl = wmatch ? "
+             + netlist._onehot_shift(B, "twaddr") + f" : {B}'d0;"]
+    return "translate", [], ports, inputs, body
 
 
 def _spec_from_meta(meta: dict) -> PAWindowSpec:
@@ -693,8 +593,56 @@ def _spec_from_meta(meta: dict) -> PAWindowSpec:
 
 
 def emit_hdl_pa(ir: netlist.NetlistIR) -> str:
-    if ir.meta.get("design") == "pa_sm":
-        return _emit_hdl_pa_sm(ir)
-    if ir.meta.get("design") == "pa_tm":
-        return _emit_hdl_pa_tm(ir)
-    raise PAError(f"not a parallel-access netlist: {ir.meta.get('design')!r}")
+    """Verilog-2001 text: the top, its bank module and the BA+ leaf.
+
+    The top clamps or passes the window corner, instantiates one bank per
+    lane and aligns the lanes by the registered rotation.  The mode writes
+    only its top-level decode, the bank ports and the bank body.
+    """
+    design = ir.meta.get("design")
+    if design not in ("pa_sm", "pa_tm"):
+        raise PAError(f"not a parallel-access netlist: {design!r}")
+    spec = _spec_from_meta(ir.meta)
+    P, B = spec.pixel_bits, spec.bank_words
+    bank_mod = f"{ir.name}_bank"
+    ba_mod = f"ba_{B}x{P}"
+    title, decode, ports, inputs, body = (_hdl_sm if design == "pa_sm" else _hdl_tm)(spec)
+    L = [f"// generated parallel-access memory ({title} mode): {ir.name}",
+         f"module {ir.name} (clk, x, y, re, wx, wy, we, wdata, rdata);",
+         "  input clk, re, we;",
+         f"  input [{spec.m - 1}:0] x, wx;",
+         f"  input [{spec.n - 1}:0] y, wy;",
+         f"  input [{P - 1}:0] wdata;",
+         f"  output [{spec.lanes * P - 1}:0] rdata;", ""]
+    for sig, bits, vmax in (("x", spec.m, spec.image_w - spec.banks_x),
+                            ("y", spec.n, spec.image_h - spec.banks_y)):
+        eff = (f"({sig} > {bits}'d{vmax}) ? {bits}'d{vmax} : {sig}"
+               if spec.boundary == "clamp" else sig)
+        L.append(f"  wire [{bits - 1}:0] {sig}e = {eff};")
+    L += ["", *decode]
+    conns = "".join(f" .{port}({sig})," for port, sig in ports)
+    for p in range(spec.banks_x):
+        for q in range(spec.banks_y):
+            L.append(f"  wire [{P - 1}:0] lane_{p}_{q};")
+            L.append(f"  {bank_mod} #(.P_SEL({p}), .Q_SEL({q})) u_bank_{p}_{q} "
+                     f"(.clk(clk), .re(re), .we(we),{conns}"
+                     f" .din(wdata), .lane(lane_{p}_{q}));")
+    L.append("")
+    _emit_pa_align(L, spec)
+
+    L += [f"module {bank_mod} (clk, re, we, "
+          f"{', '.join(port for port, _ in ports)}, din, lane);",
+          "  parameter P_SEL = 0;",
+          "  parameter Q_SEL = 0;",
+          "  input clk, re, we;",
+          *(f"  input [{width - 1}:0] {names};" for width, names in inputs),
+          f"  input [{P - 1}:0] din;",
+          f"  output [{P - 1}:0] lane;",
+          *body,
+          f"  wire [{P - 1}:0] q;",
+          f"  {ba_mod} u_ba (.clk(clk), .rwl(rwl), .wwl(wwl),"
+          f" .wmask({{{P}{{1'b1}}}}), .din(din), .qout(q));",
+          "  assign lane = q;",
+          "endmodule", ""]
+    L += netlist._ba_module_text(B, P, ba_mod)
+    return "\n".join(L) + "\n"

@@ -414,7 +414,7 @@ def energy_report(result: SimResult, lib: Library | None = None,
         name, _, event = key.partition(":")
         cell = ir.cells[name]
         if cell.kind == "baplus_instance":
-            if lib is not None and cell.params["variant"] in {m.name for m in lib.macros}:
+            if lib is not None and cell.params["variant"] in lib:
                 macro = lib[cell.params["variant"]]
             else:
                 macro = None

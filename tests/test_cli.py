@@ -149,6 +149,47 @@ def test_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, fields", [
+    ("explore", {"words": "256", "bits": 8}),
+    ("explore", {"words": 256, "bits": True}),
+    ("explore", {"words": 256, "bits": 8, "aspect_ratio_tol": "0.1"}),
+    ("explore", {"words": 256, "bits": 8, "t_max_ps": [500]}),
+    ("explore", {"words": 256, "bits": 8, "t_max_ps": float("nan")}),
+    ("explore", [256, 8]),
+    ("explore", {"bits": 8}),
+    ("pa", {"m": 4, "n": "x", "a": 1, "b": 1}),
+    ("pa", {"m": 4, "n": 4, "a": 1, "b": 1, "pixel_bits": 8.5}),
+    ("pa", {"m": 4, "n": 4, "a": 1}),
+])
+def test_mistyped_spec_file_exits_2(tmp_path, capsys, command, fields):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(fields))
+    assert main([command, "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"smemsynth {command}: ")
+
+
+def test_mistyped_config_file_exits_2(tmp_path):
+    config = tmp_path / "chosen.json"
+    config.write_text(json.dumps({"variant": "ba_32x8", "R": True, "C": 1,
+                                  "K": 2, "M": 1}))
+    assert main(["synth", "--config", str(config), "--lib", LIB,
+                 "--out", str(tmp_path / "s")]) == 2
+    assert not list((tmp_path / "s").iterdir())
+
+
+def test_unknown_spec_fields_named(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"words": 256, "bits": 8,
+                                "ar_target": 1.0, "ar_tol": 0.1}))
+    assert main(["explore", "--spec", str(spec), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "has unknown fields: ['ar_target', 'ar_tol']\n")
+    spec.write_text(json.dumps({"m": 4, "n": 4, "a": 1, "b": 1, "bits": 8}))
+    assert main(["pa", "--spec", str(spec), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        "smemsynth pa: pa spec has unknown fields: ['bits']\n"
+
+
 def test_thread_env_guard(tmp_path, monkeypatch):
     # explore is serial; a leftover thread-count variable changes nothing
     monkeypatch.setenv("SMEMSYNTH_THREADS", "2")

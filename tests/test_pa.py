@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -149,6 +150,30 @@ def test_hdl_emission():
         assert "module" in text
     tm_text = emit_hdl_pa(generate_pa(PAWindowSpec(4, 4, 1, 1), "tm"))
     assert tm_text != t_wrap
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "clamp"])
+@pytest.mark.parametrize("mode", ["sm", "tm"])
+def test_hdl_structure(mode, boundary):
+    spec = PAWindowSpec(4, 3, 2, 1, pixel_bits=4, boundary=boundary)
+    ir = generate_pa(spec, mode)
+    text = emit_hdl_pa(ir)
+    bank_mod = f"{ir.name}_bank"
+    assert re.findall(r"^module (\S+) \(", text, re.M) == \
+        [ir.name, bank_mod, f"ba_{spec.bank_words}x4"]
+    assert text.count("endmodule") == 3
+    insts = re.findall(r"^  (\S+) #\(\.P_SEL\((\d+)\), \.Q_SEL\((\d+)\)\) "
+                       r"u_bank_(\d+)_(\d+) \(", text, re.M)
+    assert len(insts) == spec.lanes
+    assert {(mod, p, q) for mod, p, q, p2, q2 in insts if (p, q) == (p2, q2)} == \
+        {(bank_mod, str(p), str(q)) for p in range(4) for q in range(2)}
+    clamped = boundary == "clamp"
+    assert ("wire [3:0] xe = (x > 4'd12) ? 4'd12 : x;" in text) == clamped
+    assert ("wire [2:0] ye = (y > 3'd6) ? 3'd6 : y;" in text) == clamped
+    assert ("wire [3:0] xe = x;" in text) == (not clamped)
+    assert ("wire [2:0] ye = y;" in text) == (not clamped)
+    assert ("xbase_oh" in text) == (mode == "sm")
+    assert ("taddr" in text) == (mode == "tm")
 
 
 def test_generate_pa_rejects_unknown_mode():
