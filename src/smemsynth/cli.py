@@ -310,8 +310,8 @@ def cmd_sim(args) -> int:
         fh.write(f"# e_leak_fj {leak:.3f}\n")
         for w in res.warnings:
             fh.write(f"# warning {w}\n")
-        for cycle, value in res.outputs:
-            fh.write(f"OUT {cycle} {value:0{digits}x}\n")
+        out_line = f"OUT %d %0{digits}x\n"
+        fh.writelines(out_line % cv for cv in res.outputs)
     if args.lib:
         check = sim.energy_report(res, load_library(args.lib), _load_tech(args.tech))
         print(f"energy_report cross-check: {check:.3f} fJ")

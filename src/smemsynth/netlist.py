@@ -364,38 +364,73 @@ def _parse_value(tok: str):
 
 
 def parse_netlist(path) -> NetlistIR:
+    """Read the text written by emit_netlist; one streamed pass, one line at
+    a time.  A `conn` must follow the `port`/`net` and `cell` it names.
+
+    Every check of add_port/add_net/add_cell/connect is made, with the same
+    message prefixed by `path:lineno`; the cell and conn lines, nearly all
+    of a file, make them inline.
+    """
     ir = NetlistIR("netlist")
+    cells, nets = ir.cells, ir.nets
+    name_ok = _NAME_RE.match
+    params_of = {}  # "key=value" token -> (key, value), converted once
+    scope = ""      # the previous cell's scope, already registered
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("smemsynth netlist "):
-                    ir.name = body.split()[-1]
-                elif body.startswith("meta "):
-                    for tok in body[5:].split():
-                        k, _, v = tok.partition("=")
-                        ir.meta[k] = _parse_value(v)
-                continue
+        for lineno, line in enumerate(fh, 1):
             toks = line.split()
+            if not toks:
+                continue
+            head = toks[0]
             try:
-                if toks[0] == "port":
-                    ir.add_port(toks[1], toks[2], int(toks[3]))
-                elif toks[0] == "cell":
+                if head == "conn":
+                    net = nets.get(toks[1])
+                    cell, _, pin = toks[2].rpartition(".")
+                    role = toks[3]
+                    if net is None:
+                        raise NetlistError(f"unknown net {toks[1]!r}")
+                    if cell not in cells:
+                        raise NetlistError(f"unknown cell {cell!r}")
+                    if role == "sink":
+                        net.sinks.append((cell, pin))
+                    elif role == "drive":
+                        net.drivers.append((cell, pin))
+                    else:
+                        raise NetlistError(f"bad role {role!r}")
+                elif head == "cell":
+                    name, kind = toks[1], toks[2]
+                    if not name_ok(name):
+                        raise NetlistError(f"bad cell name {name!r}")
+                    if kind not in CELL_KINDS:
+                        raise NetlistError(f"cell {name}: unknown kind {kind!r}")
+                    if name in cells:
+                        raise NetlistError(f"duplicate cell {name!r}")
                     params = {}
                     for tok in toks[3:]:
-                        k, _, v = tok.partition("=")
-                        params[k] = _parse_value(v)
-                    ir.add_cell(toks[1], toks[2], **params)
-                elif toks[0] == "net":
+                        kv = params_of.get(tok)
+                        if kv is None:
+                            k, _, v = tok.partition("=")
+                            kv = params_of[tok] = (k, _parse_value(v))
+                        params[kv[0]] = kv[1]
+                    cells[name] = Cell(name, kind, params)
+                    parent = name.rpartition("/")[0]
+                    if parent != scope:
+                        ir._register_scope(name)
+                        scope = parent
+                elif head == "net":
                     ir.add_net(toks[1], int(toks[2]))
-                elif toks[0] == "conn":
-                    cell, _, pin = toks[2].rpartition(".")
-                    ir.connect(toks[1], cell, pin, toks[3])
+                elif head == "port":
+                    ir.add_port(toks[1], toks[2], int(toks[3]))
+                elif head[0] == "#":
+                    body = line.strip()[1:].strip()
+                    if body.startswith("smemsynth netlist "):
+                        ir.name = body.split()[-1]
+                    elif body.startswith("meta "):
+                        for tok in body[5:].split():
+                            k, _, v = tok.partition("=")
+                            ir.meta[k] = _parse_value(v)
                 else:
-                    raise NetlistError(f"unknown directive {toks[0]!r}")
+                    raise NetlistError(f"unknown directive {head!r}")
             except (IndexError, ValueError) as e:
                 raise NetlistError(f"{path}:{lineno}: {e}") from None
     return ir

@@ -228,10 +228,6 @@ class PAComparison:
     def area_ratio(self) -> float:
         return self.sm.area_um2 / self.tm.area_um2
 
-    @property
-    def gops_ratio(self) -> float:
-        return self.sm.gops_per_watt / self.tm.gops_per_watt
-
 
 def compare_pa_ppa(spec: PAWindowSpec, tech: TechParams | None = None) -> PAComparison:
     """Analytic area/timing/energy for both bank-select microarchitectures.

@@ -31,11 +31,17 @@ class TraceError(ValueError):
     pass
 
 
-_READ_KINDS = ("R", "WIN")
+# op kind -> the port it takes ("" for none)
+_PORT = {"R": "r", "WIN": "r", "W": "w", "IDLE": ""}
 
 
 class SimTrace:
-    """Ordered, cycle-stamped operations; at most 1R and 1W per cycle."""
+    """Cycle-stamped operations; at most 1R and 1W per cycle.
+
+    `ops` is kept in evaluation order: by cycle, and within a cycle a write
+    comes after the co-issued read, whatever the insertion order, because
+    the read sees the old data.
+    """
 
     def __init__(self):
         self.ops: list[tuple] = []  # (cycle, kind, a, b)
@@ -44,20 +50,24 @@ class SimTrace:
         self._used = ""  # ports ("r", "w") taken in self._cycle
 
     def _add(self, cycle, kind, a=0, b=0):
+        ops = self.ops
         if cycle is None:
             cycle = self.n_cycles
         if cycle < 0:
             raise TraceError("negative cycle")
-        if self.ops and cycle < self.ops[-1][0]:
+        if ops and cycle < ops[-1][0]:
             raise TraceError("cycle stamps must not decrease")
-        port = "r" if kind in _READ_KINDS else ("w" if kind == "W" else None)
+        port = _PORT[kind]
         if cycle != self._cycle:
             self._cycle, self._used = cycle, ""
-        if port is not None:
+        if port:
             if port in self._used:
                 raise TraceError(f"cycle {cycle}: second {port}-port op")
             self._used += port
-        self.ops.append((cycle, kind, a, b))
+        if kind != "W" and ops and ops[-1][0] == cycle and ops[-1][1] == "W":
+            ops.insert(-1, (cycle, kind, a, b))
+        else:
+            ops.append((cycle, kind, a, b))
         return self
 
     @property
@@ -102,28 +112,39 @@ class SimTrace:
 
     @classmethod
     def from_file(cls, path) -> "SimTrace":
+        """Read a trace file, streamed; each op line is the next cycle.
+
+        One op per line means stamps never decrease and ports never clash,
+        so ops are appended without _add's checks.
+        """
         tr = cls()
+        ops = tr.ops
         cycle = 0
         with open(path) as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
+            for lineno, line in enumerate(fh, 1):
                 toks = line.split()
+                if not toks or toks[0][0] == "#":
+                    continue
+                op = toks[0]
                 try:
-                    if toks[0] == "W":
-                        tr.write(int(toks[1], 0), int(toks[2], 16), cycle)
-                    elif toks[0] == "R":
-                        tr.read(int(toks[1], 0), cycle)
-                    elif toks[0] == "WIN":
-                        tr.window(int(toks[1], 0), int(toks[2], 0), cycle)
-                    elif toks[0] == "IDLE":
-                        tr.idle(cycle)
+                    if op == "W":
+                        a, b = int(toks[1], 0), int(toks[2], 16)
+                        if b < 0:
+                            raise TraceError("write data must be non-negative")
+                        ops.append((cycle, "W", a, b))
+                    elif op == "R":
+                        ops.append((cycle, "R", int(toks[1], 0), 0))
+                    elif op == "WIN":
+                        ops.append((cycle, "WIN", int(toks[1], 0), int(toks[2], 0)))
+                    elif op == "IDLE":
+                        ops.append((cycle, "IDLE", 0, 0))
                     else:
-                        raise TraceError(f"unknown op {toks[0]!r}")
+                        raise TraceError(f"unknown op {op!r}")
                 except (IndexError, ValueError) as e:
                     raise TraceError(f"{path}:{lineno}: {e}") from None
                 cycle += 1
+        if ops:
+            tr._cycle, tr._used = cycle - 1, _PORT[ops[-1][1]]
         return tr
 
 
@@ -140,12 +161,6 @@ class SimResult:
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise SimError(f"netlist structure: {msg}")
-
-
-def _sorted_ops(trace: SimTrace):
-    # reads evaluate before the co-issued write commits, whatever the
-    # insertion order was
-    return sorted(trace.ops, key=lambda op: (op[0], op[1] == "W"))
 
 
 def leak_fj(meta: dict, cycles: int) -> float:
@@ -189,7 +204,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     addr_reads: dict[int, int] = {}
     addr_writes: dict[int, int] = {}
 
-    for cycle, kind, a, b in _sorted_ops(trace):
+    for cycle, kind, a, b in trace.ops:
         if kind == "R":
             if not 0 <= a < words:
                 raise SimError(f"cycle {cycle}: read address {a} out of range")
@@ -317,7 +332,7 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
     reads = writes = 0
     bank_writes = [0] * lanes
 
-    for cycle, kind, xa, yb in _sorted_ops(trace):
+    for cycle, kind, xa, yb in trace.ops:
         if kind == "WIN":
             (x, rx, rows), (y, ry, cols) = plan(xa, yb)
             shifts = tables[(rx << b_) | ry]

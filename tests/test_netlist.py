@@ -6,10 +6,13 @@ import re
 import pytest
 
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
+from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs
-from smemsynth.netlist import (NetlistIR, address_fields, check_wellformed,
-                               emit_hdl, emit_netlist, generate_sram,
-                               join_address, parse_netlist, split_address)
+from smemsynth.netlist import (NetlistError, NetlistIR, address_fields,
+                               check_wellformed, emit_hdl, emit_netlist,
+                               generate_sram, join_address, parse_netlist,
+                               split_address)
+from smemsynth.pa import PAWindowSpec, generate_pa
 
 
 def small_lib():
@@ -176,3 +179,203 @@ def test_meta_survives_parse(tmp_path):
         assert back.meta[key] == ir.meta[key]
     assert isinstance(back.meta["t_cycle_ps"], float)
     assert isinstance(back.meta["words"], int)
+
+
+# -- parse_netlist error paths ------------------------------------------------
+
+# (case id, first line to replace, its replacement, message after "path:line: ")
+# The lines are those of the ba_32x8 2,2,2,2 netlist; each edit breaks one line.
+_BAD_LINES = [
+    ("port-missing-token", "port clk in 1", "port clk in",
+     "list index out of range"),
+    ("cell-missing-token", "cell sel_reg ", "cell sel_reg",
+     "list index out of range"),
+    ("net-missing-token", "net r_row 32", "net r_row",
+     "list index out of range"),
+    ("conn-missing-token", "conn raddr dec.raddr sink", "conn raddr dec.raddr",
+     "list index out of range"),
+    ("net-width-not-int", "net r_row 32", "net r_row wide",
+     "invalid literal for int() with base 10: 'wide'"),
+    ("port-width-not-int", "port wdata in 8", "port wdata in 8.0",
+     "invalid literal for int() with base 10: '8.0'"),
+    ("net-width-0", "net r_row 32", "net r_row 0",
+     "net r_row: width must be >= 1"),
+    ("port-width-0", "port re in 1", "port re in 0",
+     "net re: width must be >= 1"),
+    ("port-bad-direction", "port rdata out 8", "port rdata inout 8",
+     "port rdata: bad direction inout"),
+    ("bad-port-name", "port re in 1", "port 2re in 1", "bad net name '2re'"),
+    ("bad-net-name", "net r_row 32", "net r_row/ 32", "bad net name 'r_row/'"),
+    ("bad-cell-name", "cell sel_reg ", "cell sel-reg output_reg",
+     "bad cell name 'sel-reg'"),
+    ("unknown-kind", "cell sel_reg ", "cell sel_reg flipflop",
+     "cell sel_reg: unknown kind 'flipflop'"),
+    ("duplicate-cell", "cell bank_0_0/tri_0 ",
+     "cell bank_0_0/wlg_0 tristate_driver", "duplicate cell 'bank_0_0/wlg_0'"),
+    ("duplicate-net", "net w_ba 2", "net r_ba 2", "duplicate net 'r_ba'"),
+    ("net-shadows-port", "net r_row 32", "net raddr 32",
+     "duplicate net 'raddr'"),
+    ("conn-unknown-net", "conn raddr dec.raddr sink",
+     "conn r_addr dec.raddr sink", "unknown net 'r_addr'"),
+    ("conn-unknown-cell", "conn raddr dec.raddr sink",
+     "conn raddr decoder.raddr sink", "unknown cell 'decoder'"),
+    ("conn-no-pin", "conn raddr dec.raddr sink", "conn raddr dec sink",
+     "unknown cell ''"),
+    ("conn-bad-role", "conn raddr dec.raddr sink", "conn raddr dec.raddr source",
+     "bad role 'source'"),
+    ("unknown-directive", "net r_row 32", "wire r_row 32",
+     "unknown directive 'wire'"),
+    # a conn ahead of the net it names: nets are declared before use
+    ("conn-before-net", "cell sel_reg ", "conn r_msel_q sel_reg.q drive",
+     "unknown net 'r_msel_q'"),
+    # ... and ahead of the cell it names
+    ("conn-before-cell", "port we in 1", "conn clk sel_reg.clk sink",
+     "unknown cell 'sel_reg'"),
+]
+
+
+def _emit_lines(tmp_path):
+    ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+    path = tmp_path / "good.nl"
+    emit_netlist(ir, path)
+    return path.read_text().splitlines()
+
+
+def _write_bad(tmp_path, old, new):
+    """The good netlist with its first line starting `old` replaced by `new`;
+    returns (path, 1-based line number of the edit)."""
+    lines = _emit_lines(tmp_path)
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(old))
+    lines[i] = new
+    path = tmp_path / "bad.nl"
+    path.write_text("\n".join(lines) + "\n")
+    return path, i + 1
+
+
+@pytest.mark.parametrize("old,new,msg", [c[1:] for c in _BAD_LINES],
+                         ids=[c[0] for c in _BAD_LINES])
+def test_parse_netlist_rejects_line(tmp_path, old, new, msg):
+    path, lineno = _write_bad(tmp_path, old, new)
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(path)
+    assert str(exc.value) == f"{path}:{lineno}: {msg}"
+
+
+@pytest.mark.parametrize("old,new", [c[1:3] for c in _BAD_LINES],
+                         ids=[c[0] for c in _BAD_LINES])
+def test_sim_rejects_bad_netlist(tmp_path, capsys, old, new):
+    path, lineno = _write_bad(tmp_path, old, new)
+    trace = tmp_path / "ops.tr"
+    trace.write_text("W 0 1\nR 0\n")
+    assert main(["sim", str(path), str(trace), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"smemsynth sim: {path}:{lineno}: ")
+
+
+# the same mistakes made through the API, for the cases the parser checks
+# inline: both must say the same thing
+_API_MISTAKES = {
+    "bad-cell-name": lambda ir: ir.add_cell("sel-reg", "output_reg"),
+    "unknown-kind": lambda ir: ir.add_cell("sel_reg", "flipflop"),
+    "duplicate-cell": lambda ir: ir.add_cell("bank_0_0/wlg_0", "tristate_driver"),
+    "conn-unknown-net": lambda ir: ir.connect("r_addr", "dec", "raddr"),
+    "conn-unknown-cell": lambda ir: ir.connect("raddr", "decoder", "raddr"),
+    "conn-bad-role": lambda ir: ir.connect("raddr", "dec", "raddr", "source"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_API_MISTAKES))
+def test_parser_and_api_agree_on_messages(case):
+    ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+    with pytest.raises(NetlistError) as exc:
+        _API_MISTAKES[case](ir)
+    assert str(exc.value) == next(c[3] for c in _BAD_LINES if c[0] == case)
+
+
+def test_parse_netlist_skips_comments_and_blanks(tmp_path):
+    lines = _emit_lines(tmp_path)
+    lines[3:3] = ["", "   ", "# a note", "  # indented note"]
+    path = tmp_path / "c.nl"
+    path.write_text("\n".join(lines) + "\n")
+    again = tmp_path / "again.nl"
+    emit_netlist(parse_netlist(path), again)
+    assert again.read_text().splitlines() == _emit_lines(tmp_path)
+
+
+_FUZZ_WORDS = ["conn", "cell", "net", "port", "#", "", "x", "0", "-1", "1_0",
+               "0x4", "in", "out", "drive", "sink", "decoder", "a//b", "dec.x",
+               ".", "k=", "=v", "name=1", "kind=inv", "r_row", "clk", "dec"]
+
+
+def test_parse_netlist_fuzz(tmp_path):
+    """Seeded token and line mutations: each file parses or raises
+    NetlistError, never another exception."""
+    rng = random.Random(11)
+    good = _emit_lines(tmp_path)
+    path = tmp_path / "fuzz.nl"
+    for _ in range(300):
+        lines = list(good)
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randrange(len(lines))
+            toks = lines[j].split(" ")
+            r = rng.random()
+            if r < 0.3:
+                del toks[rng.randrange(len(toks))]
+            elif r < 0.6:
+                toks[rng.randrange(len(toks))] = rng.choice(_FUZZ_WORDS)
+            elif r < 0.8:
+                toks.insert(rng.randrange(len(toks) + 1), rng.choice(_FUZZ_WORDS))
+            else:
+                lines.insert(rng.randrange(len(lines)), lines.pop(j))
+                continue
+            lines[j] = " ".join(toks)
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            parse_netlist(path)
+        except NetlistError as e:
+            assert str(e).startswith(f"{path}:")
+
+
+def test_param_keys_are_free(tmp_path):
+    """`name` and `kind` are ordinary param keys in the text grammar."""
+    path, _ = _write_bad(tmp_path, "cell sel_reg ",
+                         "cell sel_reg output_reg name=q kind=1")
+    cell = parse_netlist(path).cells["sel_reg"]
+    assert (cell.kind, cell.params) == ("output_reg", {"name": "q", "kind": 1})
+
+
+# -- structural round trip ------------------------------------------------------
+
+def _typed(d):
+    return {k: (type(v), v) for k, v in d.items()}
+
+
+def _structure(ir):
+    return {
+        "name": ir.name,
+        "meta": _typed(ir.meta),
+        "ports": list(ir.ports),
+        "cells": {n: (c.kind, _typed(c.params)) for n, c in ir.cells.items()},
+        "nets": {n: (net.width, list(net.drivers), list(net.sinks))
+                 for n, net in ir.nets.items()},
+        "scopes": {s: list(children) for s, children in ir.scopes.items()},
+    }
+
+
+_ROUNDTRIP_SRAM = [("ba_32x8", 1, 1, 1, 1), ("ba_32x8", 2, 2, 2, 2),
+                   ("ba_32x8", 4, 1, 2, 1), ("ba_32x8", 1, 2, 4, 2)]
+
+
+@pytest.mark.parametrize("design", [*map(",".join, (map(str, c) for c in _ROUNDTRIP_SRAM)),
+                                    "pa_sm", "pa_tm"])
+def test_parse_inverts_emit(tmp_path, design):
+    if design.startswith("pa_"):
+        ir = generate_pa(PAWindowSpec(5, 4, 2, 1), design[3:])
+    else:
+        variant, *factors = design.split(",")
+        ir = generate_sram(MemoryConfig(variant, *map(int, factors)), small_lib())
+    path = tmp_path / "rt.nl"
+    emit_netlist(ir, path)
+    back = parse_netlist(path)
+    assert _structure(back) == _structure(ir)
+    assert check_wellformed(back) == []

@@ -376,3 +376,128 @@ def test_unknown_design_rejected():
     ir.meta["design"] = "dram_please"
     with pytest.raises(SimError):
         simulate(ir, SimTrace().idle())
+
+
+# -- trace files and evaluation order -------------------------------------------
+
+@pytest.mark.parametrize("bad,msg", [
+    ("READ 4", "unknown op 'READ'"),
+    ("R", "list index out of range"),
+    ("W 1 zz", "invalid literal for int() with base 16: 'zz'"),
+    ("W 1 -5", "write data must be non-negative"),
+    ("R 010", "invalid literal for int() with base 0: '010'"),
+    ("WIN 3", "list index out of range"),
+])
+def test_trace_file_rejects_line(tmp_path, bad, msg):
+    path = tmp_path / "bad.tr"
+    path.write_text(f"# header\nW 0x10 ff\n\nR 1_0\n{bad}\nIDLE\n")
+    with pytest.raises(TraceError) as exc:
+        SimTrace.from_file(path)
+    assert str(exc.value) == f"{path}:5: {msg}"
+
+
+def test_trace_file_fuzz(tmp_path):
+    """Seeded lines of random tokens: each file reads or raises TraceError."""
+    rng = random.Random(13)
+    words = ["W", "R", "WIN", "IDLE", "#", "x", "0", "010", "0x1f", "1_0",
+             "-3", "ff", "-ff", "zz", "0b11", "+5"]
+    path = tmp_path / "fuzz.tr"
+    for _ in range(500):
+        path.write_text("".join(
+            " ".join(rng.choice(words) for _ in range(rng.randrange(4))) + "\n"
+            for _ in range(rng.randint(1, 5))))
+        try:
+            tr = SimTrace.from_file(path)
+        except TraceError as e:
+            assert str(e).startswith(f"{path}:")
+        else:
+            assert [op[0] for op in tr.ops] == list(range(len(tr.ops)))
+
+
+def test_trace_file_comments_take_no_cycle(tmp_path):
+    path = tmp_path / "c.tr"
+    path.write_text("W 0x10 AB\n# note\n\n   \n  # indented\nIDLE\nWIN 1 2\nR 1_0\n")
+    tr = SimTrace.from_file(path)
+    assert tr.ops == [(0, "W", 16, 0xAB), (1, "IDLE", 0, 0),
+                      (2, "WIN", 1, 2), (3, "R", 10, 0)]
+    assert tr.n_cycles == 4
+
+
+def test_trace_file_leaves_port_state(tmp_path):
+    path = tmp_path / "r.tr"
+    path.write_text("W 4 1\nIDLE\nR 4\n")
+    tr = SimTrace.from_file(path)
+    with pytest.raises(TraceError):
+        tr.read(5, cycle=2)              # the file's last line took the read port
+    with pytest.raises(TraceError):
+        tr.window(0, 0, cycle=2)
+    with pytest.raises(TraceError):
+        tr.idle(cycle=1)                 # stamps must not decrease
+    tr.write(4, 2, cycle=2)              # the write port is still free
+    assert len(tr) == 4
+
+    path.write_text("R 4\nW 4 1\n")
+    tr = SimTrace.from_file(path)
+    with pytest.raises(TraceError):
+        tr.write(5, 2, cycle=1)
+    tr.read(4, cycle=1)
+    assert tr.n_cycles == 2
+
+    path.write_text("# nothing\n")
+    tr = SimTrace.from_file(path)
+    tr.read(0, cycle=0).write(0, 1, cycle=0)
+    assert len(tr) == 2
+
+
+def _random_cycles(rng, read_kind, n_cycles):
+    """Per cycle, the ops to co-issue: at most one read-port and one write op."""
+    cycles = []
+    for c in range(n_cycles):
+        ops = [(c, "IDLE", 0, 0)] * rng.randrange(3)
+        if rng.random() < 0.7:
+            ops.append((c, read_kind, rng.randrange(8), rng.randrange(8)
+                        if read_kind == "WIN" else 0))
+        if rng.random() < 0.7:
+            ops.append((c, "W", rng.randrange(8) if read_kind == "R"
+                        else rng.randrange(64), rng.randrange(256)))
+        cycles.append(ops)
+    return cycles
+
+
+def _trace_of(ops):
+    tr = SimTrace()
+    for cycle, kind, a, b in ops:
+        if kind == "R":
+            tr.read(a, cycle=cycle)
+        elif kind == "WIN":
+            tr.window(a, b, cycle=cycle)
+        elif kind == "W":
+            tr.write(a, b, cycle=cycle)
+        else:
+            tr.idle(cycle=cycle)
+    return tr
+
+
+@pytest.mark.parametrize("design", ["sram", "pa_sm", "pa_tm"])
+def test_ops_kept_in_evaluation_order(design):
+    rng = random.Random(f"order:{design}")
+    if design == "sram":
+        ir, read_kind = generate_sram(MemoryConfig("ba_32x8", 1, 1, 1, 1),
+                                      small_lib()), "R"
+    else:
+        ir, read_kind = generate_pa(PAWindowSpec(3, 3, 1, 1), design[3:]), "WIN"
+    for _ in range(20):
+        cycles = _random_cycles(rng, read_kind, 12)
+        canonical = sorted((op for ops in cycles for op in ops),
+                           key=lambda o: (o[0], o[1] == "W"))
+        shuffled = []
+        for ops in cycles:
+            ops = list(ops)
+            rng.shuffle(ops)
+            shuffled += ops
+        tr = _trace_of(shuffled)
+        assert tr.ops == sorted(shuffled, key=lambda o: (o[0], o[1] == "W"))
+        got, want = simulate(ir, tr), simulate(ir, _trace_of(canonical))
+        assert got.outputs == want.outputs
+        assert got.activity == want.activity
+        assert got.e_total_fj == want.e_total_fj
