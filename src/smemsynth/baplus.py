@@ -10,7 +10,8 @@ analytic model over (B, W) with coefficients held in TechParams.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, asdict
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 
 class LibraryError(ValueError):
@@ -24,6 +25,19 @@ class BoundsError(ValueError):
 def is_int(v) -> bool:
     """An int that is not a bool, as a JSON integer parses."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_field_types(obj, what: str) -> None:
+    """LibraryError unless every `int` field of dataclass `obj` holds is_int
+    and every `float` field is_int or a finite float (never a bool or NaN);
+    `what` prefixes the message."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int" and not is_int(v):
+            raise LibraryError(f"{what} {f.name} must be an integer, got {v!r}")
+        if f.type == "float" and not (is_int(v) or isinstance(v, float)
+                                      and math.isfinite(v)):
+            raise LibraryError(f"{what} {f.name} must be a finite number, got {v!r}")
 
 
 def is_pow2(n) -> bool:
@@ -112,20 +126,23 @@ class TechParams:
     trad_e_factor: float = 1.15
 
     def validate(self) -> None:
+        _check_field_types(self, "tech parameter")
         if self.track_pitch_nm <= 0 or self.poly_pitch_nm <= 0:
-            raise ValueError("pitches must be positive")
+            raise LibraryError("pitches must be positive")
         if not 0.0 < self.utilization <= 1.0:
-            raise ValueError(f"utilization {self.utilization} outside (0, 1]")
+            raise LibraryError(f"utilization {self.utilization} outside (0, 1]")
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, (int, float)) and v < 0:
-                raise ValueError(f"tech parameter {f.name} must be >= 0, got {v}")
+            if v < 0:
+                raise LibraryError(f"tech parameter {f.name} must be >= 0, got {v}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TechParams":
+        if not isinstance(d, dict):
+            raise LibraryError(f"tech must be an object, got {d!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
@@ -166,6 +183,9 @@ class BAPlusMacro:
     pins: tuple = DEFAULT_PINS
 
     def validate(self) -> None:
+        _check_field_types(self, f"{self.name}:")
+        if not all(is_int(pin[2]) for pin in self.pins):
+            raise LibraryError(f"{self.name}: pin offsets must be integers")
         if self.B < 1 or self.W < 1:
             raise ValueError(f"{self.name}: B and W must be >= 1")
         if self.height_tracks < self.B:
@@ -291,13 +311,29 @@ def save_library(lib, path) -> None:
         fh.write("\n")
 
 
-def load_library(path) -> Library:
-    """Parse a library file, rejecting unknown keys and missing fields."""
+def _read_json(path):
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise LibraryError(f"{path}: malformed JSON at line {e.lineno}: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise LibraryError(f"{path}: {e}") from None
+
+
+def load_tech(path) -> TechParams:
+    """Parse a tech file: one object of TechParams fields, checked."""
+    doc = _read_json(path)
+    try:
+        return TechParams.from_dict(doc)
+    except LibraryError as e:
+        raise LibraryError(f"{path}: {e}") from None
+
+
+def load_library(path) -> Library:
+    """Parse a library file, rejecting unknown keys, missing fields and
+    mistyped or non-finite figures."""
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise LibraryError(f"{path}: top level must be an object")
     extra = set(doc) - {"tech", "macros"}
@@ -305,7 +341,12 @@ def load_library(path) -> Library:
         raise LibraryError(f"{path}: unknown top-level key(s): {sorted(extra)}")
     if "macros" not in doc:
         raise LibraryError(f"{path}: missing 'macros'")
-    tech = TechParams.from_dict(doc.get("tech", {}))
+    if not isinstance(doc["macros"], list):
+        raise LibraryError(f"{path}: 'macros' must be a list")
+    try:
+        tech = TechParams.from_dict(doc.get("tech", {}))
+    except LibraryError as e:
+        raise LibraryError(f"{path}: tech: {e}") from None
     macros = []
     for i, rec in enumerate(doc["macros"]):
         if not isinstance(rec, dict):
@@ -318,19 +359,14 @@ def load_library(path) -> Library:
         if unknown:
             raise LibraryError(f"{path}: {where}: unknown field {sorted(unknown)[0]!r}")
         try:
-            pins = tuple((str(n), str(s), int(o)) for n, s, o in rec["pins"])
-            m = BAPlusMacro(
-                name=str(rec["name"]), B=int(rec["B"]), W=int(rec["W"]),
-                height_tracks=int(rec["height_tracks"]),
-                width_pitches=int(rec["width_pitches"]),
-                t_access_ps=float(rec["t_access_ps"]),
-                e_read_fj=float(rec["e_read_fj"]),
-                e_write_fj=float(rec["e_write_fj"]),
-                p_leak_nw=float(rec["p_leak_nw"]),
-                pins=pins,
-            )
+            pins = tuple((str(n), str(s), o) for n, s, o in rec["pins"])
+            m = BAPlusMacro(name=str(rec["name"]), pins=pins,
+                            **{k: rec[k] for k in MACRO_KEYS[1:-1]})
             m.validate()
-        except (TypeError, ValueError) as e:
+            # a float field may be written as a JSON integer; it loads as float
+            m = replace(m, **{f.name: float(getattr(m, f.name))
+                              for f in fields(m) if f.type == "float"})
+        except (TypeError, ValueError, OverflowError) as e:
             raise LibraryError(f"{path}: {where}: {e}") from None
         macros.append(m)
     try:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import floorplan, leafcell, pa, sim
 from .baplus import (Library, TechParams, default_library, load_library,
-                     save_library)
+                     load_tech, save_library)
 from .explorer import (MemoryConfig, UserSpec, enumerate_configs,
                        evaluate_ppa, pareto_front, select_best,
                        write_report_csv)
@@ -59,11 +59,7 @@ def _parse_int_list(text, flag):
 
 
 def _load_tech(path) -> TechParams | None:
-    if path is None:
-        return None
-    with open(path) as fh:
-        d = json.load(fh)
-    return TechParams.from_dict(d)
+    return None if path is None else load_tech(path)
 
 
 def _load_lib(args, tech: TechParams | None) -> Library:

@@ -1,9 +1,10 @@
 """Structural netlist IR, the 1R-1W SRAM generator, and emitters.
 
 Cells carry a kind plus integer/string params; nets record driver and sink
-endpoints as (cell, pin) pairs.  Hierarchy is expressed with '/' in cell and
-net names plus an explicit parent/child scope tree.  Select buses are one-hot
-(width = line count); address ports are binary.
+endpoints as (cell, pin) pairs.  Hierarchy is the '/' in cell and net names:
+a cell's scope is its name up to the last '/'.  A port is the net of the same
+name plus a direction.  Select buses are one-hot (width = line count);
+address ports are binary.
 
 Address layout, MSB to LSB: [bank_row | macro_in_bank | row_in_macro | mux_sel].
 A stored word is striped across all C bank columns; within a column's W-bit
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 from . import explorer, floorplan
 from .baplus import Library, ilog2
 
+# the kinds generate_sram and generate_pa emit, and no others
 CELL_KINDS = frozenset({
     "baplus_instance", "decoder", "wordline_gate", "tristate_driver",
     "column_mux", "output_reg", "pa_increment", "pa_align",
-    "and", "or", "inv",
 })
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(/[A-Za-z_][A-Za-z0-9_]*)*$")
@@ -37,10 +38,6 @@ class Cell:
     kind: str
     params: dict = field(default_factory=dict)
 
-    @property
-    def scope(self) -> str:
-        return self.name.rsplit("/", 1)[0] if "/" in self.name else ""
-
 
 @dataclass
 class Net:
@@ -54,27 +51,17 @@ class NetlistIR:
     def __init__(self, name: str, meta: dict | None = None):
         self.name = name
         self.meta = dict(meta or {})
-        self.ports: list[tuple[str, str, int]] = []
+        self.ports: dict[str, str] = {}  # name -> "in" | "out"; width on the net
         self.cells: dict[str, Cell] = {}
         self.nets: dict[str, Net] = {}
-        self.scopes: dict[str, list[str]] = {"": []}
 
     # -- construction -----------------------------------------------------
-    def _register_scope(self, name: str) -> None:
-        parts = name.split("/")[:-1]
-        path = ""
-        for p in parts:
-            child = f"{path}/{p}" if path else p
-            if child not in self.scopes:
-                self.scopes[child] = []
-                self.scopes[path].append(child)
-            path = child
-
     def add_port(self, name: str, direction: str, width: int) -> Net:
         if direction not in ("in", "out"):
             raise NetlistError(f"port {name}: bad direction {direction}")
-        self.ports.append((name, direction, width))
-        return self.add_net(name, width)
+        net = self.add_net(name, width)
+        self.ports[name] = direction
+        return net
 
     def add_net(self, name: str, width: int) -> Net:
         if not _NAME_RE.match(name):
@@ -87,7 +74,7 @@ class NetlistIR:
         self.nets[name] = n
         return n
 
-    def add_cell(self, name: str, kind: str, **params) -> Cell:
+    def add_cell(self, name: str, kind: str, /, **params) -> Cell:
         if not _NAME_RE.match(name):
             raise NetlistError(f"bad cell name {name!r}")
         if kind not in CELL_KINDS:
@@ -96,7 +83,6 @@ class NetlistIR:
             raise NetlistError(f"duplicate cell {name!r}")
         c = Cell(name, kind, params)
         self.cells[name] = c
-        self._register_scope(name)
         return c
 
     def connect(self, net: str, cell: str, pin: str, role: str = "sink") -> None:
@@ -112,12 +98,6 @@ class NetlistIR:
         else:
             raise NetlistError(f"bad role {role!r}")
 
-    def port_dir(self, name: str) -> str | None:
-        for n, d, _w in self.ports:
-            if n == name:
-                return d
-        return None
-
     def cells_of_kind(self, kind: str) -> list[Cell]:
         return [c for c in self.cells.values() if c.kind == kind]
 
@@ -125,15 +105,8 @@ class NetlistIR:
 def check_wellformed(ir: NetlistIR) -> list[str]:
     """Violation strings for the structural invariants; empty when clean."""
     v = []
-    port_names = {p[0] for p in ir.ports}
-    for name, _d, width in ((p[0], p[1], p[2]) for p in ir.ports):
-        net = ir.nets.get(name)
-        if net is None:
-            v.append(f"port {name}: no matching net")
-        elif net.width != width:
-            v.append(f"port {name}: width {width} != net width {net.width}")
     for net in ir.nets.values():
-        pdir = ir.port_dir(net.name)
+        pdir = ir.ports.get(net.name)
         if pdir is None:
             if not net.drivers:
                 v.append(f"net {net.name}: no driver")
@@ -158,21 +131,6 @@ def check_wellformed(ir: NetlistIR) -> list[str]:
     for cell in ir.cells.values():
         if cell.kind not in CELL_KINDS:
             v.append(f"cell {cell.name}: unknown kind {cell.kind}")
-        if cell.scope and cell.scope not in ir.scopes:
-            v.append(f"cell {cell.name}: unregistered scope {cell.scope}")
-    # scope tree must be acyclic with a single root
-    seen = set()
-    stack = [""]
-    while stack:
-        s = stack.pop()
-        if s in seen:
-            v.append(f"scope {s!r}: hierarchy cycle")
-            break
-        seen.add(s)
-        stack.extend(ir.scopes.get(s, ()))
-    for s in ir.scopes:
-        if s and s not in seen:
-            v.append(f"scope {s!r}: unreachable from root")
     if len(set(ir.nets) | set(ir.cells)) != len(ir.nets) + len(ir.cells):
         for n in set(ir.nets) & set(ir.cells):
             v.append(f"name {n!r} used for both a cell and a net")
@@ -335,13 +293,13 @@ def emit_netlist(ir: NetlistIR, path) -> None:
     if ir.meta:
         kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in ir.meta.items())
         lines.append(f"# meta {kv}")
-    for name, d, w in ir.ports:
-        lines.append(f"port {name} {d} {w}")
+    for name, d in ir.ports.items():
+        lines.append(f"port {name} {d} {ir.nets[name].width}")
     for c in ir.cells.values():
         kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in c.params.items())
         lines.append(f"cell {c.name} {c.kind}{' ' + kv if kv else ''}")
     for n in ir.nets.values():
-        if ir.port_dir(n.name) is None:
+        if n.name not in ir.ports:
             lines.append(f"net {n.name} {n.width}")
     for n in ir.nets.values():
         for cell, pin in n.drivers:
@@ -363,6 +321,24 @@ def _parse_value(tok: str):
         return tok
 
 
+def undecodable_line(path, err: UnicodeDecodeError) -> str:
+    """`path:lineno: <reason>` for the first line of `path` that `err`'s codec
+    cannot decode.  A text read decodes in chunks, so `err` names neither the
+    line nor its offset; this re-reads the file in binary to find both.
+    bytes.splitlines breaks lines where a text read does (\\n, \\r, \\r\\n).
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines():
+                lineno += 1
+                try:
+                    raw.decode(err.encoding)
+                except UnicodeDecodeError as e:
+                    return f"{path}:{lineno}: {e}"
+    return f"{path}: {err}"
+
+
 def parse_netlist(path) -> NetlistIR:
     """Read the text written by emit_netlist; one streamed pass, one line at
     a time.  A `conn` must follow the `port`/`net` and `cell` it names.
@@ -375,64 +351,62 @@ def parse_netlist(path) -> NetlistIR:
     cells, nets = ir.cells, ir.nets
     name_ok = _NAME_RE.match
     params_of = {}  # "key=value" token -> (key, value), converted once
-    scope = ""      # the previous cell's scope, already registered
     with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            toks = line.split()
-            if not toks:
-                continue
-            head = toks[0]
-            try:
-                if head == "conn":
-                    net = nets.get(toks[1])
-                    cell, _, pin = toks[2].rpartition(".")
-                    role = toks[3]
-                    if net is None:
-                        raise NetlistError(f"unknown net {toks[1]!r}")
-                    if cell not in cells:
-                        raise NetlistError(f"unknown cell {cell!r}")
-                    if role == "sink":
-                        net.sinks.append((cell, pin))
-                    elif role == "drive":
-                        net.drivers.append((cell, pin))
+        try:
+            for lineno, line in enumerate(fh, 1):
+                toks = line.split()
+                if not toks:
+                    continue
+                head = toks[0]
+                try:
+                    if head == "conn":
+                        net = nets.get(toks[1])
+                        cell, _, pin = toks[2].rpartition(".")
+                        role = toks[3]
+                        if net is None:
+                            raise NetlistError(f"unknown net {toks[1]!r}")
+                        if cell not in cells:
+                            raise NetlistError(f"unknown cell {cell!r}")
+                        if role == "sink":
+                            net.sinks.append((cell, pin))
+                        elif role == "drive":
+                            net.drivers.append((cell, pin))
+                        else:
+                            raise NetlistError(f"bad role {role!r}")
+                    elif head == "cell":
+                        name, kind = toks[1], toks[2]
+                        if not name_ok(name):
+                            raise NetlistError(f"bad cell name {name!r}")
+                        if kind not in CELL_KINDS:
+                            raise NetlistError(f"cell {name}: unknown kind {kind!r}")
+                        if name in cells:
+                            raise NetlistError(f"duplicate cell {name!r}")
+                        params = {}
+                        for tok in toks[3:]:
+                            kv = params_of.get(tok)
+                            if kv is None:
+                                k, _, v = tok.partition("=")
+                                kv = params_of[tok] = (k, _parse_value(v))
+                            params[kv[0]] = kv[1]
+                        cells[name] = Cell(name, kind, params)
+                    elif head == "net":
+                        ir.add_net(toks[1], int(toks[2]))
+                    elif head == "port":
+                        ir.add_port(toks[1], toks[2], int(toks[3]))
+                    elif head[0] == "#":
+                        body = line.strip()[1:].strip()
+                        if body.startswith("smemsynth netlist "):
+                            ir.name = body.split()[-1]
+                        elif body.startswith("meta "):
+                            for tok in body[5:].split():
+                                k, _, v = tok.partition("=")
+                                ir.meta[k] = _parse_value(v)
                     else:
-                        raise NetlistError(f"bad role {role!r}")
-                elif head == "cell":
-                    name, kind = toks[1], toks[2]
-                    if not name_ok(name):
-                        raise NetlistError(f"bad cell name {name!r}")
-                    if kind not in CELL_KINDS:
-                        raise NetlistError(f"cell {name}: unknown kind {kind!r}")
-                    if name in cells:
-                        raise NetlistError(f"duplicate cell {name!r}")
-                    params = {}
-                    for tok in toks[3:]:
-                        kv = params_of.get(tok)
-                        if kv is None:
-                            k, _, v = tok.partition("=")
-                            kv = params_of[tok] = (k, _parse_value(v))
-                        params[kv[0]] = kv[1]
-                    cells[name] = Cell(name, kind, params)
-                    parent = name.rpartition("/")[0]
-                    if parent != scope:
-                        ir._register_scope(name)
-                        scope = parent
-                elif head == "net":
-                    ir.add_net(toks[1], int(toks[2]))
-                elif head == "port":
-                    ir.add_port(toks[1], toks[2], int(toks[3]))
-                elif head[0] == "#":
-                    body = line.strip()[1:].strip()
-                    if body.startswith("smemsynth netlist "):
-                        ir.name = body.split()[-1]
-                    elif body.startswith("meta "):
-                        for tok in body[5:].split():
-                            k, _, v = tok.partition("=")
-                            ir.meta[k] = _parse_value(v)
-                else:
-                    raise NetlistError(f"unknown directive {head!r}")
-            except (IndexError, ValueError) as e:
-                raise NetlistError(f"{path}:{lineno}: {e}") from None
+                        raise NetlistError(f"unknown directive {head!r}")
+                except (IndexError, ValueError) as e:
+                    raise NetlistError(f"{path}:{lineno}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise NetlistError(undecodable_line(path, e)) from None
     return ir
 
 

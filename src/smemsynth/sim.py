@@ -121,28 +121,31 @@ class SimTrace:
         ops = tr.ops
         cycle = 0
         with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                toks = line.split()
-                if not toks or toks[0][0] == "#":
-                    continue
-                op = toks[0]
-                try:
-                    if op == "W":
-                        a, b = int(toks[1], 0), int(toks[2], 16)
-                        if b < 0:
-                            raise TraceError("write data must be non-negative")
-                        ops.append((cycle, "W", a, b))
-                    elif op == "R":
-                        ops.append((cycle, "R", int(toks[1], 0), 0))
-                    elif op == "WIN":
-                        ops.append((cycle, "WIN", int(toks[1], 0), int(toks[2], 0)))
-                    elif op == "IDLE":
-                        ops.append((cycle, "IDLE", 0, 0))
-                    else:
-                        raise TraceError(f"unknown op {op!r}")
-                except (IndexError, ValueError) as e:
-                    raise TraceError(f"{path}:{lineno}: {e}") from None
-                cycle += 1
+            try:
+                for lineno, line in enumerate(fh, 1):
+                    toks = line.split()
+                    if not toks or toks[0][0] == "#":
+                        continue
+                    op = toks[0]
+                    try:
+                        if op == "W":
+                            a, b = int(toks[1], 0), int(toks[2], 16)
+                            if b < 0:
+                                raise TraceError("write data must be non-negative")
+                            ops.append((cycle, "W", a, b))
+                        elif op == "R":
+                            ops.append((cycle, "R", int(toks[1], 0), 0))
+                        elif op == "WIN":
+                            ops.append((cycle, "WIN", int(toks[1], 0), int(toks[2], 0)))
+                        elif op == "IDLE":
+                            ops.append((cycle, "IDLE", 0, 0))
+                        else:
+                            raise TraceError(f"unknown op {op!r}")
+                    except (IndexError, ValueError) as e:
+                        raise TraceError(f"{path}:{lineno}: {e}") from None
+                    cycle += 1
+            except UnicodeDecodeError as e:
+                raise TraceError(netlist.undecodable_line(path, e)) from None
         if ops:
             tr._cycle, tr._used = cycle - 1, _PORT[ops[-1][1]]
         return tr

@@ -1,12 +1,15 @@
 """Macro model: dimensions, characterization, library round-trips."""
 
+import copy
 import json
+import random
 
 import pytest
 
 from smemsynth.baplus import (BAPlusMacro, BoundsError, Library, LibraryError,
                               TechParams, default_library, generate_variant,
                               ilog2, is_pow2, load_library, save_library)
+from smemsynth.cli import main
 
 
 def test_pow2_helpers():
@@ -116,3 +119,121 @@ def test_macro_validate_rejects_nonphysical():
                       e_write_fj=1, p_leak_nw=1)
     with pytest.raises(ValueError):
         bad.validate()
+
+
+def _saved_doc(tmp_path):
+    path = tmp_path / "good.json"
+    save_library(Library([generate_variant(8, 8), generate_variant(32, 16)],
+                         TechParams()), path)
+    return json.loads(path.read_text())
+
+
+# each case edits the saved document; all must end in LibraryError
+_BAD_LIBS = {
+    "macros-not-list": lambda d: d.update(macros=5),
+    "tech-not-object": lambda d: d.update(tech=[1]),
+    "tech-str": lambda d: d["tech"].update(track_pitch_nm="x"),
+    "tech-nan": lambda d: d["tech"].update(e_dec0_fj=float("nan")),
+    "tech-inf": lambda d: d["tech"].update(ta_base_ps=float("inf")),
+    "tech-nan-utilization": lambda d: d["tech"].update(utilization=float("nan")),
+    "tech-bool": lambda d: d["tech"].update(d0_ps=True),
+    "tech-int-field-float": lambda d: d["tech"].update(gutter_pitches=2.5),
+    "macro-B-float": lambda d: d["macros"][0].update(B=8.5),
+    "macro-B-bool": lambda d: d["macros"][0].update(B=True),
+    "macro-W-str": lambda d: d["macros"][0].update(W="8"),
+    "macro-nan": lambda d: d["macros"][1].update(e_read_fj=float("nan")),
+    "macro-bool-figure": lambda d: d["macros"][1].update(p_leak_nw=True),
+    "macro-pins-not-list": lambda d: d["macros"][0].update(pins=7),
+    "macro-pin-offset-float": lambda d: d["macros"][0]["pins"][0].__setitem__(2, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LIBS))
+def test_load_library_rejects_mistyped_values(tmp_path, case):
+    doc = _saved_doc(tmp_path)
+    _BAD_LIBS[case](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(LibraryError) as exc:
+        load_library(path)
+    assert str(exc.value).startswith(f"{path}: ")
+
+
+def test_non_utf8_library_names_its_file(tmp_path):
+    path = tmp_path / "bad.json"
+    save_library(default_library(TechParams()), path)
+    path.write_bytes(path.read_bytes().replace(b"ba_8x8", b"ba_8\xffx8", 1))
+    with pytest.raises(LibraryError) as exc:
+        load_library(path)
+    assert str(exc.value).startswith(f"{path}: ") and "0xff" in str(exc.value)
+
+
+def test_int_figures_load_as_float(tmp_path):
+    doc = _saved_doc(tmp_path)
+    doc["macros"][0]["t_access_ps"] = 150
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(doc))
+    m = load_library(path)["ba_8x8"]
+    assert m.t_access_ps == 150.0 and isinstance(m.t_access_ps, float)
+
+
+@pytest.mark.parametrize("case", ["macros-not-list", "tech-str", "macro-B-float",
+                                  "macro-nan", "tech-nan"])
+def test_cli_bad_library_exits_2(tmp_path, capsys, case):
+    doc = _saved_doc(tmp_path)
+    _BAD_LIBS[case](doc)
+    lib = tmp_path / "bad.json"
+    lib.write_text(json.dumps(doc))
+    assert main(["explore", "--spec", "256x8", "--lib", str(lib),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"smemsynth explore: {lib}: ")
+
+
+@pytest.mark.parametrize("tech", [{"track_pitch_nm": "x"}, {"utilization": float("nan")},
+                                  {"rail_pitch_tracks": True}, [], {"pitch": 1}])
+def test_cli_bad_tech_exits_2(tmp_path, capsys, tech):
+    path = tmp_path / "tech.json"
+    path.write_text(json.dumps(tech))
+    for argv in (["explore", "--spec", "256x8"], ["genlib"],
+                 ["synth", "--config", "ba_32x8,1,1,1,1"], ["pa", "--spec", "3,3,1,1"]):
+        assert main([*argv, "--tech", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"smemsynth {argv[0]}: {path}: ")
+
+
+_FUZZ_VALUES = [5, -1, 0, 8.5, True, None, "x", "8", [], {}, [1, 2], {"a": 1},
+                float("nan"), float("inf"), 1e308, 10 ** 400, [["clk", "S"]],
+                [["clk", "S", 0, 1]]]
+
+
+def test_load_library_fuzz(tmp_path):
+    """Seeded mutations of a saved library: each loads or raises
+    LibraryError naming the file, never another exception."""
+    rng = random.Random(17)
+    path = tmp_path / "fuzz.json"
+    for _ in range(400):
+        doc = _saved_doc(tmp_path)
+        for _ in range(rng.randint(1, 3)):
+            # walk to a random container, then replace, drop or add a key
+            node = doc
+            while True:
+                keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+                if not keys:
+                    break
+                key = rng.choice(keys)
+                child = node[key]
+                if isinstance(child, (dict, list)) and child and rng.random() < 0.6:
+                    node = child
+                    continue
+                r = rng.random()
+                if r < 0.7:
+                    node[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+                elif isinstance(node, dict) and r < 0.85:
+                    del node[key]
+                elif isinstance(node, dict):
+                    node["vendor"] = "acme"
+                break
+        path.write_text(json.dumps(doc))
+        try:
+            load_library(path)
+        except LibraryError as e:
+            assert str(e).startswith(f"{path}: ")

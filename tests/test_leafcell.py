@@ -1,6 +1,7 @@
 """Leaf-cell scoring: efficiency ratios, grating rules, construct counting."""
 
 import dataclasses
+import random
 from pathlib import Path
 
 import pytest
@@ -175,3 +176,39 @@ def test_validate_catches_bad_geometry():
     lay.shapes.append(Shape("poly", "V", 0, 5, 2))   # inverted extent
     with pytest.raises(LayoutError):
         lay.validate()
+
+
+_FUZZ_WORDS = ["meta", "layer", "shape", "#", "", "x", "0", "-1", "2.5", "nan",
+               "inf", "1e9", "H", "V", "poly", "m0", "tracks=", "fins=3/",
+               "poly=a/b", "rails=9", "pitches=0", "pure_grating_1d",
+               "compound_2d", "=", "/"]
+
+
+def test_load_cell_fuzz(tmp_path):
+    """Seeded token and line mutations of every fixture: each file loads or
+    raises LayoutError, never another exception."""
+    rng = random.Random(19)
+    path = tmp_path / "fuzz.cell"
+    for fixture_path in sorted(FIXTURES.glob("*.cell")):
+        good = fixture_path.read_text().splitlines()
+        for _ in range(150):
+            lines = list(good)
+            for _ in range(rng.randint(1, 3)):
+                j = rng.randrange(len(lines))
+                toks = lines[j].split(" ")
+                r = rng.random()
+                if r < 0.3:
+                    del toks[rng.randrange(len(toks))]
+                elif r < 0.6:
+                    toks[rng.randrange(len(toks))] = rng.choice(_FUZZ_WORDS)
+                elif r < 0.8:
+                    toks.insert(rng.randrange(len(toks) + 1), rng.choice(_FUZZ_WORDS))
+                else:
+                    lines.insert(rng.randrange(len(lines)), lines.pop(j))
+                    continue
+                lines[j] = " ".join(toks)
+            path.write_text("\n".join(lines) + "\n")
+            try:
+                load_cell(path)
+            except LayoutError:
+                pass

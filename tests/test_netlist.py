@@ -8,11 +8,11 @@ import pytest
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs
-from smemsynth.netlist import (NetlistError, NetlistIR, address_fields,
-                               check_wellformed, emit_hdl, emit_netlist,
-                               generate_sram, join_address, parse_netlist,
-                               split_address)
-from smemsynth.pa import PAWindowSpec, generate_pa
+from smemsynth.netlist import (CELL_KINDS, Cell, NetlistError, NetlistIR,
+                               address_fields, check_wellformed, emit_hdl,
+                               emit_netlist, generate_sram, join_address,
+                               parse_netlist, split_address)
+from smemsynth.pa import PAWindowSpec, _graft, generate_pa
 
 
 def small_lib():
@@ -25,7 +25,7 @@ def test_single_macro_shape():
     assert check_wellformed(ir) == []
     assert len(ir.cells_of_kind("baplus_instance")) == 1
     assert ir.cells_of_kind("column_mux") == []
-    ports = {name: (d, w) for name, d, w in ir.ports}
+    ports = {name: (d, ir.nets[name].width) for name, d in ir.ports.items()}
     assert ports["raddr"] == ("in", 5)
     assert ports["waddr"] == ("in", 5)
     assert ports["rdata"] == ("out", 8)
@@ -39,7 +39,7 @@ def test_full_organization_shape():
     assert len(ir.cells_of_kind("baplus_instance")) == 8
     assert len(ir.cells) == 27
     assert len(ir.nets) == 42
-    ports = {name: (d, w) for name, d, w in ir.ports}
+    ports = {name: (d, ir.nets[name].width) for name, d in ir.ports.items()}
     assert ports["raddr"] == ("in", 8)      # 256 words
     assert ports["rdata"] == ("out", 8)     # C*W/M = 2*8/2
     assert len(ir.cells_of_kind("column_mux")) == 1
@@ -140,8 +140,8 @@ def test_checker_violations():
     ir = NetlistIR("broken", meta={"design": "adhoc"})
     ir.add_port("clk", "in", 1)
     ir.add_net("n1", 1)
-    ir.add_cell("u1", "and")
-    ir.add_cell("u2", "and")
+    ir.add_cell("u1", "decoder")
+    ir.add_cell("u2", "output_reg")
     ir.connect("n1", "u1", "z", role="drive")
     ir.connect("n1", "u2", "z", role="drive")      # two non-tristate drivers
     msgs = check_wellformed(ir)
@@ -152,7 +152,7 @@ def test_checker_violations():
 
     ir2 = NetlistIR("floaty", meta={"design": "adhoc"})
     ir2.add_port("din", "in", 4)
-    ir2.add_cell("u1", "inv")
+    ir2.add_cell("u1", "pa_increment")
     ir2.connect("din", "u1", "z", role="drive")    # input port driven inside
     assert any("din" in m for m in check_wellformed(ir2))
 
@@ -210,6 +210,9 @@ _BAD_LINES = [
      "bad cell name 'sel-reg'"),
     ("unknown-kind", "cell sel_reg ", "cell sel_reg flipflop",
      "cell sel_reg: unknown kind 'flipflop'"),
+    # kinds no generator emits are not kinds
+    *((f"dropped-kind-{k}", "cell sel_reg ", f"cell sel_reg {k}",
+       f"cell sel_reg: unknown kind '{k}'") for k in ("and", "or", "inv")),
     ("duplicate-cell", "cell bank_0_0/tri_0 ",
      "cell bank_0_0/wlg_0 tristate_driver", "duplicate cell 'bank_0_0/wlg_0'"),
     ("duplicate-net", "net w_ba 2", "net r_ba 2", "duplicate net 'r_ba'"),
@@ -337,11 +340,59 @@ def test_parse_netlist_fuzz(tmp_path):
 
 
 def test_param_keys_are_free(tmp_path):
-    """`name` and `kind` are ordinary param keys in the text grammar."""
+    """`name` and `kind` are ordinary param keys in the text grammar, in
+    add_cell and in a graft: all three build the same cell."""
     path, _ = _write_bad(tmp_path, "cell sel_reg ",
                          "cell sel_reg output_reg name=q kind=1")
-    cell = parse_netlist(path).cells["sel_reg"]
-    assert (cell.kind, cell.params) == ("output_reg", {"name": "q", "kind": 1})
+    parsed = parse_netlist(path).cells["sel_reg"]
+    assert (parsed.kind, parsed.params) == ("output_reg", {"name": "q", "kind": 1})
+    sub = NetlistIR("sub")
+    built = sub.add_cell("sel_reg", "output_reg", name="q", kind=1)
+    assert built == parsed
+    top = NetlistIR("top")
+    _graft(top, sub, "u", {})
+    assert top.cells["u/sel_reg"] == Cell("u/sel_reg", parsed.kind, parsed.params)
+
+
+def _poison_line(path, lineno):
+    """Put the byte 0xff, never UTF-8, just after the first `=` or space of
+    line `lineno`: in the meta line, inside the string param `design=`."""
+    lines = path.read_bytes().split(b"\n")
+    ln = lines[lineno - 1]
+    cut = (ln.find(b"=") + 1) or (ln.find(b" ") + 1)
+    lines[lineno - 1] = ln[:cut] + b"\xff" + ln[cut:]
+    path.write_bytes(b"\n".join(lines))
+
+
+@pytest.mark.parametrize("lineno", [2, 3001])
+def test_non_utf8_netlist_names_its_line(tmp_path, capsys, lineno):
+    ir = generate_sram(MemoryConfig("ba_32x8", 4, 4, 8, 2), small_lib())
+    path = tmp_path / "bad.nl"
+    emit_netlist(ir, path)          # 3374 lines
+    _poison_line(path, lineno)
+    with pytest.raises(NetlistError) as exc:
+        parse_netlist(path)
+    msg = str(exc.value)
+    assert msg.startswith(f"{path}:{lineno}: ") and "decode byte 0xff" in msg
+    trace = tmp_path / "ops.tr"
+    trace.write_text("W 0 1\nR 0\n")
+    assert main(["sim", str(path), str(trace), "--out",
+                 str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"smemsynth sim: {msg}\n"
+
+
+def test_cell_kinds_are_the_emitted_kinds():
+    """CELL_KINDS holds each kind some generator emits, and no other."""
+    lib = default_library(TechParams())
+    emitted = set()
+    for words, bits in [(256, 8), (1024, 16), (4096, 32)]:
+        cfgs = enumerate_configs(UserSpec(words, bits), lib)
+        for cfg in cfgs[::len(cfgs) // 12 or 1]:
+            emitted |= {c.kind for c in generate_sram(cfg, lib).cells.values()}
+    for spec in [PAWindowSpec(3, 3, 0, 0), PAWindowSpec(4, 3, 1, 1)]:
+        for mode in ("sm", "tm"):
+            emitted |= {c.kind for c in generate_pa(spec, mode).cells.values()}
+    assert emitted == CELL_KINDS
 
 
 # -- structural round trip ------------------------------------------------------
@@ -354,11 +405,10 @@ def _structure(ir):
     return {
         "name": ir.name,
         "meta": _typed(ir.meta),
-        "ports": list(ir.ports),
+        "ports": list(ir.ports.items()),
         "cells": {n: (c.kind, _typed(c.params)) for n, c in ir.cells.items()},
         "nets": {n: (net.width, list(net.drivers), list(net.sinks))
                  for n, net in ir.nets.items()},
-        "scopes": {s: list(children) for s, children in ir.scopes.items()},
     }
 
 
@@ -379,3 +429,15 @@ def test_parse_inverts_emit(tmp_path, design):
     back = parse_netlist(path)
     assert _structure(back) == _structure(ir)
     assert check_wellformed(back) == []
+
+
+def test_port_is_its_net_plus_a_direction():
+    ir = NetlistIR("p")
+    ir.add_port("clk", "in", 1)
+    ir.add_port("q", "out", 4)
+    with pytest.raises(NetlistError, match="duplicate net 'clk'"):
+        ir.add_port("clk", "out", 2)            # leaves the first clk alone
+    with pytest.raises(NetlistError, match="bad direction"):
+        ir.add_port("d", "inout", 1)            # checked before the net is added
+    assert ir.ports == {"clk": "in", "q": "out"}
+    assert list(ir.nets) == ["clk", "q"] and ir.nets["q"].width == 4

@@ -94,7 +94,7 @@ def test_netlist_shapes_frozen():
     assert len(sm.cells_of_kind("baplus_instance")) == spec.lanes
     assert len(tm.cells_of_kind("baplus_instance")) == spec.lanes
     for ir in (sm, tm):
-        ports = {name: (d, w) for name, d, w in ir.ports}
+        ports = {name: (d, ir.nets[name].width) for name, d in ir.ports.items()}
         assert ports["rdata"] == ("out", spec.lanes * 8)
         assert ports["x"] == ("in", 5) and ports["y"] == ("in", 5)
 

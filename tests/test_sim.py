@@ -5,6 +5,7 @@ import random
 import pytest
 
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
+from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
 from smemsynth.netlist import (emit_netlist, generate_sram, join_address,
                                parse_netlist)
@@ -412,6 +413,24 @@ def test_trace_file_fuzz(tmp_path):
             assert str(e).startswith(f"{path}:")
         else:
             assert [op[0] for op in tr.ops] == list(range(len(tr.ops)))
+
+
+@pytest.mark.parametrize("lineno", [2, 3001])
+def test_non_utf8_trace_names_its_line(tmp_path, capsys, lineno):
+    """The bad byte's own line is named, not the line where the reader's
+    decode chunk began."""
+    path = tmp_path / "bad.tr"
+    lines = [f"W {i} {i:x}".encode() for i in range(4000)]
+    lines[lineno - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(TraceError) as exc:
+        SimTrace.from_file(path)
+    msg = str(exc.value)
+    assert msg.startswith(f"{path}:{lineno}: ") and "decode byte 0xff" in msg
+    nl = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig("ba_32x8", 4, 4, 8, 2), small_lib()), nl)
+    assert main(["sim", str(nl), str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"smemsynth sim: {msg}\n"
 
 
 def test_trace_file_comments_take_no_cycle(tmp_path):
