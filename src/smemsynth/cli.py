@@ -267,15 +267,18 @@ def cmd_pa(args) -> int:
             wr.writerow([design, _fmt(est.area_um2, 4), _fmt(est.t_cycle_ps, 2),
                          _fmt(est.e_op_fj, 3), _fmt(est.gops_per_watt, 2)])
 
+    # the plans depend on the spec alone; each mode's line carries them
+    plans = pa.check_plans(spec)
     bad = 0
     lines = [f"window m={spec.m} n={spec.n} a={spec.a} b={spec.b} "
              f"pixel_bits={spec.pixel_bits} boundary={spec.boundary}"]
     for mode in ("sm", "tm"):
         rep = sim.verify_pa(spec, irs[mode], seed=args.seed)
-        bad += rep["mismatches"] + rep["conflicts"]
+        mismatches = rep["mismatches"] + plans["mismatches"]
+        bad += mismatches + plans["conflicts"]
         lines.append(f"{mode} origins={rep['origins']} "
-                     f"mismatches={rep['mismatches']} "
-                     f"conflicts={rep['conflicts']} "
+                     f"mismatches={mismatches} "
+                     f"conflicts={plans['conflicts']} "
                      f"warnings={rep['warnings']}")
     with open(out / "pa_verify.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -290,13 +293,8 @@ def cmd_sim(args) -> int:
     ir = parse_netlist(args.netlist)
     trace = sim.SimTrace.from_file(args.trace)
     res = sim.simulate(ir, trace)
-    meta = ir.meta
-    if meta["design"] == "sram_1r1w":
-        out_bits = meta["bits"]
-    else:
-        out_bits = meta["lanes"] * meta["pixel_bits"]
-    digits = max(1, (out_bits + 3) // 4)
-    leak = sim.leak_fj(meta, res.cycles)
+    digits = max(1, (ir.nets["rdata"].width + 3) // 4)
+    leak = sim.leak_fj(ir.meta, res.cycles)
 
     out = Path(args.out)
     with open(out / "result.txt", "w") as fh:
@@ -463,9 +461,10 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, OverflowError) as exc:
         # bad usage (UsageError) and the libraries' domain errors are all
-        # ValueError subclasses
+        # ValueError subclasses; a finite but huge figure can still
+        # overflow where a model rounds it to whole nanometres
         print(f"smemsynth {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .netlist import undecodable_line
+
 RESTRICTION_CLASSES = ("pure_grating_1d", "structured_1d", "compound_2d")
 
 
@@ -86,39 +88,42 @@ def load_cell(path) -> GridLayout:
     lay = GridLayout(name=Path(path).stem, track_count=1, width_pitches=1)
     saw_meta = False
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            toks = line.split()
-            try:
-                if toks[0] == "meta":
-                    saw_meta = True
-                    for tok in toks[1:]:
-                        k, _, v = tok.partition("=")
-                        if k == "tracks":
-                            lay.track_count = int(v)
-                        elif k == "pitches":
-                            lay.width_pitches = int(v)
-                        elif k == "fins":
-                            lay.active_fins, lay.total_fins = _parse_ratio(v)
-                        elif k == "poly":
-                            lay.active_poly, lay.total_poly = _parse_ratio(v)
-                        elif k == "rails":
-                            lay.power_rail_tracks = int(v)
-                        else:
-                            raise LayoutError(f"unknown meta key {k!r}")
-                elif toks[0] == "layer":
-                    lay.layer_classes[toks[1]] = toks[2]
-                    if len(toks) > 3:
-                        lay.layer_dirs[toks[1]] = toks[3]
-                elif toks[0] == "shape":
-                    lay.shapes.append(Shape(toks[1], toks[2], _num(toks[3]),
-                                            _num(toks[4]), _num(toks[5])))
-                else:
-                    raise LayoutError(f"unknown directive {toks[0]!r}")
-            except (IndexError, ValueError) as e:
-                raise LayoutError(f"{path}:{lineno}: {e}") from None
+        try:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                toks = line.split()
+                try:
+                    if toks[0] == "meta":
+                        saw_meta = True
+                        for tok in toks[1:]:
+                            k, _, v = tok.partition("=")
+                            if k == "tracks":
+                                lay.track_count = int(v)
+                            elif k == "pitches":
+                                lay.width_pitches = int(v)
+                            elif k == "fins":
+                                lay.active_fins, lay.total_fins = _parse_ratio(v)
+                            elif k == "poly":
+                                lay.active_poly, lay.total_poly = _parse_ratio(v)
+                            elif k == "rails":
+                                lay.power_rail_tracks = int(v)
+                            else:
+                                raise LayoutError(f"unknown meta key {k!r}")
+                    elif toks[0] == "layer":
+                        lay.layer_classes[toks[1]] = toks[2]
+                        if len(toks) > 3:
+                            lay.layer_dirs[toks[1]] = toks[3]
+                    elif toks[0] == "shape":
+                        lay.shapes.append(Shape(toks[1], toks[2], _num(toks[3]),
+                                                _num(toks[4]), _num(toks[5])))
+                    else:
+                        raise LayoutError(f"unknown directive {toks[0]!r}")
+                except (IndexError, ValueError) as e:
+                    raise LayoutError(f"{path}:{lineno}: {e}") from None
+        except UnicodeDecodeError as e:
+            raise LayoutError(undecodable_line(path, e)) from None
     if not saw_meta:
         raise LayoutError(f"{path}: missing meta line")
     lay.validate()

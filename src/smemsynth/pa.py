@@ -149,56 +149,56 @@ def window_planner(spec: PAWindowSpec):
     return plan
 
 
-def check_plans(spec: PAWindowSpec, origins=None) -> dict:
-    """Exhaustively check plans against the pixel-to-bank map.
+def window_cover(spec: PAWindowSpec):
+    """(xs, ys): the pixels a window covers, read straight from the spec.
 
-    For every window origin (all of them unless `origins` narrows the
-    sweep), confirm that each covered pixel is fetched from exactly the
-    bank/address the storage map assigns it, and that no bank is addressed
-    twice.  Returns a report dict with mismatch/conflict counts.
+    xs[x] lists, in window order, the x coordinates of the 2^a pixels that
+    a window with its corner at x spans; ys[y] lists the 2^b y coordinates
+    for a corner at y.  Both cover every corner on the surface.  Wrap takes
+    each coordinate modulo the side; clamp first moves the corner back
+    until the window fits.  A window is the product of its two axes, so
+    each axis is tabulated once per spec.
     """
     spec.validate()
-    ma, mb = spec.banks_x - 1, spec.banks_y - 1
-    mx, my = spec.image_w - 1, spec.image_h - 1
-    a, b_ = spec.a, spec.b
-    rows_n, cols_n = spec.rows, spec.cols
     clamp = spec.boundary == "clamp"
-    xmax = spec.image_w - spec.banks_x
-    ymax = spec.image_h - spec.banks_y
+
+    def axis(side, win):
+        last = side - win if clamp else side - 1   # clamp moves later corners here
+        return [tuple((min(c, last) + d) % side for d in range(win))
+                for c in range(side)]
+    return axis(spec.image_w, spec.banks_x), axis(spec.image_h, spec.banks_y)
+
+
+def check_plans(spec: PAWindowSpec) -> dict:
+    """Check window_planner against window_cover and the pixel-to-bank map.
+
+    For every corner on the surface, the plan must start at the covered
+    window's first pixel and its bank, and must send each bank the address
+    that map_pixel gives the covered pixel it holds; each wrong corner and
+    each wrong address is one mismatch.  Each axis of a corner whose pixels
+    share a bank is one conflict.  A sound spec reports 0 and 0.
+    """
+    xs, ys = window_cover(spec)
     plan = window_planner(spec)
-    if origins is None:
-        origins = ((x, y) for x in range(spec.image_w)
-                   for y in range(spec.image_h))
-    checked = mismatches = conflicts = 0
-    for ox, oy in origins:
-        if clamp:
-            x, y = min(max(ox, 0), xmax), min(max(oy, 0), ymax)
-        else:
-            x, y = ox & mx, oy & my
-        (x0, rx, rows), (y0, ry, cols) = plan(ox, oy)
-        if (x0, rx, y0, ry) != (x, x & ma, y, y & mb):
-            mismatches += 1
-        seen_p = set()
-        for dx in range(ma + 1):
-            px = (x + dx) & mx if not clamp else x + dx
-            p = px & ma
-            seen_p.add(p)
-            if rows[p] != (px >> a) & (rows_n - 1):
-                mismatches += 1
-        if len(seen_p) != ma + 1:
-            conflicts += 1
-        seen_q = set()
-        for dy in range(mb + 1):
-            py = (y + dy) & my if not clamp else y + dy
-            q = py & mb
-            seen_q.add(q)
-            if cols[q] != (py >> b_) & (cols_n - 1):
-                mismatches += 1
-        if len(seen_q) != mb + 1:
-            conflicts += 1
-        checked += 1
+
+    def expect(cover, low_bits):
+        # per corner: (first pixel, its bank), (bank, address) per pixel,
+        # and whether two pixels share a bank
+        mask = (1 << low_bits) - 1
+        return [((c[0], c[0] & mask), [(p & mask, p >> low_bits) for p in c],
+                 len({p & mask for p in c}) != len(c)) for c in cover]
+    xe, ye = expect(xs, spec.a), expect(ys, spec.b)
+    mismatches = 0
+    for x, (x0, xaddrs, _) in enumerate(xe):
+        for y, (y0, yaddrs, _) in enumerate(ye):
+            (px0, rx, rows), (py0, ry, cols) = plan(x, y)
+            mismatches += (((px0, rx) != x0 or (py0, ry) != y0)
+                           + sum(rows[p] != row for p, row in xaddrs)
+                           + sum(cols[q] != col for q, col in yaddrs))
+    conflicts = (len(ye) * sum(e[2] for e in xe)
+                 + len(xe) * sum(e[2] for e in ye))
     return {"m": spec.m, "n": spec.n, "a": spec.a, "b": spec.b,
-            "boundary": spec.boundary, "origins": checked,
+            "boundary": spec.boundary, "origins": len(xe) * len(ye),
             "mismatches": mismatches, "conflicts": conflicts}
 
 

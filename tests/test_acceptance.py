@@ -18,7 +18,7 @@ from smemsynth.floorplan import bounding_box, check, estimate_dimensions, realiz
 from smemsynth.leafcell import (count_constructs, fin_efficiency, load_cell,
                                 power_rail_efficiency, transistor_efficiency)
 from smemsynth.netlist import generate_sram
-from smemsynth.pa import PAWindowSpec, generate_pa
+from smemsynth.pa import PAWindowSpec, check_plans, generate_pa
 from smemsynth.sim import SimTrace, simulate, verify_pa
 
 from test_explorer import brute_force_configs, naive_front
@@ -58,9 +58,10 @@ def test_criterion_1_pa_correctness():
         for m, n, a, b in pa_sweep():
             spec = PAWindowSpec(m, n, a, b)
             rep = verify_pa(spec, generate_pa(spec, "sm"))
+            plans = check_plans(spec)
             assert rep["origins"] == spec.image_w * spec.image_h
-            assert rep["mismatches"] == 0, (m, n, a, b)
-            assert rep["conflicts"] == 0, (m, n, a, b)
+            assert rep["mismatches"] + plans["mismatches"] == 0, (m, n, a, b)
+            assert plans["conflicts"] == 0, (m, n, a, b)
 
 
 def test_criterion_2_sm_tm_equivalence():

@@ -200,6 +200,18 @@ def test_cli_bad_tech_exits_2(tmp_path, capsys, tech):
         assert capsys.readouterr().err.startswith(f"smemsynth {argv[0]}: {path}: ")
 
 
+def test_cli_huge_tech_figure_exits_2(tmp_path, capsys):
+    """A finite figure that loads, then overflows where a model rounds it to
+    whole nanometres, ends in exit 2 and one message, not a traceback."""
+    path = tmp_path / "tech.json"
+    path.write_text(json.dumps({"track_pitch_nm": 1e308}))
+    for argv in (["explore", "--spec", "256x8"],
+                 ["synth", "--config", "ba_32x8,1,1,1,1"], ["pa", "--spec", "3,3,1,1"]):
+        assert main([*argv, "--tech", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"smemsynth {argv[0]}: ") and err.count("\n") == 1
+
+
 _FUZZ_VALUES = [5, -1, 0, 8.5, True, None, "x", "8", [], {}, [1, 2], {"a": 1},
                 float("nan"), float("inf"), 1e308, 10 ** 400, [["clk", "S"]],
                 [["clk", "S", 0, 1]]]

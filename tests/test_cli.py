@@ -1,15 +1,18 @@
 """Command-line driver: exit codes, file outputs, fixture walkthroughs."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
+from smemsynth import pa, sim
 from smemsynth.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "src" / "smemsynth" / "fixtures"
 SPEC = str(FIXTURES / "spec_256x8.json")
 LIB = str(FIXTURES / "lib_32x8.json")
+README = Path(__file__).parent.parent / "README.md"
 
 
 def test_genlib(tmp_path):
@@ -86,6 +89,68 @@ def test_pa_reports(tmp_path, capsys):
     assert rows[0] == "design,area_um2,t_cycle_ps,e_op_fj,gops_per_watt"
     assert rows[1].startswith("sm,") and rows[2].startswith("tm,")
     assert (out / "pa_sm.nl").exists() and (out / "pa_tm.nl").exists()
+
+
+def _pa_lines(out):
+    """pa_verify.txt's sm and tm lines as {field: value} dicts."""
+    lines = (out / "pa_verify.txt").read_text().splitlines()[1:]
+    return [dict(tok.split("=") for tok in ln.split()[1:]) for ln in lines]
+
+
+def test_pa_checks_the_plans_once(tmp_path, monkeypatch):
+    calls = []
+    check_plans = pa.check_plans
+
+    def counted(spec):
+        # and reports a conflict, which both lines carry
+        calls.append(spec)
+        return {**check_plans(spec), "conflicts": 1}
+    monkeypatch.setattr(pa, "check_plans", counted)
+    assert main(["pa", "--spec", "4,4,1,1", "--out", str(tmp_path)]) == 1
+    assert calls == [pa.PAWindowSpec(4, 4, 1, 1)]
+    assert [(ln["mismatches"], ln["conflicts"]) for ln in _pa_lines(tmp_path)] \
+        == [("0", "1")] * 2
+
+
+def test_pa_fails_a_plan_without_carry(tmp_path, monkeypatch):
+    planner = pa.window_planner
+
+    def no_carry(spec):
+        plan = planner(spec)
+
+        def carry_dropped(x, y):
+            # every bank gets the address of the bank holding the first pixel
+            (x0, rx, rows), (y0, ry, cols) = plan(x, y)
+            return ((x0, rx, (rows[rx],) * len(rows)),
+                    (y0, ry, (cols[ry],) * len(cols)))
+        return carry_dropped
+    monkeypatch.setattr(pa, "window_planner", no_carry)
+    assert main(["pa", "--spec", "4,4,1,1", "--out", str(tmp_path)]) == 1
+    spec = pa.PAWindowSpec(4, 4, 1, 1)
+    plan_mismatches = pa.check_plans(spec)["mismatches"]
+    lines = _pa_lines(tmp_path)
+    assert plan_mismatches > 0 and len(lines) == 2
+    for mode, line in zip(("sm", "tm"), lines):
+        # the netlists run the same plans, so they read wrong windows too
+        reads = sim.verify_pa(spec, pa.generate_pa(spec, mode))["mismatches"]
+        assert reads > 0
+        assert int(line["mismatches"]) == reads + plan_mismatches
+
+
+def test_pa_fails_swapped_output_slots(tmp_path, monkeypatch):
+    tables = sim._pa_step_tables
+
+    def swapped(spec):
+        ts = tables(spec)
+        for t in ts:
+            t[0], t[1] = t[1], t[0]
+        return ts
+    monkeypatch.setattr(sim, "_pa_step_tables", swapped)
+    assert main(["pa", "--spec", "4,4,1,1", "--out", str(tmp_path)]) == 1
+    assert pa.check_plans(pa.PAWindowSpec(4, 4, 1, 1))["mismatches"] == 0
+    lines = _pa_lines(tmp_path)
+    assert len(lines) == 2
+    assert all(int(ln["mismatches"]) > 0 and ln["conflicts"] == "0" for ln in lines)
 
 
 def test_sim_roundtrip(tmp_path):
@@ -206,3 +271,31 @@ def test_outputs_deterministic(tmp_path):
         outs.append((d / "report.csv").read_bytes()
                     + (d / "chosen.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_readme_walkthrough(tmp_path, monkeypatch, capsys):
+    """Run the README's Command line block in a fresh directory.  Every
+    `#   ` output line it shows must be printed; a trailing ` ...` matches
+    a prefix."""
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    shown, ran = [], 0
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#   "):
+            shown.append(line[4:])
+        elif line.startswith("printf "):
+            _, text, _, target = shlex.split(line)
+            Path(target).write_text(text.replace("\\n", "\n"))
+        elif line.startswith("smemsynth "):
+            argv = [str(README.parent / a) if a.startswith("src/") else a
+                    for a in shlex.split(line)[1:]]
+            assert main(argv) == 0, line
+            ran += 1
+    printed = capsys.readouterr().out.splitlines()
+    assert ran == 6 and len(shown) == 8
+    for want in shown:
+        if want.endswith(" ..."):
+            assert any(p.startswith(want[:-4]) for p in printed), want
+        else:
+            assert want in printed, want

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from smemsynth.cli import main
 from smemsynth.leafcell import (GridLayout, LayoutError, Shape,
                                 check_restrictions, count_constructs,
                                 fin_efficiency, load_cell,
@@ -169,6 +170,23 @@ def test_load_cell_errors(tmp_path):
                   "shape poly V 9 0 8\n")     # index outside the cell
     with pytest.raises(LayoutError):
         load_cell(p2)
+
+
+@pytest.mark.parametrize("lineno", [2, 3001])
+def test_non_utf8_cell_names_its_line(tmp_path, capsys, lineno):
+    """The bad byte's own line is named, not the line where the reader's
+    decode chunk began."""
+    path = tmp_path / "bad.cell"
+    lines = (FIXTURES / "nand2_x1.cell").read_bytes().splitlines()
+    lines += [f"# filler {i}".encode() for i in range(4000 - len(lines))]
+    lines[lineno - 1] += b"\xff"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(LayoutError) as exc:
+        load_cell(path)
+    msg = str(exc.value)
+    assert msg.startswith(f"{path}:{lineno}: ") and "decode byte 0xff" in msg
+    assert main(["leafcell", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"smemsynth leafcell: {msg}\n"
 
 
 def test_validate_catches_bad_geometry():

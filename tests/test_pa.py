@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+from smemsynth import pa
 from smemsynth.netlist import check_wellformed, emit_netlist, parse_netlist
 from smemsynth.pa import (PAError, PAWindowSpec, bank_addr, bank_index,
                           check_plans, compare_pa_ppa, emit_hdl_pa,
@@ -77,6 +78,22 @@ def test_check_plans_conflict_free_sweep():
                 assert rep["mismatches"] == 0, spec
                 assert rep["conflicts"] == 0, spec
                 assert rep["origins"] == spec.image_w * spec.image_h
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "clamp"])
+@pytest.mark.parametrize("wrong, per_corner", [
+    (lambda xp, yp: ((xp[0] ^ 1, xp[1], xp[2]), yp), 1),
+    (lambda xp, yp: (xp, (yp[0], yp[1] ^ 1, yp[2])), 1),
+    (lambda xp, yp: (xp, (yp[0], yp[1], tuple(c ^ 1 for c in yp[2]))), 2),
+], ids=["corner", "rotation", "both-column-addresses"])
+def test_check_plans_counts_wrong_plans(monkeypatch, boundary, wrong, per_corner):
+    def wrong_planner(spec):
+        plan = window_planner(spec)
+        return lambda x, y: wrong(*plan(x, y))
+    monkeypatch.setattr(pa, "window_planner", wrong_planner)
+    rep = check_plans(PAWindowSpec(4, 3, 1, 1, boundary=boundary))
+    assert rep["mismatches"] == per_corner * rep["origins"] == per_corner * 128
+    assert rep["conflicts"] == 0
 
 
 def test_netlist_shapes_frozen():

@@ -9,7 +9,7 @@ from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
 from smemsynth.netlist import (emit_netlist, generate_sram, join_address,
                                parse_netlist)
-from smemsynth.pa import PAWindowSpec, generate_pa
+from smemsynth.pa import PAWindowSpec, check_plans, generate_pa
 from smemsynth.sim import (SimError, SimTrace, TraceError, energy_report,
                            simulate, verify_pa)
 
@@ -361,8 +361,8 @@ def test_verify_pa_frozen():
         rep = verify_pa(spec, generate_pa(spec, mode))
         assert rep["origins"] == 1024
         assert rep["mismatches"] == 0
-        assert rep["conflicts"] == 0
         assert rep["warnings"] == 0
+    assert check_plans(spec)["conflicts"] == 0
 
 
 def test_verify_pa_checks_meta():
