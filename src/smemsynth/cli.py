@@ -21,9 +21,9 @@ from pathlib import Path
 from . import floorplan, leafcell, pa, sim
 from .baplus import (Library, TechParams, default_library, load_library,
                      load_tech, save_library)
-from .explorer import (MemoryConfig, UserSpec, enumerate_configs,
-                       evaluate_ppa, pareto_front, select_best,
-                       write_report_csv)
+from .explorer import (MemoryConfig, UserSpec, check_aspect_ratio,
+                       enumerate_configs, evaluate_ppa, pareto_front,
+                       select_best, write_report_csv)
 from .netlist import check_wellformed, emit_hdl, emit_netlist, generate_sram, parse_netlist
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -62,13 +62,13 @@ def _load_tech(path) -> TechParams | None:
     return None if path is None else load_tech(path)
 
 
-def _load_lib(args, tech: TechParams | None) -> Library:
+def _load_lib(args) -> Library:
+    """--lib (default: the built-in grid), with --tech as its technology."""
+    tech = _load_tech(args.tech)
     if args.lib:
         lib = load_library(args.lib)
-        if tech is not None:
-            # explicit --tech wins over whatever the library file recorded
-            lib = Library(list(lib), tech)
-        return lib
+        # explicit --tech wins over whatever the library file recorded
+        return lib if tech is None else Library(list(lib), tech)
     return default_library(tech or TechParams())
 
 
@@ -171,14 +171,13 @@ def cmd_genlib(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    tech = _load_tech(args.tech)
-    lib = _load_lib(args, tech)
+    lib = _load_lib(args)
     spec = _user_spec(args)
     cfgs = enumerate_configs(spec, lib, args.bounds)
     if not cfgs:
         print("no legal organization for this spec and library", file=sys.stderr)
         return 1
-    points = [(c, evaluate_ppa(c, lib, tech)) for c in cfgs]
+    points = [(c, evaluate_ppa(c, lib)) for c in cfgs]
     front = pareto_front(points)
 
     out = Path(args.out)
@@ -214,9 +213,10 @@ def cmd_explore(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    tech = _load_tech(args.tech)
-    lib = _load_lib(args, tech)
+    lib = _load_lib(args)
     cfg = _memory_config(args.config, lib)
+    ar_tol = args.ar_tol if args.ar_tol is not None else 0.0
+    check_aspect_ratio(args.ar_target, ar_tol)
     ir = generate_sram(cfg, lib)
     violations = check_wellformed(ir)
     if violations:
@@ -227,9 +227,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     emit_netlist(ir, out / f"{ir.name}.nl")
     emit_hdl(ir, out / f"{ir.name}.v")
-    fp = floorplan.realize(cfg, lib, tech, args.logic_area_um2,
-                           ar_target=args.ar_target,
-                           ar_tol=args.ar_tol if args.ar_tol is not None else 0.0,
+    fp = floorplan.realize(cfg, lib, args.logic_area_um2,
+                           ar_target=args.ar_target, ar_tol=ar_tol,
                            transpose=args.transpose)
     problems = floorplan.check(fp)
     if problems:
@@ -307,7 +306,7 @@ def cmd_sim(args) -> int:
         out_line = f"OUT %d %0{digits}x\n"
         fh.writelines(out_line % cv for cv in res.outputs)
     if args.lib:
-        check = sim.energy_report(res, load_library(args.lib), _load_tech(args.tech))
+        check = sim.energy_report(res, _load_lib(args))
         print(f"energy_report cross-check: {check:.3f} fJ")
     print(f"{len(res.outputs)} outputs over {res.cycles} cycles, "
           f"e_total {res.e_total_fj:.3f} fJ ({leak:.3f} leak)")

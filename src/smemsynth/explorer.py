@@ -10,10 +10,11 @@ selection pick the config to realize.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from . import floorplan
-from .baplus import Library, TechParams, ilog2, is_int, is_pow2
+from .baplus import Library, ilog2, is_int, is_pow2
 
 
 class ConfigError(ValueError):
@@ -42,14 +43,21 @@ class UserSpec:
                 raise ConfigError(f"{name} must be a number, got {v!r}")
         if self.words < 1 or self.bits < 1:
             raise ConfigError("words and bits must be >= 1")
-        if not 0.0 <= self.aspect_ratio_tol < 1.0:
-            raise ConfigError("aspect_ratio_tol must be in [0, 1)")
-        # `not x > 0` also rejects NaN, which no comparison would bind
-        if self.aspect_ratio_target is not None and not self.aspect_ratio_target > 0:
-            raise ConfigError("aspect_ratio_target must be positive")
+        check_aspect_ratio(self.aspect_ratio_target, self.aspect_ratio_tol)
         for lim in (self.t_max_ps, self.e_max_fj):
+            # `not x > 0` also rejects NaN, which no comparison would bind
             if lim is not None and not lim > 0:
                 raise ConfigError("constraint limits must be positive")
+
+
+def check_aspect_ratio(target: float | None, tol: float) -> None:
+    """ConfigError unless tol is in [0, 1) and target, when set, is positive
+    and finite: the goal of a UserSpec and of synth's --ar-target/--ar-tol.
+    Both range tests are False for NaN, so NaN is rejected too."""
+    if not 0.0 <= tol < 1.0:
+        raise ConfigError("aspect_ratio_tol must be in [0, 1)")
+    if target is not None and not 0 < target < math.inf:
+        raise ConfigError("aspect_ratio_target must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -87,10 +95,23 @@ class PPAEstimate:
     t_cycle_ps: float
     e_op_fj: float
     p_leak_nw: float
-    gops_per_watt: float
+
+    @property
+    def gops_per_watt(self) -> float:
+        return gops_per_watt(self.e_op_fj, self.p_leak_nw, self.t_cycle_ps)
 
     def triple(self):
         return (self.area_um2, self.t_cycle_ps, self.e_op_fj)
+
+    def check_finite(self, error: type[ValueError], what) -> "PPAEstimate":
+        """self, or `error` naming `what` and the first figure that a huge
+        tech or macro figure has made infinite or NaN."""
+        for name in ("area_um2", "t_cycle_ps", "e_op_fj", "p_leak_nw"):
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise error(f"{what}: {name} is {v}; a tech or macro figure "
+                            "is too large")
+        return self
 
 
 def gops_per_watt(e_op_fj: float, p_leak_nw: float, t_cycle_ps: float) -> float:
@@ -137,7 +158,7 @@ def enumerate_configs(spec: UserSpec, lib: Library,
                     continue
                 cfg = MemoryConfig(macro.name, r, c, k, m_mux)
                 if spec.aspect_ratio_target is not None:
-                    w, h = floorplan.estimate_dimensions(cfg, lib, lib.tech)
+                    w, h = floorplan.estimate_dimensions(cfg, lib)
                     ar = h / w
                     if abs(ar - spec.aspect_ratio_target) > \
                             spec.aspect_ratio_tol * spec.aspect_ratio_target:
@@ -147,8 +168,7 @@ def enumerate_configs(spec: UserSpec, lib: Library,
     return out
 
 
-def evaluate_ppa(cfg: MemoryConfig, lib: Library,
-                 tech: TechParams | None = None) -> PPAEstimate:
+def evaluate_ppa(cfg: MemoryConfig, lib: Library) -> PPAEstimate:
     """Analytic PPA for one config.
 
     Cycle time stacks global decode, macro access, the shared global read
@@ -157,7 +177,7 @@ def evaluate_ppa(cfg: MemoryConfig, lib: Library,
     discards the un-selected slices.  Leakage sums every placed macro plus a
     flat periphery term.
     """
-    tech = tech or lib.tech
+    tech = lib.tech
     cfg.validate(lib)
     macro = lib[cfg.variant]
     words, _bits = cfg.dims(lib)
@@ -169,7 +189,7 @@ def evaluate_ppa(cfg: MemoryConfig, lib: Library,
     if cfg.M > 1:
         t += tech.m0_ps + tech.m1_ps * ilog2(cfg.M)
 
-    w_nm, h_nm = floorplan.estimate_dimensions(cfg, lib, tech)
+    w_nm, h_nm = floorplan.estimate_dimensions(cfg, lib)
     area = w_nm * h_nm / 1e6
     semiperim_um = (w_nm + h_nm) / 1e3
 
@@ -177,7 +197,7 @@ def evaluate_ppa(cfg: MemoryConfig, lib: Library,
             + cfg.C * macro.e_read_fj
             + tech.e_wire_per_um_fj * semiperim_um)
     p_leak = cfg.R * cfg.C * cfg.K * macro.p_leak_nw + tech.p_leak_periph_nw
-    return PPAEstimate(area, t, e_op, p_leak, gops_per_watt(e_op, p_leak, t))
+    return PPAEstimate(area, t, e_op, p_leak).check_finite(ConfigError, cfg)
 
 
 def _dominates(a, b) -> bool:
@@ -207,8 +227,11 @@ def pareto_front(points):
 class SelectResult:
     config: MemoryConfig
     estimate: PPAEstimate
-    feasible: bool
     violation: float = 0.0
+
+    @property
+    def feasible(self) -> bool:
+        return self.violation == 0.0
 
 
 def select_best(points, spec: UserSpec) -> SelectResult | None:
@@ -231,14 +254,13 @@ def select_best(points, spec: UserSpec) -> SelectResult | None:
     feasible = [(c, e) for c, e in points if violation(e) <= 0.0]
     if feasible:
         c, e = min(feasible, key=lambda p: (p[1].area_um2, p[1].t_cycle_ps, p[0].key()))
-        return SelectResult(c, e, True)
+        return SelectResult(c, e)
     c, e = min(points, key=lambda p: (violation(p[1]), p[1].area_um2,
                                       p[1].t_cycle_ps, p[0].key()))
-    return SelectResult(c, e, False, violation(e))
+    return SelectResult(c, e, violation(e))
 
 
-def traditional_baseline_ppa(spec: UserSpec, lib: Library,
-                             tech: TechParams | None = None):
+def traditional_baseline_ppa(spec: UserSpec, lib: Library):
     """Fixed-architecture reference point for the same capacity.
 
     Models a conventional compiler output: the largest available leaf array
@@ -246,7 +268,6 @@ def traditional_baseline_ppa(spec: UserSpec, lib: Library,
     configured pessimism factors (oversized static periphery is slower and
     spends more energy per access than right-sized synthesized periphery).
     """
-    tech = tech or lib.tech
     spec.validate()
     best = None
     for macro in sorted(lib, key=lambda m: (-m.B * m.W, -m.B)):
@@ -261,11 +282,9 @@ def traditional_baseline_ppa(spec: UserSpec, lib: Library,
         break
     if best is None:
         raise ConfigError("no library variant fits a single-column baseline")
-    est = evaluate_ppa(best, lib, tech)
-    t = est.t_cycle_ps * tech.trad_t_factor
-    e = est.e_op_fj * tech.trad_e_factor
-    padded = PPAEstimate(est.area_um2, t, e, est.p_leak_nw,
-                         gops_per_watt(e, est.p_leak_nw, t))
+    est = evaluate_ppa(best, lib)
+    padded = PPAEstimate(est.area_um2, est.t_cycle_ps * lib.tech.trad_t_factor,
+                         est.e_op_fj * lib.tech.trad_e_factor, est.p_leak_nw)
     return best, padded
 
 

@@ -10,9 +10,10 @@ and the realized bounding box agree exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from .baplus import Library, TechParams
+from .baplus import Library
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,9 @@ class Floorplan:
         return self.die_h / self.die_w
 
 
-def _grid_dims(cfg, lib: Library, tech: TechParams):
+def _grid_dims(cfg, lib: Library):
     """Common integer geometry pieces for a memory config."""
+    tech = lib.tech
     m = lib[cfg.variant]
     macro_w = m.width_nm(tech)
     macro_h = m.height_nm(tech)
@@ -57,18 +59,17 @@ def _grid_dims(cfg, lib: Library, tech: TechParams):
     return macro_w, macro_h, gutter, periph_w, bank_ph, global_ph
 
 
-def estimate_dimensions(cfg, lib: Library, tech: TechParams | None = None):
+def estimate_dimensions(cfg, lib: Library):
     """Die (width_nm, height_nm) for a config, before periphery logic."""
-    tech = tech or lib.tech
-    macro_w, macro_h, gutter, periph_w, bank_ph, global_ph = _grid_dims(cfg, lib, tech)
+    macro_w, macro_h, gutter, periph_w, bank_ph, global_ph = _grid_dims(cfg, lib)
     w = cfg.C * (macro_w + gutter) + periph_w
     h = cfg.R * (cfg.K * macro_h + bank_ph) + global_ph
     return w, h
 
 
-def realize(cfg, lib: Library, tech: TechParams | None = None,
-            logic_area_um2: float = 0.0, *, ar_target: float | None = None,
-            ar_tol: float = 0.0, transpose: bool = False) -> Floorplan:
+def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
+            ar_target: float | None = None, ar_tol: float = 0.0,
+            transpose: bool = False) -> Floorplan:
     """Place macros, periphery strips, power rails and edge pins.
 
     logic_area_um2 is synthesized periphery (decoders/muxes) folded into the
@@ -77,10 +78,12 @@ def realize(cfg, lib: Library, tech: TechParams | None = None,
     target is given and the realized die misses it, the plan is returned with
     ar_miss set rather than raising.
     """
-    tech = tech or lib.tech
-    if logic_area_um2 < 0:
-        raise ValueError("logic_area_um2 must be >= 0")
-    macro_w, macro_h, gutter, periph_w, bank_ph, global_ph = _grid_dims(cfg, lib, tech)
+    tech = lib.tech
+    # `not 0 <= x < inf` also rejects NaN, which no comparison would bind
+    if not 0 <= logic_area_um2 < math.inf:
+        raise ValueError(f"logic_area_um2 must be a finite number >= 0, "
+                         f"got {logic_area_um2}")
+    macro_w, macro_h, gutter, periph_w, bank_ph, global_ph = _grid_dims(cfg, lib)
 
     die_w = cfg.C * (macro_w + gutter) + periph_w
     extra_h = 0

@@ -176,8 +176,8 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     words, bits = cfg.dims(lib)
     lR, lK, lB, lM = address_fields(cfg, lib)
     A = lR + lK + lB + lM
-    est = explorer.evaluate_ppa(cfg, lib, tech)
-    w_nm, h_nm = floorplan.estimate_dimensions(cfg, lib, tech)
+    est = explorer.evaluate_ppa(cfg, lib)
+    w_nm, h_nm = floorplan.estimate_dimensions(cfg, lib)
 
     ir = NetlistIR(
         f"sram_{cfg.variant}_r{cfg.R}c{cfg.C}k{cfg.K}m{cfg.M}",
@@ -186,8 +186,7 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
             "R": cfg.R, "C": cfg.C, "K": cfg.K, "M": cfg.M,
             "B": macro.B, "W": macro.W, "words": words, "bits": bits,
             "t_cycle_ps": est.t_cycle_ps, "p_leak_nw": est.p_leak_nw,
-            "e_wire_op_fj": round(
-                lib.tech.e_wire_per_um_fj * (w_nm + h_nm) / 1e3, 6),
+            "e_wire_op_fj": round(tech.e_wire_per_um_fj * (w_nm + h_nm) / 1e3, 6),
         },
     )
     ir.add_port("clk", "in", 1)

@@ -88,6 +88,10 @@ class PAWindowSpec:
         return 1 << self.n
 
 
+# the spec fields, as a netlist's meta records them
+SPEC_KEYS = ("m", "n", "a", "b", "pixel_bits", "boundary")
+
+
 def map_pixel(spec: PAWindowSpec, x: int, y: int):
     """((bank_x, bank_y), (row, col)) storage location of pixel (x, y)."""
     if not (0 <= x < spec.image_w and 0 <= y < spec.image_h):
@@ -220,7 +224,6 @@ def _storage_dims_nm(spec: PAWindowSpec, tech: TechParams):
 
 @dataclass(frozen=True)
 class PAComparison:
-    spec: PAWindowSpec
     sm: explorer.PPAEstimate
     tm: explorer.PPAEstimate
 
@@ -274,9 +277,8 @@ def compare_pa_ppa(spec: PAWindowSpec, tech: TechParams | None = None) -> PAComp
         p_leak = banks * macro.p_leak_nw + tech.p_leak_logic_nw_um2 * placed_logic
         out[mode] = explorer.PPAEstimate(
             area_um2=area, t_cycle_ps=t[mode], e_op_fj=e[mode],
-            p_leak_nw=p_leak,
-            gops_per_watt=explorer.gops_per_watt(e[mode], p_leak, t[mode]))
-    return PAComparison(spec, out["sm"], out["tm"])
+            p_leak_nw=p_leak).check_finite(PAError, f"{mode} estimate")
+    return PAComparison(out["sm"], out["tm"])
 
 
 # -- netlist generation ------------------------------------------------------
@@ -583,9 +585,16 @@ def _hdl_tm(spec: PAWindowSpec):
 
 
 def _spec_from_meta(meta: dict) -> PAWindowSpec:
-    return PAWindowSpec(m=meta["m"], n=meta["n"], a=meta["a"], b=meta["b"],
-                        pixel_bits=meta["pixel_bits"],
-                        boundary=meta.get("boundary", "wrap"))
+    """The window spec a netlist's meta records, checked."""
+    missing = [k for k in SPEC_KEYS if k not in meta]
+    if missing:
+        raise PAError(f"netlist meta lacks {', '.join(missing)}")
+    spec = PAWindowSpec(**{k: meta[k] for k in SPEC_KEYS})
+    try:
+        spec.validate()
+    except PAError as e:
+        raise PAError(f"netlist meta: {e}") from None
+    return spec
 
 
 def emit_hdl_pa(ir: netlist.NetlistIR) -> str:

@@ -16,11 +16,12 @@ energies plus leakage over the trace duration.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
 from . import netlist, pa
-from .baplus import Library, TechParams, ilog2
+from .baplus import Library, TechParams, ilog2, is_int, is_pow2
 
 
 class SimError(ValueError):
@@ -166,6 +167,18 @@ def _require(cond: bool, msg: str) -> None:
         raise SimError(f"netlist structure: {msg}")
 
 
+def _check_meta(meta: dict, *keys) -> None:
+    """SimError naming the first key that the meta lacks or that is not a
+    finite number >= 0."""
+    for k in keys:
+        if k not in meta:
+            raise SimError(f"netlist meta lacks {k}")
+        v = meta[k]
+        # `not 0 <= v < inf` also rejects NaN, which no comparison would bind
+        if not (is_int(v) or isinstance(v, float)) or not 0 <= v < math.inf:
+            raise SimError(f"netlist meta {k}={v!r} is not a finite number >= 0")
+
+
 def leak_fj(meta: dict, cycles: int) -> float:
     """Leakage energy (fJ) of a design's `meta` over `cycles` cycles."""
     # nW * ps = 1e-21 J = 1e-6 fJ
@@ -176,9 +189,14 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     meta = ir.meta
-    R, C, K, M = meta["R"], meta["C"], meta["K"], meta["M"]
-    B, W, words, bits = meta["B"], meta["W"], meta["words"], meta["bits"]
+    _check_meta(meta, *"RCKMBW", "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
+    for k in "RCKMBW":
+        _require(is_pow2(meta[k]), f"meta {k}={meta[k]} is not a power of two")
+    R, C, K, M, B, W = (meta[k] for k in "RCKMBW")
     lR, lK, lB, lM = ilog2(R), ilog2(K), ilog2(B), ilog2(M)
+    # derived, not read: the cells are checked against these factors, and
+    # the meta's own `words` and `bits` could claim any size
+    words, bits = R * K * B * M, C * W // M
     dec = ir.cells.get("dec")
     _require(dec is not None and dec.kind == "decoder", "missing global decoder")
     _require(dec.params["in_bits"] == lR + lK + lB + lM, "decoder width mismatch")
@@ -199,7 +217,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     e_dec = dec.params["e_event_fj"]
     e_wire = meta["e_wire_op_fj"]
 
-    mem = [None] * words
+    mem: dict[int, int] = {}   # written words only: memory follows the trace
     poison = (1 << bits) - 1
     outputs = []
     warnings = []
@@ -211,7 +229,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
         if kind == "R":
             if not 0 <= a < words:
                 raise SimError(f"cycle {cycle}: read address {a} out of range")
-            v = mem[a]
+            v = mem.get(a)
             if v is None:
                 v = poison
                 warnings.append(f"cycle {cycle}: uninitialized read at address {a}")
@@ -256,6 +274,8 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
 # -- parallel-access engines -------------------------------------------------
 
 def _pa_common(ir: netlist.NetlistIR):
+    _check_meta(ir.meta, "m", "n", "a", "b", "pixel_bits", "e_wire_op_fj",
+                "p_leak_nw", "t_cycle_ps")
     spec = pa._spec_from_meta(ir.meta)
     bas = ir.cells_of_kind("baplus_instance")
     _require(len(bas) == spec.lanes, f"expected {spec.lanes} bank macros")
@@ -417,13 +437,13 @@ def simulate(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
 
 # -- energy recomputation ----------------------------------------------------
 
-def energy_report(result: SimResult, lib: Library | None = None,
-                  tech: TechParams | None = None) -> float:
-    """Recompute total energy (fJ) from activity and library/tech models."""
+def energy_report(result: SimResult, lib: Library | None = None) -> float:
+    """Recompute total energy (fJ) from activity and the library's macro and
+    tech models (without a library, the netlist's macros and TechParams())."""
     ir = result.ir
     if ir is None:
         raise SimError("result carries no netlist")
-    tech = tech or (lib.tech if lib is not None else TechParams())
+    tech = lib.tech if lib is not None else TechParams()
     total = leak_fj(ir.meta, result.cycles)
     for key, count in result.activity.items():
         if key == "__wire__":
@@ -469,7 +489,7 @@ def verify_pa(spec: pa.PAWindowSpec, ir: netlist.NetlistIR, seed: int = 0) -> di
     spec.validate()
     if ir.meta.get("design") not in ("pa_sm", "pa_tm"):
         raise SimError("verify_pa needs a parallel-access netlist")
-    for k in ("m", "n", "a", "b", "pixel_bits", "boundary"):
+    for k in pa.SPEC_KEYS:
         if ir.meta.get(k) != getattr(spec, k):
             raise SimError(f"netlist {k}={ir.meta.get(k)!r} does not match spec")
     rng = random.Random(seed * 1000003 + spec.m * 17 + spec.n * 13

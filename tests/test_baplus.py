@@ -10,6 +10,8 @@ from smemsynth.baplus import (BAPlusMacro, BoundsError, Library, LibraryError,
                               TechParams, default_library, generate_variant,
                               ilog2, is_pow2, load_library, save_library)
 from smemsynth.cli import main
+from smemsynth.explorer import ConfigError, MemoryConfig, evaluate_ppa
+from smemsynth.pa import PAError, PAWindowSpec, compare_pa_ppa
 
 
 def test_pow2_helpers():
@@ -210,6 +212,26 @@ def test_cli_huge_tech_figure_exits_2(tmp_path, capsys):
         assert main([*argv, "--tech", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"smemsynth {argv[0]}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("figure", ["e_wire_per_um_fj", "er_base_fj"])
+def test_infinite_estimate_exits_2(tmp_path, capsys, figure):
+    """A finite figure that loads, then makes an energy estimate infinite,
+    ends in an error naming the estimate's figure: never `inf` in the
+    outputs with exit 0."""
+    tech = TechParams(**{figure: 1e308})
+    with pytest.raises(ConfigError, match="e_op_fj is inf"):
+        evaluate_ppa(MemoryConfig("ba_32x8", 1, 2, 1, 1), default_library(tech))
+    with pytest.raises(PAError, match="e_op_fj is inf"):
+        compare_pa_ppa(PAWindowSpec(3, 3, 1, 1), tech)
+    path = tmp_path / "tech.json"
+    path.write_text(json.dumps({figure: 1e308}))
+    for argv in (["explore", "--spec", "256x8"],
+                 ["synth", "--config", "ba_32x8,1,2,1,1"], ["pa", "--spec", "3,3,1,1"]):
+        assert main([*argv, "--tech", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"smemsynth {argv[0]}: ") and err.count("\n") == 1
+        assert "e_op_fj is inf" in err
 
 
 _FUZZ_VALUES = [5, -1, 0, 8.5, True, None, "x", "8", [], {}, [1, 2], {"a": 1},

@@ -214,6 +214,28 @@ def test_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--logic-area-um2", "nan", "logic_area_um2"),
+    ("--logic-area-um2", "inf", "logic_area_um2"),
+    ("--logic-area-um2", "-1", "logic_area_um2"),
+    ("--ar-target", "nan", "aspect_ratio_target"),
+    ("--ar-target", "inf", "aspect_ratio_target"),
+    ("--ar-target", "0", "aspect_ratio_target"),
+    ("--ar-tol", "-5", "aspect_ratio_tol"),
+    ("--ar-tol", "nan", "aspect_ratio_tol"),
+    ("--ar-tol", "1", "aspect_ratio_tol"),
+])
+def test_synth_rejects_what_explore_would(tmp_path, capsys, flag, value, named):
+    """synth's logic area must be a finite number >= 0, and its aspect-ratio
+    flags pass the checks a UserSpec makes; anything else exits 2."""
+    argv = ["synth", "--config", "ba_32x8,1,1,8,1", "--lib", LIB,
+            "--out", str(tmp_path), "--ar-target", "1.0", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smemsynth synth: ") and err.count("\n") == 1
+    assert named in err
+
+
 @pytest.mark.parametrize("command, fields", [
     ("explore", {"words": "256", "bits": 8}),
     ("explore", {"words": 256, "bits": True}),

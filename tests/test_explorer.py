@@ -123,7 +123,7 @@ def _cloud(rng, n=200):
         e = rng.uniform(1, 100)
         p = rng.uniform(1, 500)
         t = rng.uniform(100, 2000)
-        est = PPAEstimate(rng.uniform(1, 400), t, e, p, gops_per_watt(e, p, t))
+        est = PPAEstimate(rng.uniform(1, 400), t, e, p)
         pts.append((MemoryConfig("ba_8x8", 1, 1, 1 << (i % 3), 1), est))
     return pts
 
@@ -138,7 +138,7 @@ def test_pareto_matches_naive_filter():
 
 
 def test_pareto_keeps_duplicates_consistent():
-    est = PPAEstimate(1.0, 1.0, 1.0, 1.0, gops_per_watt(1.0, 1.0, 1.0))
+    est = PPAEstimate(1.0, 1.0, 1.0, 1.0)
     pts = [(MemoryConfig("ba_8x8", 1, 1, 1, 1), est),
            (MemoryConfig("ba_8x8", 1, 1, 1, 1), est)]
     assert len(pareto_front(pts)) == 2  # equal points do not dominate each other

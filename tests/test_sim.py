@@ -379,6 +379,66 @@ def test_unknown_design_rejected():
         simulate(ir, SimTrace().idle())
 
 
+def _synthesized(tmp_path, design):
+    """(.nl path, trace path) for a small netlist of `design`."""
+    if design == "sram":
+        ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+        ops = "W 0 1\nW 37 a5\nR 37\nR 0\nR 5\n"
+    else:
+        ir = generate_pa(PAWindowSpec(4, 4, 1, 1), design[3:])
+        ops = "W 0 1\nW 37 a5\nWIN 0 0\nWIN 3 2\n"
+    nl, tr = tmp_path / "good.nl", tmp_path / "ops.tr"
+    emit_netlist(ir, nl)
+    tr.write_text(ops)
+    return nl, tr
+
+
+def _edit_meta(src, dst, key, value):
+    """Copy the .nl at src to dst with meta `key` set to `value`, or
+    dropped when `value` is None."""
+    lines = src.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith("# meta "):
+            toks = [t for t in line.split()[2:] if t.partition("=")[0] != key]
+            if value is not None:
+                toks.append(f"{key}={value}")
+            lines[i] = "# meta " + " ".join(toks) + "\n"
+    dst.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("design, key, value", [
+    ("sram", "t_cycle_ps", "abc"), ("sram", "p_leak_nw", "nan"),
+    ("sram", "e_wire_op_fj", "-1"), ("sram", "R", None), ("sram", "K", "3"),
+    ("sram", "W", "inf"), ("pa_sm", "m", None), ("pa_sm", "boundary", None),
+    ("pa_tm", "t_cycle_ps", "inf"), ("pa_tm", "a", "-1"),
+])
+def test_sim_rejects_malformed_meta(tmp_path, capsys, design, key, value):
+    """Every meta figure an engine reads must exist and be a finite number
+    >= 0: sim exits 2 with one line naming the key, never a traceback."""
+    nl, tr = _synthesized(tmp_path, design)
+    bad = tmp_path / "bad.nl"
+    _edit_meta(nl, bad, key, value)
+    assert main(["sim", str(bad), str(tr), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smemsynth sim: ") and err.count("\n") == 1
+    assert "meta" in err and key in err
+
+
+def test_sim_size_follows_the_cells(tmp_path, capsys):
+    """The meta's `words` and `bits` are not read: a file claiming 10^12
+    words simulates like the file it was edited from, and allocates
+    nothing for words the trace never writes."""
+    nl, tr = _synthesized(tmp_path, "sram")
+    huge = tmp_path / "huge.nl"
+    _edit_meta(nl, huge, "words", 999999999999)
+    _edit_meta(huge, huge, "bits", 3)
+    runs = []
+    for path, out in ((nl, tmp_path / "a"), (huge, tmp_path / "b")):
+        assert main(["sim", str(path), str(tr), "--out", str(out)]) == 0
+        runs.append((capsys.readouterr().out, (out / "result.txt").read_text()))
+    assert runs[0] == runs[1]
+
+
 # -- trace files and evaluation order -------------------------------------------
 
 @pytest.mark.parametrize("bad,msg", [
