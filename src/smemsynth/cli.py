@@ -136,10 +136,11 @@ def _pa_spec(args) -> pa.PAWindowSpec:
 def _memory_config(text, lib: Library) -> MemoryConfig:
     """--config as `VARIANT,R,C,K,M` inline or a chosen.json from explore."""
     if os.path.isfile(text):
-        with open(text) as fh:
-            d = json.load(fh)
-        d = d.get("config", d)
-        cfg = MemoryConfig(d["variant"], d["R"], d["C"], d["K"], d["M"])
+        fields = _spec_file(text)
+        fields = fields.get("config", fields)
+        if not isinstance(fields, dict):
+            raise UsageError(f"config file {text}: config must be a JSON object")
+        cfg = _make_spec(MemoryConfig, fields, f"config file {text}")
     else:
         parts = text.split(",")
         if len(parts) != 5:
@@ -224,9 +225,7 @@ def cmd_synth(args) -> int:
             print(f"netlist check: {v}", file=sys.stderr)
         return 1
 
-    out = Path(args.out)
-    emit_netlist(ir, out / f"{ir.name}.nl")
-    emit_hdl(ir, out / f"{ir.name}.v")
+    # every check runs before the first file is written
     fp = floorplan.realize(cfg, lib, args.logic_area_um2,
                            ar_target=args.ar_target, ar_tol=ar_tol,
                            transpose=args.transpose)
@@ -235,6 +234,10 @@ def cmd_synth(args) -> int:
         for p in problems:
             print(f"floorplan check: {p}", file=sys.stderr)
         return 1
+
+    out = Path(args.out)
+    emit_netlist(ir, out / f"{ir.name}.nl")
+    emit_hdl(ir, out / f"{ir.name}.v")
     floorplan.export_text(fp, out / f"{ir.name}.fp")
     note = " (AR-MISS)" if fp.ar_miss else ""
     print(f"{ir.name}: {len(ir.cells)} cells, die "

@@ -71,7 +71,8 @@ class MemoryConfig:
     M: int
 
     def validate(self, lib: Library) -> None:
-        if self.variant not in lib:
+        # a JSON config may hold any value, and a list is not hashable
+        if not isinstance(self.variant, str) or self.variant not in lib:
             raise ConfigError(f"unknown macro variant {self.variant!r}")
         m = lib[self.variant]
         for label, v in (("R", self.R), ("C", self.C), ("K", self.K), ("M", self.M)):

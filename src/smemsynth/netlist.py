@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from . import explorer, floorplan
-from .baplus import Library, ilog2
+from .baplus import BAPlusMacro, Library, ilog2
 
 # the kinds generate_sram and generate_pa emit, and no others
 CELL_KINDS = frozenset({
@@ -160,15 +160,58 @@ def join_address(r: int, k: int, row: int, s: int, lR: int, lK: int, lB: int, lM
     return (((r << lK | k) << lB | row) << lM) | s
 
 
+# -- the BA+ slot ------------------------------------------------------------
+
+def add_slot(ir: NetlistIR, scope: str, suffix: str, macro: BAPlusMacro,
+             col: int, selects, wsel: str | None, **gate_params) -> str:
+    """Add one BA+ slot under `scope`; return its tristate's name.
+
+    A slot is a wordline gate (`gate_params`, fed by the `selects` (net,
+    pin) pairs) driving the read and write wordlines of one `macro`, and a
+    tristate that puts the macro's q on a read bitline when the slot's own
+    read wordline fires.  `wsel` is the column-mux write select, if any.
+    Names are `<scope>/<part><suffix>`; the caller wires the tristate's out.
+    """
+    wlg, ba, tri = f"{scope}/wlg{suffix}", f"{scope}/ba{suffix}", f"{scope}/tri{suffix}"
+    rwl, wwl, q = f"{scope}/rwl{suffix}", f"{scope}/wwl{suffix}", f"{scope}/q{suffix}"
+    ir.add_cell(wlg, "wordline_gate", **gate_params)
+    for net, pin in selects:
+        ir.connect(net, wlg, pin)
+    ir.add_net(rwl, macro.B)
+    ir.add_net(wwl, macro.B)
+    ir.connect(rwl, wlg, "rwl", "drive")
+    ir.connect(wwl, wlg, "wwl", "drive")
+
+    ir.add_cell(ba, "baplus_instance", variant=macro.name, B=macro.B,
+                W=macro.W, col=col, e_read_fj=macro.e_read_fj,
+                e_write_fj=macro.e_write_fj, p_leak_nw=macro.p_leak_nw,
+                t_access_ps=macro.t_access_ps)
+    ir.connect("clk", ba, "clk")
+    ir.connect(rwl, ba, "rwl")
+    ir.connect(wwl, ba, "wwl")
+    ir.connect("wdata", ba, "din")
+    if wsel:
+        ir.connect(wsel, ba, "wsel")
+    ir.add_net(q, macro.W)
+    ir.connect(q, ba, "qout", "drive")
+
+    ir.add_cell(tri, "tristate_driver", col=col, registered_enable=1)
+    ir.connect("clk", tri, "clk")
+    ir.connect(q, tri, "in")
+    ir.connect(rwl, tri, "en")
+    return tri
+
+
 # -- 1R-1W SRAM generator --------------------------------------------------
 
 def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     """Structural netlist for a 1R-1W memory config.
 
     One dual-port global decode tree drives one-hot bank-row/macro/row
-    selects; per-macro wordline_gate cells clock-gate the row bundle; each
-    bank column's macros share one tri-state global read bitline; an M-way
-    column mux (with a one-cycle select pipeline register) produces rdata.
+    selects; each macro sits in an add_slot, whose wordline gate
+    clock-gates the row bundle; the slot tristates of a bank column share
+    one global read bitline; an M-way column mux (with a one-cycle select
+    pipeline register) produces rdata.
     """
     cfg.validate(lib)
     macro = lib[cfg.variant]
@@ -208,13 +251,17 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         ir.connect(name, "dec", name, "drive")
         return name
 
-    sel_nets = []
+    selects = [("re", "re"), ("we", "we")]  # each wordline gate's (net, pin)s
+
+    def select(name: str, width: int) -> None:
+        selects.append((dec_out(name, width), name))
+
     for prefix in ("r", "w"):
         if lR:
-            sel_nets.append(dec_out(f"{prefix}_bank", cfg.R))
+            select(f"{prefix}_bank", cfg.R)
         if lK:
-            sel_nets.append(dec_out(f"{prefix}_ba", cfg.K))
-        sel_nets.append(dec_out(f"{prefix}_row", macro.B))
+            select(f"{prefix}_ba", cfg.K)
+        select(f"{prefix}_row", macro.B)
     if lM:
         dec_out("r_msel", cfg.M)
         dec_out("w_msel", cfg.M)
@@ -234,47 +281,15 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         ir.connect("r_msel_q", "mux", "sel")
         ir.connect("rdata", "mux", "out", "drive")
 
+    wsel = "w_msel" if lM else None
     for r in range(cfg.R):
         for c in range(cfg.C):
             bank = f"bank_{r}_{c}"
+            out = f"col_bl_{c}" if cfg.M > 1 else "rdata"
             for k in range(cfg.K):
-                wlg = ir.add_cell(f"{bank}/wlg_{k}", "wordline_gate",
-                                  bank_row=r, ba=k)
-                ir.connect("re", wlg.name, "re")
-                ir.connect("we", wlg.name, "we")
-                for prefix in ("r", "w"):
-                    if lR:
-                        ir.connect(f"{prefix}_bank", wlg.name, f"{prefix}_bank")
-                    if lK:
-                        ir.connect(f"{prefix}_ba", wlg.name, f"{prefix}_ba")
-                    ir.connect(f"{prefix}_row", wlg.name, f"{prefix}_row")
-                ir.add_net(f"{bank}/rwl_{k}", macro.B)
-                ir.add_net(f"{bank}/wwl_{k}", macro.B)
-                ir.connect(f"{bank}/rwl_{k}", wlg.name, "rwl", "drive")
-                ir.connect(f"{bank}/wwl_{k}", wlg.name, "wwl", "drive")
-
-                ba = ir.add_cell(f"{bank}/ba_{k}", "baplus_instance",
-                                 variant=macro.name, B=macro.B, W=macro.W,
-                                 col=c, e_read_fj=macro.e_read_fj,
-                                 e_write_fj=macro.e_write_fj,
-                                 p_leak_nw=macro.p_leak_nw,
-                                 t_access_ps=macro.t_access_ps)
-                ir.connect("clk", ba.name, "clk")
-                ir.connect(f"{bank}/rwl_{k}", ba.name, "rwl")
-                ir.connect(f"{bank}/wwl_{k}", ba.name, "wwl")
-                ir.connect("wdata", ba.name, "din")
-                if lM:
-                    ir.connect("w_msel", ba.name, "wsel")
-                ir.add_net(f"{bank}/q_{k}", macro.W)
-                ir.connect(f"{bank}/q_{k}", ba.name, "qout", "drive")
-
-                tri = ir.add_cell(f"{bank}/tri_{k}", "tristate_driver",
-                                  col=c, registered_enable=1)
-                ir.connect("clk", tri.name, "clk")
-                ir.connect(f"{bank}/q_{k}", tri.name, "in")
-                ir.connect(f"{bank}/rwl_{k}", tri.name, "en")
-                out_net = f"col_bl_{c}" if cfg.M > 1 else "rdata"
-                ir.connect(out_net, tri.name, "out", "drive")
+                tri = add_slot(ir, bank, f"_{k}", macro, c, selects, wsel,
+                               bank_row=r, ba=k)
+                ir.connect(out, tri, "out", "drive")
     return ir
 
 

@@ -352,7 +352,7 @@ def _sm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro
     """Select mode: add the shared base decoders, return the bank builder.
 
     Each bank rotates the base one-hot selects by its carry and ANDs row
-    and column selects at a divided wordline gate in front of its macro.
+    and column selects at the divided wordline gate of its slot.
     """
     axes = (("x", spec.m, spec.a, spec.rows, "rsel"),
             ("y", spec.n, spec.b, spec.cols, "csel"))
@@ -371,7 +371,11 @@ def _sm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro
         ir.connect(f"{axis}base_oh", dec.name, "base_oh", "drive")
         ir.connect(f"w{axis}base_oh", dec.name, "wbase_oh", "drive")
 
+    # the wordline-gate selects that every bank shares
+    shared = [(n, n) for n in ("re", "wxbase_oh", "wybase_oh", "wx", "wy", "we")]
+
     def add_bank(bank: str, p: int, q: int):
+        selects = []
         for (axis, _, low_bits, width, sel_net), sel in zip(axes, (p, q)):
             inc = ir.add_cell(f"{bank}/inc{axis}", "pa_increment",
                               axis=axis, sel=sel, low_bits=low_bits,
@@ -381,40 +385,12 @@ def _sm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro
             ir.connect(axis, inc.name, axis)
             ir.add_net(f"{bank}/{sel_net}", width)
             ir.connect(f"{bank}/{sel_net}", inc.name, "sel_oh", "drive")
+            selects.append((f"{bank}/{sel_net}", sel_net))
 
-        wlg = ir.add_cell(f"{bank}/wlg", "wordline_gate", mode="divided",
-                          p=p, q=q)
-        ir.connect(f"{bank}/rsel", wlg.name, "rsel")
-        ir.connect(f"{bank}/csel", wlg.name, "csel")
-        ir.connect("re", wlg.name, "re")
-        ir.connect("wxbase_oh", wlg.name, "wxbase_oh")
-        ir.connect("wybase_oh", wlg.name, "wybase_oh")
-        ir.connect("wx", wlg.name, "wx")
-        ir.connect("wy", wlg.name, "wy")
-        ir.connect("we", wlg.name, "we")
-        ir.add_net(f"{bank}/rwl", spec.bank_words)
-        ir.add_net(f"{bank}/wwl", spec.bank_words)
-        ir.connect(f"{bank}/rwl", wlg.name, "rwl", "drive")
-        ir.connect(f"{bank}/wwl", wlg.name, "wwl", "drive")
-
-        ba = ir.add_cell(f"{bank}/ba", "baplus_instance", variant=macro.name,
-                         B=macro.B, W=macro.W, col=0,
-                         e_read_fj=macro.e_read_fj, e_write_fj=macro.e_write_fj,
-                         p_leak_nw=macro.p_leak_nw, t_access_ps=macro.t_access_ps)
-        ir.connect("clk", ba.name, "clk")
-        ir.connect(f"{bank}/rwl", ba.name, "rwl")
-        ir.connect(f"{bank}/wwl", ba.name, "wwl")
-        ir.connect("wdata", ba.name, "din")
-        ir.add_net(f"{bank}/q", spec.pixel_bits)
-        ir.connect(f"{bank}/q", ba.name, "qout", "drive")
-
-        tri = ir.add_cell(f"{bank}/tri", "tristate_driver", col=0,
-                          registered_enable=1)
-        ir.connect("clk", tri.name, "clk")
-        ir.connect(f"{bank}/q", tri.name, "in")
-        ir.connect(f"{bank}/rwl", tri.name, "en")
+        tri = netlist.add_slot(ir, bank, "", macro, 0, selects + shared, None,
+                               mode="divided", p=p, q=q)
         ir.add_net(f"{bank}/lane", spec.pixel_bits)
-        ir.connect(f"{bank}/lane", tri.name, "out", "drive")
+        ir.connect(f"{bank}/lane", tri, "out", "drive")
     return add_bank
 
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import netlist, pa
-from .baplus import Library, TechParams, ilog2, is_int, is_pow2
+from .baplus import Library, ilog2, is_int, is_pow2
 
 
 class SimError(ValueError):
@@ -167,16 +167,32 @@ def _require(cond: bool, msg: str) -> None:
         raise SimError(f"netlist structure: {msg}")
 
 
-def _check_meta(meta: dict, *keys) -> None:
-    """SimError naming the first key that the meta lacks or that is not a
-    finite number >= 0."""
+def _check_figures(d: dict, what: str, *keys) -> None:
+    """SimError naming `what` and the first key that `d` lacks or that is
+    not a finite number >= 0."""
     for k in keys:
-        if k not in meta:
-            raise SimError(f"netlist meta lacks {k}")
-        v = meta[k]
+        if k not in d:
+            raise SimError(f"{what} lacks {k}")
+        v = d[k]
         # `not 0 <= v < inf` also rejects NaN, which no comparison would bind
         if not (is_int(v) or isinstance(v, float)) or not 0 <= v < math.inf:
-            raise SimError(f"netlist meta {k}={v!r} is not a finite number >= 0")
+            raise SimError(f"{what} {k}={v!r} is not a finite number >= 0")
+
+
+def _check_cells(cells, *keys) -> None:
+    """_check_figures on `keys` of each cell, naming the cell.  Like cells
+    share their figures, so each key's distinct values are judged first,
+    and the cells are walked only when one fails or is not a float."""
+    for k in keys:
+        values = {cell.params.get(k) for cell in cells}
+        if not all(type(v) is float and 0 <= v < math.inf for v in values):
+            for cell in cells:
+                _check_figures(cell.params, f"netlist cell {cell.name}", k)
+
+
+def _check_rdata(ir: netlist.NetlistIR, bits: int) -> None:
+    _require(ir.ports.get("rdata") == "out" and ir.nets["rdata"].width == bits,
+             f"rdata must be an out port of {bits} bits")
 
 
 def leak_fj(meta: dict, cycles: int) -> float:
@@ -189,7 +205,8 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     meta = ir.meta
-    _check_meta(meta, *"RCKMBW", "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
+    _check_figures(meta, "netlist meta", *"RCKMBW", "e_wire_op_fj",
+                   "p_leak_nw", "t_cycle_ps")
     for k in "RCKMBW":
         _require(is_pow2(meta[k]), f"meta {k}={meta[k]} is not a power of two")
     R, C, K, M, B, W = (meta[k] for k in "RCKMBW")
@@ -197,16 +214,19 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     # derived, not read: the cells are checked against these factors, and
     # the meta's own `words` and `bits` could claim any size
     words, bits = R * K * B * M, C * W // M
+    _check_rdata(ir, bits)
     dec = ir.cells.get("dec")
     _require(dec is not None and dec.kind == "decoder", "missing global decoder")
-    _require(dec.params["in_bits"] == lR + lK + lB + lM, "decoder width mismatch")
-    _require(dec.params["stages"] == lR + lK + lB, "decoder stage count mismatch")
-    _require(dec.params["mux_bits"] == lM, "decoder mux-select bits mismatch")
+    _check_cells((dec,), "e_event_fj")
+    _require(dec.params.get("in_bits") == lR + lK + lB + lM, "decoder width mismatch")
+    _require(dec.params.get("stages") == lR + lK + lB, "decoder stage count mismatch")
+    _require(dec.params.get("mux_bits") == lM, "decoder mux-select bits mismatch")
     bas = ir.cells_of_kind("baplus_instance")
     _require(len(bas) == R * C * K, f"expected {R*C*K} macros, found {len(bas)}")
     for cell in bas:
-        _require(cell.params["B"] == B and cell.params["W"] == W,
+        _require(cell.params.get("B") == B and cell.params.get("W") == W,
                  f"{cell.name}: macro geometry mismatch")
+    _check_cells(bas, "e_read_fj", "e_write_fj")
     _require(len(ir.cells_of_kind("wordline_gate")) == R * C * K,
              "one wordline gate per macro")
     _require((M > 1) == ("mux" in ir.cells), "column mux present iff M > 1")
@@ -274,18 +294,20 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
 # -- parallel-access engines -------------------------------------------------
 
 def _pa_common(ir: netlist.NetlistIR):
-    _check_meta(ir.meta, "m", "n", "a", "b", "pixel_bits", "e_wire_op_fj",
-                "p_leak_nw", "t_cycle_ps")
+    _check_figures(ir.meta, "netlist meta", "m", "n", "a", "b", "pixel_bits",
+                   "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
     spec = pa._spec_from_meta(ir.meta)
+    _check_rdata(ir, spec.lanes * spec.pixel_bits)
     bas = ir.cells_of_kind("baplus_instance")
     _require(len(bas) == spec.lanes, f"expected {spec.lanes} bank macros")
     for cell in bas:
-        _require(cell.params["B"] == spec.bank_words
-                 and cell.params["W"] == spec.pixel_bits,
+        _require(cell.params.get("B") == spec.bank_words
+                 and cell.params.get("W") == spec.pixel_bits,
                  f"{cell.name}: bank macro geometry mismatch")
+    _check_cells(bas, "e_read_fj", "e_write_fj")
     align = ir.cells.get("align")
     _require(align is not None and align.kind == "pa_align", "missing aligner")
-    _require(align.params["lanes"] == spec.lanes, "aligner lane count mismatch")
+    _require(align.params.get("lanes") == spec.lanes, "aligner lane count mismatch")
     _require((spec.a + spec.b > 0) == ("rot_reg" in ir.cells),
              "rotation register iff the window spans multiple banks")
     return spec, bas[0]
@@ -316,25 +338,29 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
             d = ir.cells.get(f"{axis}dec")
             _require(d is not None and d.kind == "decoder",
                      f"missing shared {axis}-axis decoder")
-            _require(d.params["stages"] == stages,
+            _require(d.params.get("stages") == stages,
                      f"{axis}-axis decoder depth mismatch")
-        incs = [c for c in ir.cells_of_kind("pa_increment")]
+            _check_cells((d,), "e_event_fj")
+        incs = ir.cells_of_kind("pa_increment")
         _require(len(incs) == 2 * spec.lanes,
                  "two one-hot increment cells per bank")
+        _check_cells(incs, "e_event_fj")
         e_dec_evt = (ir.cells["xdec"].params["e_event_fj"]
                      + ir.cells["ydec"].params["e_event_fj"])
         e_inc_evt = sum(c.params["e_event_fj"] for c in incs)
     else:
-        trs = [c for c in ir.cells_of_kind("pa_increment")]
+        trs = ir.cells_of_kind("pa_increment")
         _require(len(trs) == spec.lanes, "one translator per bank")
         for c in trs:
             _require(c.params.get("mode") == "translate",
                      f"{c.name}: expected a translate-mode cell")
+        _check_cells(trs, "e_event_fj")
         for p in range(spec.banks_x):
             for q in range(spec.banks_y):
                 d = ir.cells.get(f"bank_{p}_{q}/sram/dec")
-                _require(d is not None and d.params["in_bits"] == mb + nb,
+                _require(d is not None and d.params.get("in_bits") == mb + nb,
                          f"bank ({p},{q}): private decode tree mismatch")
+                _check_cells((d,), "e_event_fj")
         e_dec_evt = spec.lanes * ir.cells["bank_0_0/sram/dec"].params["e_event_fj"]
         e_inc_evt = spec.lanes * trs[0].params["e_event_fj"]
 
@@ -439,11 +465,10 @@ def simulate(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
 
 def energy_report(result: SimResult, lib: Library | None = None) -> float:
     """Recompute total energy (fJ) from activity and the library's macro and
-    tech models (without a library, the netlist's macros and TechParams())."""
+    tech models; without a library, from each cell's own figures."""
     ir = result.ir
     if ir is None:
         raise SimError("result carries no netlist")
-    tech = lib.tech if lib is not None else TechParams()
     total = leak_fj(ir.meta, result.cycles)
     for key, count in result.activity.items():
         if key == "__wire__":
@@ -452,7 +477,7 @@ def energy_report(result: SimResult, lib: Library | None = None) -> float:
         name, _, event = key.partition(":")
         cell = ir.cells[name]
         if cell.kind == "baplus_instance":
-            if lib is not None and cell.params["variant"] in lib:
+            if lib is not None and cell.params.get("variant") in lib:
                 macro = lib[cell.params["variant"]]
             else:
                 macro = None
@@ -462,14 +487,14 @@ def energy_report(result: SimResult, lib: Library | None = None) -> float:
                 e = macro.e_write_fj if macro else cell.params["e_write_fj"]
             else:
                 e = 0.0
-        elif cell.kind == "decoder":
+        elif lib is not None and cell.kind == "decoder":
             # charge the tree that actually toggles: coordinate decoders
             # take more input bits than they decode (the rest rotate lanes)
             bits = cell.params["stages"] + cell.params.get("mux_bits", 0)
-            e = tech.e_dec0_fj + tech.e_dec1_fj * bits
-        elif cell.kind == "pa_increment":
-            e = tech.e_inc_fj if cell.params.get("mode") == "translate" \
-                else tech.e_inc_fj / 2
+            e = lib.tech.e_dec0_fj + lib.tech.e_dec1_fj * bits
+        elif lib is not None and cell.kind == "pa_increment":
+            e = lib.tech.e_inc_fj if cell.params.get("mode") == "translate" \
+                else lib.tech.e_inc_fj / 2
         else:
             e = float(cell.params.get("e_event_fj", 0.0))
         total += count * e

@@ -264,6 +264,40 @@ def test_mistyped_config_file_exits_2(tmp_path):
     assert not list((tmp_path / "s").iterdir())
 
 
+@pytest.mark.parametrize("content, named", [
+    ([{"variant": "ba_32x8", "R": 1, "C": 1, "K": 2, "M": 1}], "must hold a JSON object"),
+    ({"config": {"variant": "ba_32x8", "R": 1, "C": 1, "K": 2}}, "missing fields: ['M']"),
+    ({"variant": "ba_32x8", "R": 1, "C": 1, "K": 2, "M": 1, "N": 2}, "unknown fields: ['N']"),
+    ({"config": ["ba_32x8", 1, 1, 2, 1]}, "config must be a JSON object"),
+    ({"config": "ba_32x8,1,1,2,1"}, "config must be a JSON object"),
+    ({"variant": ["ba_32x8"], "R": 1, "C": 1, "K": 2, "M": 1}, "unknown macro variant"),
+])
+def test_config_file_read_through_the_spec_helpers(tmp_path, capsys, content, named):
+    """synth --config FILE takes a JSON object, or one under `config`, with
+    exactly the MemoryConfig fields; anything else exits 2 with one line
+    naming the problem and writes nothing."""
+    config = tmp_path / "chosen.json"
+    config.write_text(json.dumps(content))
+    assert main(["synth", "--config", str(config), "--lib", LIB,
+                 "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smemsynth synth: ") and err.count("\n") == 1
+    assert named in err
+    assert not list((tmp_path / "s").iterdir())
+
+
+def test_rejected_synth_writes_nothing(tmp_path, capsys, monkeypatch):
+    """synth checks the floorplan before it writes the netlist and Verilog,
+    so a run it rejects leaves --out empty."""
+    argv = ["synth", "--config", "ba_32x8,1,1,8,1", "--lib", LIB]
+    assert main(argv + ["--logic-area-um2", "nan", "--out", str(tmp_path / "a")]) == 2
+    assert not list((tmp_path / "a").iterdir())
+    monkeypatch.setattr("smemsynth.floorplan.check", lambda fp: ["rect x: overlap"])
+    assert main(argv + ["--out", str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().err.endswith("floorplan check: rect x: overlap\n")
+    assert not list((tmp_path / "b").iterdir())
+
+
 def test_unknown_spec_fields_named(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"words": 256, "bits": 8,

@@ -441,3 +441,55 @@ def test_port_is_its_net_plus_a_direction():
         ir.add_port("d", "inout", 1)            # checked before the net is added
     assert ir.ports == {"clk": "in", "q": "out"}
     assert list(ir.nets) == ["clk", "q"] and ir.nets["q"].width == 4
+
+
+# -- slot wiring ------------------------------------------------------------------
+
+def _slot_wiring_faults(ir):
+    """Follow each tristate's nets: its `en` must be the `rwl` of exactly one
+    wordline gate, that net must feed exactly one macro's `rwl`, the same
+    gate must drive that macro's `wwl`, and the macro's `qout` must be the
+    tristate's `in`.  Every macro must sit behind exactly one tristate."""
+    net_of = {}  # (cell, pin) -> the net on that pin
+    for net in ir.nets.values():
+        for ep in net.drivers + net.sinks:
+            net_of[ep] = net
+    faults, seen = [], []
+    for tri in ir.cells_of_kind("tristate_driver"):
+        en = net_of[tri.name, "en"]
+        gates = [c for c, pin in en.drivers
+                 if ir.cells[c].kind == "wordline_gate" and pin == "rwl"]
+        if len(gates) != 1 or len(en.drivers) != 1:
+            faults.append(f"{tri.name}: en {en.name} driven by {en.drivers}")
+            continue
+        macros = [c for c, pin in en.sinks
+                  if ir.cells[c].kind == "baplus_instance" and pin == "rwl"]
+        if len(macros) != 1:
+            faults.append(f"{tri.name}: en {en.name} feeds macros {macros}")
+            continue
+        macro = macros[0]
+        seen.append(macro)
+        if net_of[macro, "wwl"].drivers != [(gates[0], "wwl")]:
+            faults.append(f"{tri.name}: {macro}.wwl not driven by {gates[0]}")
+        if net_of[macro, "qout"] is not net_of[tri.name, "in"]:
+            faults.append(f"{tri.name}: in is not {macro}.qout")
+    macros = sorted(c.name for c in ir.cells_of_kind("baplus_instance"))
+    if sorted(seen) != macros:
+        faults.append(f"tristates reach macros {sorted(seen)}, not {macros}")
+    return faults
+
+
+@pytest.mark.parametrize("design", [
+    "ba_32x8,2,2,4,1", "ba_32x8,4,1,2,2", "ba_32x8,1,2,2,4", "ba_32x8,2,2,2,2",
+    "sm,wrap", "sm,clamp", "tm,wrap", "tm,clamp"])
+def test_every_tristate_follows_its_slot(design):
+    """Each read tristate is enabled by the read wordline of the gate in
+    front of the macro whose q it drives, in SRAMs with R, K or M > 1 and
+    in both window memories."""
+    head, *rest = design.split(",")
+    if head in ("sm", "tm"):
+        ir = generate_pa(PAWindowSpec(4, 3, 1, 1, boundary=rest[0]), head)
+    else:
+        ir = generate_sram(MemoryConfig(head, *map(int, rest)), small_lib())
+    assert ir.cells_of_kind("tristate_driver")
+    assert _slot_wiring_faults(ir) == []

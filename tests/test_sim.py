@@ -233,6 +233,31 @@ def test_energy_report_agrees_with_simulation():
     assert energy_report(res) == pytest.approx(res.e_total_fj)
 
 
+@pytest.mark.parametrize("design", ["sram", "sm", "tm"])
+def test_energy_report_without_library_reads_the_cells(design):
+    """Without a library, energy_report prices every cell by the figures
+    the netlist carries, so it agrees with e_total for a netlist built
+    under a technology other than the default one."""
+    rng = random.Random(5)
+    tr = SimTrace()
+    if design == "sram":
+        tech = TechParams(e_dec0_fj=9.0)
+        ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2),
+                           Library([generate_variant(32, 8, tech)], tech))
+        for cycle in range(100):
+            tr.write(rng.randrange(256), rng.getrandbits(8), cycle)
+            tr.read(rng.randrange(256), cycle)
+    else:
+        tech = TechParams(e_inc_fj=3.0, e_dec0_fj=9.0)
+        ir = generate_pa(PAWindowSpec(4, 4, 1, 1), design, tech)
+        for cycle in range(100):
+            tr.write(rng.randrange(256), rng.getrandbits(8), 2 * cycle)
+            tr.window(rng.randrange(16), rng.randrange(16), 2 * cycle + 1)
+    res = simulate(ir, tr)
+    assert energy_report(res) == pytest.approx(res.e_total_fj)
+    assert energy_report(res, Library([], tech)) == pytest.approx(res.e_total_fj)
+
+
 def test_parsed_netlist_simulates(tmp_path):
     lib = small_lib()
     ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), lib)
@@ -422,6 +447,74 @@ def test_sim_rejects_malformed_meta(tmp_path, capsys, design, key, value):
     err = capsys.readouterr().err
     assert err.startswith("smemsynth sim: ") and err.count("\n") == 1
     assert "meta" in err and key in err
+
+
+def _edit_lines(src, dst, edit):
+    """Copy the .nl at src to dst with each line passed through `edit`,
+    which returns the new line or None to drop it."""
+    lines = (edit(line) for line in src.read_text().splitlines(keepends=True))
+    dst.write_text("".join(line for line in lines if line is not None))
+
+
+def _set_param(cell, key, value):
+    """An `edit` that sets `key` on `cell`'s line to `value`, or drops it
+    when `value` is None."""
+    def edit(line):
+        toks = line.split()
+        if toks[:2] != ["cell", cell]:
+            return line
+        toks = [t for t in toks if t.partition("=")[0] != key]
+        if value is not None:
+            toks.append(f"{key}={value}")
+        return " ".join(toks) + "\n"
+    return edit
+
+
+def _drop_net(net):
+    def edit(line):
+        toks = line.split()
+        return None if toks[:2] in (["port", net], ["conn", net]) else line
+    return edit
+
+
+def _port_width(net, width):
+    def edit(line):
+        toks = line.split()
+        return f"port {net} {toks[2]} {width}\n" if toks[:2] == ["port", net] else line
+    return edit
+
+
+@pytest.mark.parametrize("design, edit, named", [
+    ("sram", _set_param("bank_0_0/ba_0", "e_read_fj", "abc"), "bank_0_0/ba_0 e_read_fj"),
+    ("sram", _set_param("bank_1_1/ba_1", "e_read_fj", "-1"), "bank_1_1/ba_1 e_read_fj"),
+    ("sram", _set_param("bank_0_1/ba_0", "e_write_fj", None),
+     "bank_0_1/ba_0 lacks e_write_fj"),
+    ("sram", _set_param("dec", "e_event_fj", "nan"), "dec e_event_fj"),
+    ("sram", _set_param("bank_1_0/ba_1", "B", None), "bank_1_0/ba_1: macro geometry"),
+    ("sram", _drop_net("rdata"), "rdata must be an out port of 8 bits"),
+    ("sram", _port_width("rdata", 9), "rdata must be an out port of 8 bits"),
+    ("pa_sm", _set_param("xdec", "e_event_fj", "-5"), "xdec e_event_fj"),
+    ("pa_sm", _set_param("bank_1_0/incy", "e_event_fj", "inf"),
+     "bank_1_0/incy e_event_fj"),
+    ("pa_sm", _set_param("bank_1_1/ba", "e_write_fj", "abc"), "bank_1_1/ba e_write_fj"),
+    ("pa_sm", _drop_net("rdata"), "rdata must be an out port of 32 bits"),
+    ("pa_tm", _set_param("bank_0_1/translate", "e_event_fj", None),
+     "bank_0_1/translate lacks e_event_fj"),
+    ("pa_tm", _set_param("bank_1_1/sram/dec", "e_event_fj", "nan"),
+     "bank_1_1/sram/dec e_event_fj"),
+    ("pa_tm", _port_width("rdata", 16), "rdata must be an out port of 32 bits"),
+])
+def test_sim_rejects_malformed_cell(tmp_path, capsys, design, edit, named):
+    """Every cell figure an engine reads, on every cell, must exist and be
+    a finite number >= 0, and rdata must be an out port of the width the
+    engine derives: sim exits 2 with one line naming the cell and key."""
+    nl, tr = _synthesized(tmp_path, design)
+    bad = tmp_path / "bad.nl"
+    _edit_lines(nl, bad, edit)
+    assert main(["sim", str(bad), str(tr), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smemsynth sim: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_sim_size_follows_the_cells(tmp_path, capsys):
