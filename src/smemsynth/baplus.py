@@ -136,6 +136,10 @@ class TechParams:
             if v < 0:
                 raise LibraryError(f"tech parameter {f.name} must be >= 0, got {v}")
 
+    def e_dec_fj(self, bits) -> float:
+        """Energy of one decode of `bits` address bits."""
+        return self.e_dec0_fj + self.e_dec1_fj * bits
+
     def to_dict(self) -> dict:
         return asdict(self)
 

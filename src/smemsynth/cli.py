@@ -72,11 +72,12 @@ def _load_lib(args) -> Library:
     return default_library(tech or TechParams())
 
 
-def _spec_file(path) -> dict:
+def _spec_file(path, flag: str) -> dict:
+    """The JSON object in the file that `flag` names."""
     with open(path) as fh:
         fields = json.load(fh)
     if not isinstance(fields, dict):
-        raise UsageError(f"spec file {path} must hold a JSON object")
+        raise UsageError(f"{flag} file {path} must hold a JSON object")
     return fields
 
 
@@ -97,7 +98,7 @@ def _user_spec(args) -> UserSpec:
     """--spec as `WORDSxBITS` inline or a JSON file with the same fields."""
     value = args.spec
     if value and os.path.isfile(value):
-        fields = _spec_file(value)
+        fields = _spec_file(value, "--spec")
     elif value:
         m = re.fullmatch(r"(\d+)x(\d+)", value)
         if not m:
@@ -120,7 +121,7 @@ def _pa_spec(args) -> pa.PAWindowSpec:
     """--spec as `m,n,a,b` inline or a JSON file with the full field set."""
     value = args.spec
     if value and os.path.isfile(value):
-        fields = _spec_file(value)
+        fields = _spec_file(value, "--spec")
     elif value:
         parts = _parse_int_list(value, "--spec")
         if len(parts) != 4:
@@ -136,7 +137,7 @@ def _pa_spec(args) -> pa.PAWindowSpec:
 def _memory_config(text, lib: Library) -> MemoryConfig:
     """--config as `VARIANT,R,C,K,M` inline or a chosen.json from explore."""
     if os.path.isfile(text):
-        fields = _spec_file(text)
+        fields = _spec_file(text, "--config")
         fields = fields.get("config", fields)
         if not isinstance(fields, dict):
             raise UsageError(f"config file {text}: config must be a JSON object")

@@ -194,8 +194,7 @@ def evaluate_ppa(cfg: MemoryConfig, lib: Library) -> PPAEstimate:
     area = w_nm * h_nm / 1e6
     semiperim_um = (w_nm + h_nm) / 1e3
 
-    e_op = (tech.e_dec0_fj + tech.e_dec1_fj * abits
-            + cfg.C * macro.e_read_fj
+    e_op = (tech.e_dec_fj(abits) + cfg.C * macro.e_read_fj
             + tech.e_wire_per_um_fj * semiperim_um)
     p_leak = cfg.R * cfg.C * cfg.K * macro.p_leak_nw + tech.p_leak_periph_nw
     return PPAEstimate(area, t, e_op, p_leak).check_finite(ConfigError, cfg)

@@ -15,15 +15,46 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import explorer, floorplan
 from .baplus import BAPlusMacro, Library, ilog2
 
+class Kind(NamedTuple):
+    """What a cell kind means: the pins it drives (every other pin is an
+    input); `price(params, tech)`, the fJ of one event, which generators
+    stamp last as `e_event_fj` (None: no event price; a macro is priced per
+    access); and `reads`, the other numeric params a cell is priced by."""
+    outputs: frozenset
+    price: Callable | None = None
+    reads: tuple = ()
+
+
+def _free(_params, _tech) -> float:
+    return 0.0
+
+
 # the kinds generate_sram and generate_pa emit, and no others
-CELL_KINDS = frozenset({
-    "baplus_instance", "decoder", "wordline_gate", "tristate_driver",
-    "column_mux", "output_reg", "pa_increment", "pa_align",
-})
+CELL_KINDS = {
+    "baplus_instance": Kind(frozenset({"qout"}), reads=("e_read_fj", "e_write_fj")),
+    "decoder": Kind(
+        frozenset({"r_bank", "r_ba", "r_row", "r_msel", "w_bank", "w_ba", "w_row",
+                   "w_msel", "base_oh", "wbase_oh"}),
+        # the tree that toggles: an axis decoder takes more input bits than
+        # it decodes (the rest rotate lanes)
+        lambda p, tech: tech.e_dec_fj(p["stages"] + p["mux_bits"]),
+        ("stages", "mux_bits")),
+    "wordline_gate": Kind(frozenset({"rwl", "wwl"})),
+    "tristate_driver": Kind(frozenset({"out"})),
+    "column_mux": Kind(frozenset({"out"}), _free),
+    "output_reg": Kind(frozenset({"q"})),
+    # a binary translator, or one of a bank's two one-hot increments
+    "pa_increment": Kind(
+        frozenset({"sel_oh", "taddr", "twaddr", "twe"}),
+        lambda p, tech: (tech.e_inc_fj if p.get("mode") == "translate"
+                         else tech.e_inc_fj / 2)),
+    "pa_align": Kind(frozenset({"out"}), _free),
+}
 
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(/[A-Za-z_][A-Za-z0-9_]*)*$")
 
@@ -85,21 +116,21 @@ class NetlistIR:
         self.cells[name] = c
         return c
 
-    def connect(self, net: str, cell: str, pin: str, role: str = "sink") -> None:
-        if net not in self.nets:
-            raise NetlistError(f"unknown net {net!r}")
-        if cell not in self.cells:
-            raise NetlistError(f"unknown cell {cell!r}")
-        ep = (cell, pin)
-        if role == "drive":
-            self.nets[net].drivers.append(ep)
-        elif role == "sink":
-            self.nets[net].sinks.append(ep)
-        else:
-            raise NetlistError(f"bad role {role!r}")
+    def add_priced_cell(self, name: str, kind: str, tech, /, **params) -> Cell:
+        """add_cell, with the kind's event price under `tech` as e_event_fj."""
+        params["e_event_fj"] = round(CELL_KINDS[kind].price(params, tech), 6)
+        return self.add_cell(name, kind, **params)
 
-    def cells_of_kind(self, kind: str) -> list[Cell]:
-        return [c for c in self.cells.values() if c.kind == kind]
+    def connect(self, net: str, cell: str, pin: str) -> None:
+        """Put `pin` of `cell` on `net`, as a driver if the cell's kind drives it."""
+        n = self.nets.get(net)
+        if n is None:
+            raise NetlistError(f"unknown net {net!r}")
+        c = self.cells.get(cell)
+        if c is None:
+            raise NetlistError(f"unknown cell {cell!r}")
+        ends = n.drivers if pin in CELL_KINDS[c.kind].outputs else n.sinks
+        ends.append((cell, pin))
 
 
 def check_wellformed(ir: NetlistIR) -> list[str]:
@@ -125,12 +156,6 @@ def check_wellformed(ir: NetlistIR) -> list[str]:
                 if ir.cells[cell].kind != "tristate_driver":
                     v.append(f"net {net.name}: multiple drivers include "
                              f"non-tristate {cell}")
-        for cell, _pin in net.drivers + net.sinks:
-            if cell not in ir.cells:
-                v.append(f"net {net.name}: endpoint on unknown cell {cell}")
-    for cell in ir.cells.values():
-        if cell.kind not in CELL_KINDS:
-            v.append(f"cell {cell.name}: unknown kind {cell.kind}")
     if len(set(ir.nets) | set(ir.cells)) != len(ir.nets) + len(ir.cells):
         for n in set(ir.nets) & set(ir.cells):
             v.append(f"name {n!r} used for both a cell and a net")
@@ -179,8 +204,8 @@ def add_slot(ir: NetlistIR, scope: str, suffix: str, macro: BAPlusMacro,
         ir.connect(net, wlg, pin)
     ir.add_net(rwl, macro.B)
     ir.add_net(wwl, macro.B)
-    ir.connect(rwl, wlg, "rwl", "drive")
-    ir.connect(wwl, wlg, "wwl", "drive")
+    ir.connect(rwl, wlg, "rwl")
+    ir.connect(wwl, wlg, "wwl")
 
     ir.add_cell(ba, "baplus_instance", variant=macro.name, B=macro.B,
                 W=macro.W, col=col, e_read_fj=macro.e_read_fj,
@@ -193,7 +218,7 @@ def add_slot(ir: NetlistIR, scope: str, suffix: str, macro: BAPlusMacro,
     if wsel:
         ir.connect(wsel, ba, "wsel")
     ir.add_net(q, macro.W)
-    ir.connect(q, ba, "qout", "drive")
+    ir.connect(q, ba, "qout")
 
     ir.add_cell(tri, "tristate_driver", col=col, registered_enable=1)
     ir.connect("clk", tri, "clk")
@@ -240,15 +265,14 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     ir.add_port("wdata", "in", bits)
     ir.add_port("rdata", "out", bits)
 
-    e_dec = tech.e_dec0_fj + tech.e_dec1_fj * A
-    dec = ir.add_cell("dec", "decoder", in_bits=A, stages=lR + lK + lB,
-                      mux_bits=lM, ports="rw", e_event_fj=round(e_dec, 6))
+    ir.add_priced_cell("dec", "decoder", tech, in_bits=A, stages=lR + lK + lB,
+                       mux_bits=lM, ports="rw")
     for p in ("raddr", "waddr", "re", "we"):
         ir.connect(p, "dec", p)
 
     def dec_out(name: str, width: int) -> str:
         ir.add_net(name, width)
-        ir.connect(name, "dec", name, "drive")
+        ir.connect(name, "dec", name)
         return name
 
     selects = [("re", "re"), ("we", "we")]  # each wordline gate's (net, pin)s
@@ -269,17 +293,16 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         reg = ir.add_cell("sel_reg", "output_reg", role="mux_sel_pipeline")
         ir.connect("clk", "sel_reg", "clk")
         ir.connect("r_msel", "sel_reg", "d")
-        ir.connect("r_msel_q", "sel_reg", "q", "drive")
+        ir.connect("r_msel_q", "sel_reg", "q")
 
     if cfg.M > 1:
         for c in range(cfg.C):
             ir.add_net(f"col_bl_{c}", macro.W)
-        mux = ir.add_cell("mux", "column_mux", C=cfg.C, W=macro.W, M=cfg.M,
-                          e_event_fj=0.0)
+        ir.add_priced_cell("mux", "column_mux", tech, C=cfg.C, W=macro.W, M=cfg.M)
         for c in range(cfg.C):
             ir.connect(f"col_bl_{c}", "mux", f"in_{c}")
         ir.connect("r_msel_q", "mux", "sel")
-        ir.connect("rdata", "mux", "out", "drive")
+        ir.connect("rdata", "mux", "out")
 
     wsel = "w_msel" if lM else None
     for r in range(cfg.R):
@@ -289,7 +312,7 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
             for k in range(cfg.K):
                 tri = add_slot(ir, bank, f"_{k}", macro, c, selects, wsel,
                                bank_row=r, ba=k)
-                ir.connect(out, tri, "out", "drive")
+                ir.connect(out, tri, "out")
     return ir
 
 
@@ -355,7 +378,8 @@ def undecodable_line(path, err: UnicodeDecodeError) -> str:
 
 def parse_netlist(path) -> NetlistIR:
     """Read the text written by emit_netlist; one streamed pass, one line at
-    a time.  A `conn` must follow the `port`/`net` and `cell` it names.
+    a time.  A `conn` must follow the `port`/`net` and `cell` it names, and
+    its role must be the one the cell's kind gives the pin.
 
     Every check of add_port/add_net/add_cell/connect is made, with the same
     message prefixed by `path:lineno`; the cell and conn lines, nearly all
@@ -365,6 +389,7 @@ def parse_netlist(path) -> NetlistIR:
     cells, nets = ir.cells, ir.nets
     name_ok = _NAME_RE.match
     params_of = {}  # "key=value" token -> (key, value), converted once
+    outputs_of = {}  # cell name -> the pins its kind drives
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, 1):
@@ -374,24 +399,29 @@ def parse_netlist(path) -> NetlistIR:
                 head = toks[0]
                 try:
                     if head == "conn":
-                        net = nets.get(toks[1])
                         cell, _, pin = toks[2].rpartition(".")
                         role = toks[3]
-                        if net is None:
-                            raise NetlistError(f"unknown net {toks[1]!r}")
-                        if cell not in cells:
-                            raise NetlistError(f"unknown cell {cell!r}")
-                        if role == "sink":
-                            net.sinks.append((cell, pin))
-                        elif role == "drive":
-                            net.drivers.append((cell, pin))
+                        try:
+                            net = nets[toks[1]]
+                            outputs = outputs_of[cell]
+                        except KeyError:
+                            if toks[1] not in nets:
+                                raise NetlistError(f"unknown net {toks[1]!r}") from None
+                            raise NetlistError(f"unknown cell {cell!r}") from None
+                        if pin in outputs:
+                            ends, want = net.drivers, "drive"
                         else:
-                            raise NetlistError(f"bad role {role!r}")
+                            ends, want = net.sinks, "sink"
+                        if role != want:
+                            raise NetlistError(f"{cell}.{pin} of a {cells[cell].kind} "
+                                               f"takes role {want!r}, not {role!r}")
+                        ends.append((cell, pin))
                     elif head == "cell":
                         name, kind = toks[1], toks[2]
                         if not name_ok(name):
                             raise NetlistError(f"bad cell name {name!r}")
-                        if kind not in CELL_KINDS:
+                        entry = CELL_KINDS.get(kind)
+                        if entry is None:
                             raise NetlistError(f"cell {name}: unknown kind {kind!r}")
                         if name in cells:
                             raise NetlistError(f"duplicate cell {name!r}")
@@ -403,6 +433,7 @@ def parse_netlist(path) -> NetlistIR:
                                 kv = params_of[tok] = (k, _parse_value(v))
                             params[kv[0]] = kv[1]
                         cells[name] = Cell(name, kind, params)
+                        outputs_of[name] = entry.outputs
                     elif head == "net":
                         ir.add_net(toks[1], int(toks[2]))
                     elif head == "port":

@@ -267,8 +267,8 @@ def compare_pa_ppa(spec: PAWindowSpec, tech: TechParams | None = None) -> PAComp
     shared_e = (banks * macro.e_read_fj + banks * tech.e_inc_fj
                 + tech.e_wire_per_um_fj * semiperim_um)
     e = {
-        "sm": (2 * tech.e_dec0_fj + tech.e_dec1_fj * (mb + nb)) + shared_e,
-        "tm": banks * (tech.e_dec0_fj + tech.e_dec1_fj * (mb + nb)) + shared_e,
+        "sm": (tech.e_dec_fj(mb) + tech.e_dec_fj(nb)) + shared_e,
+        "tm": banks * tech.e_dec_fj(mb + nb) + shared_e,
     }
     out = {}
     for mode in ("sm", "tm"):
@@ -295,7 +295,7 @@ def _pa_ports(ir: netlist.NetlistIR, spec: PAWindowSpec):
     ir.add_port("rdata", "out", spec.lanes * spec.pixel_bits)
 
 
-def _add_rot_and_align(ir: netlist.NetlistIR, spec: PAWindowSpec):
+def _add_rot_and_align(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams):
     if spec.a + spec.b:
         ir.add_net("rot_q", spec.a + spec.b)
         reg = ir.add_cell("rot_reg", "output_reg", role="rotation_pipeline",
@@ -304,16 +304,15 @@ def _add_rot_and_align(ir: netlist.NetlistIR, spec: PAWindowSpec):
         ir.connect("x", reg.name, "x")
         ir.connect("y", reg.name, "y")
         ir.connect("re", reg.name, "en")
-        ir.connect("rot_q", reg.name, "q", "drive")
-    align = ir.add_cell("align", "pa_align", lanes=spec.lanes,
-                        pixel_bits=spec.pixel_bits, a=spec.a, b=spec.b,
-                        e_event_fj=0.0)
+        ir.connect("rot_q", reg.name, "q")
+    ir.add_priced_cell("align", "pa_align", tech, lanes=spec.lanes,
+                       pixel_bits=spec.pixel_bits, a=spec.a, b=spec.b)
     if spec.a + spec.b:
         ir.connect("rot_q", "align", "rot")
     for p in range(spec.banks_x):
         for q in range(spec.banks_y):
             ir.connect(f"bank_{p}_{q}/lane", "align", f"lane_{p}_{q}")
-    ir.connect("rdata", "align", "out", "drive")
+    ir.connect("rdata", "align", "out")
 
 
 def generate_pa(spec: PAWindowSpec, mode: str, tech: TechParams | None = None) -> netlist.NetlistIR:
@@ -344,7 +343,7 @@ def generate_pa(spec: PAWindowSpec, mode: str, tech: TechParams | None = None) -
     for p in range(spec.banks_x):
         for q in range(spec.banks_y):
             add_bank(f"bank_{p}_{q}", p, q)
-    _add_rot_and_align(ir, spec)
+    _add_rot_and_align(ir, spec, tech)
     return ir
 
 
@@ -358,18 +357,17 @@ def _sm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro
             ("y", spec.n, spec.b, spec.cols, "csel"))
     for axis, in_bits, low_bits, base, _ in axes:
         bits = in_bits - low_bits
-        dec = ir.add_cell(f"{axis}dec", "decoder", in_bits=in_bits,
-                          stages=bits, mux_bits=0, ports="rw", axis=axis,
-                          boundary=spec.boundary,
-                          e_event_fj=round(tech.e_dec0_fj + tech.e_dec1_fj * bits, 6))
+        dec = ir.add_priced_cell(f"{axis}dec", "decoder", tech, in_bits=in_bits,
+                                 stages=bits, mux_bits=0, ports="rw", axis=axis,
+                                 boundary=spec.boundary)
         ir.connect(axis, dec.name, axis)
         ir.connect(f"w{axis}", dec.name, f"w{axis}")
         ir.connect("re", dec.name, "re")
         ir.connect("we", dec.name, "we")
         ir.add_net(f"{axis}base_oh", base)
         ir.add_net(f"w{axis}base_oh", base)
-        ir.connect(f"{axis}base_oh", dec.name, "base_oh", "drive")
-        ir.connect(f"w{axis}base_oh", dec.name, "wbase_oh", "drive")
+        ir.connect(f"{axis}base_oh", dec.name, "base_oh")
+        ir.connect(f"w{axis}base_oh", dec.name, "wbase_oh")
 
     # the wordline-gate selects that every bank shares
     shared = [(n, n) for n in ("re", "wxbase_oh", "wybase_oh", "wx", "wy", "we")]
@@ -377,20 +375,19 @@ def _sm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro
     def add_bank(bank: str, p: int, q: int):
         selects = []
         for (axis, _, low_bits, width, sel_net), sel in zip(axes, (p, q)):
-            inc = ir.add_cell(f"{bank}/inc{axis}", "pa_increment",
-                              axis=axis, sel=sel, low_bits=low_bits,
-                              boundary=spec.boundary,
-                              e_event_fj=round(tech.e_inc_fj / 2, 6))
+            inc = ir.add_priced_cell(f"{bank}/inc{axis}", "pa_increment", tech,
+                                     axis=axis, sel=sel, low_bits=low_bits,
+                                     boundary=spec.boundary)
             ir.connect(f"{axis}base_oh", inc.name, "base_oh")
             ir.connect(axis, inc.name, axis)
             ir.add_net(f"{bank}/{sel_net}", width)
-            ir.connect(f"{bank}/{sel_net}", inc.name, "sel_oh", "drive")
+            ir.connect(f"{bank}/{sel_net}", inc.name, "sel_oh")
             selects.append((f"{bank}/{sel_net}", sel_net))
 
         tri = netlist.add_slot(ir, bank, "", macro, 0, selects + shared, None,
                                mode="divided", p=p, q=q)
         ir.add_net(f"{bank}/lane", spec.pixel_bits)
-        ir.connect(f"{bank}/lane", tri, "out", "drive")
+        ir.connect(f"{bank}/lane", tri, "out")
     return add_bank
 
 
@@ -406,18 +403,17 @@ def _tm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro
                                 Library([macro], tech))
 
     def add_bank(bank: str, p: int, q: int):
-        tr = ir.add_cell(f"{bank}/translate", "pa_increment",
-                         axis="xy", mode="translate", sel_x=p, sel_y=q,
-                         a=spec.a, b=spec.b, boundary=spec.boundary,
-                         e_event_fj=round(tech.e_inc_fj, 6))
+        tr = ir.add_priced_cell(f"{bank}/translate", "pa_increment", tech,
+                                axis="xy", mode="translate", sel_x=p, sel_y=q,
+                                a=spec.a, b=spec.b, boundary=spec.boundary)
         for pin in ("x", "y", "wx", "wy", "we"):
             ir.connect(pin, tr.name, pin)
         ir.add_net(f"{bank}/taddr", abits)
         ir.add_net(f"{bank}/twaddr", abits)
         ir.add_net(f"{bank}/twe", 1)
-        ir.connect(f"{bank}/taddr", tr.name, "taddr", "drive")
-        ir.connect(f"{bank}/twaddr", tr.name, "twaddr", "drive")
-        ir.connect(f"{bank}/twe", tr.name, "twe", "drive")
+        ir.connect(f"{bank}/taddr", tr.name, "taddr")
+        ir.connect(f"{bank}/twaddr", tr.name, "twaddr")
+        ir.connect(f"{bank}/twe", tr.name, "twe")
         ir.add_net(f"{bank}/lane", spec.pixel_bits)
         _graft(ir, sub, f"{bank}/sram",
                {"clk": "clk", "raddr": f"{bank}/taddr",
@@ -440,12 +436,10 @@ def _graft(ir: netlist.NetlistIR, sub: netlist.NetlistIR, prefix: str,
             ir.add_net(f"{prefix}/{net.name}", net.width)
     for net in sub.nets.values():
         tgt = rename(net.name)
-        for cell, pin in net.drivers:
-            ir.connect(tgt, f"{prefix}/{cell}", pin, "drive")
-        for cell, pin in net.sinks:
-            ir.connect(tgt, f"{prefix}/{cell}", pin, "sink")
-        # a grafted output port keeps its driver; inputs keep their sinks,
-        # both now on the mapped top-level net, so nothing else to do
+        # a grafted output port keeps its driver and an input its sinks,
+        # both now on the mapped top-level net
+        for cell, pin in net.drivers + net.sinks:
+            ir.connect(tgt, f"{prefix}/{cell}", pin)
 
 
 # -- Verilog-2001 emission ---------------------------------------------------

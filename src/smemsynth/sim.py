@@ -179,15 +179,23 @@ def _check_figures(d: dict, what: str, *keys) -> None:
             raise SimError(f"{what} {k}={v!r} is not a finite number >= 0")
 
 
-def _check_cells(cells, *keys) -> None:
-    """_check_figures on `keys` of each cell, naming the cell.  Like cells
-    share their figures, so each key's distinct values are judged first,
-    and the cells are walked only when one fails or is not a float."""
-    for k in keys:
-        values = {cell.params.get(k) for cell in cells}
-        if not all(type(v) is float and 0 <= v < math.inf for v in values):
-            for cell in cells:
-                _check_figures(cell.params, f"netlist cell {cell.name}", k)
+def _check_cells(ir: netlist.NetlistIR) -> dict:
+    """The cells of `ir` by kind, once _check_figures passes, naming the
+    cell, every param its kind is priced by and a priced kind's e_event_fj.
+    Like cells share figures, so a kind's cells are walked only when one
+    of a key's distinct values fails or is neither an int nor a float."""
+    by_kind = {kind: [] for kind in netlist.CELL_KINDS}
+    for cell in ir.cells.values():
+        by_kind[cell.kind].append(cell)
+    for kind, cells in by_kind.items():
+        entry = netlist.CELL_KINDS[kind]
+        for k in entry.reads + (("e_event_fj",) if entry.price else ()):
+            values = {cell.params.get(k) for cell in cells}
+            if not all(type(v) in (int, float) and 0 <= v < math.inf
+                       for v in values):
+                for cell in cells:
+                    _check_figures(cell.params, f"netlist cell {cell.name}", k)
+    return by_kind
 
 
 def _check_rdata(ir: netlist.NetlistIR, bits: int) -> None:
@@ -203,7 +211,7 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 # -- 1R-1W engine -----------------------------------------------------------
 
-def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
+def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict) -> SimResult:
     meta = ir.meta
     _check_figures(meta, "netlist meta", *"RCKMBW", "e_wire_op_fj",
                    "p_leak_nw", "t_cycle_ps")
@@ -217,17 +225,15 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     _check_rdata(ir, bits)
     dec = ir.cells.get("dec")
     _require(dec is not None and dec.kind == "decoder", "missing global decoder")
-    _check_cells((dec,), "e_event_fj")
     _require(dec.params.get("in_bits") == lR + lK + lB + lM, "decoder width mismatch")
     _require(dec.params.get("stages") == lR + lK + lB, "decoder stage count mismatch")
     _require(dec.params.get("mux_bits") == lM, "decoder mux-select bits mismatch")
-    bas = ir.cells_of_kind("baplus_instance")
+    bas = by_kind["baplus_instance"]
     _require(len(bas) == R * C * K, f"expected {R*C*K} macros, found {len(bas)}")
     for cell in bas:
         _require(cell.params.get("B") == B and cell.params.get("W") == W,
                  f"{cell.name}: macro geometry mismatch")
-    _check_cells(bas, "e_read_fj", "e_write_fj")
-    _require(len(ir.cells_of_kind("wordline_gate")) == R * C * K,
+    _require(len(by_kind["wordline_gate"]) == R * C * K,
              "one wordline gate per macro")
     _require((M > 1) == ("mux" in ir.cells), "column mux present iff M > 1")
     _require((M > 1) == ("sel_reg" in ir.cells), "select register iff M > 1")
@@ -293,18 +299,17 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
 
 # -- parallel-access engines -------------------------------------------------
 
-def _pa_common(ir: netlist.NetlistIR):
+def _pa_common(ir: netlist.NetlistIR, by_kind: dict):
     _check_figures(ir.meta, "netlist meta", "m", "n", "a", "b", "pixel_bits",
                    "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
     spec = pa._spec_from_meta(ir.meta)
     _check_rdata(ir, spec.lanes * spec.pixel_bits)
-    bas = ir.cells_of_kind("baplus_instance")
+    bas = by_kind["baplus_instance"]
     _require(len(bas) == spec.lanes, f"expected {spec.lanes} bank macros")
     for cell in bas:
         _require(cell.params.get("B") == spec.bank_words
                  and cell.params.get("W") == spec.pixel_bits,
                  f"{cell.name}: bank macro geometry mismatch")
-    _check_cells(bas, "e_read_fj", "e_write_fj")
     align = ir.cells.get("align")
     _require(align is not None and align.kind == "pa_align", "missing aligner")
     _require(align.params.get("lanes") == spec.lanes, "aligner lane count mismatch")
@@ -330,8 +335,8 @@ def _pa_step_tables(spec: pa.PAWindowSpec):
     return tables
 
 
-def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
-    spec, ba0 = _pa_common(ir)
+def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) -> SimResult:
+    spec, ba0 = _pa_common(ir, by_kind)
     mb, nb = spec.m - spec.a, spec.n - spec.b
     if mode == "sm":
         for axis, stages in (("x", mb), ("y", nb)):
@@ -340,27 +345,23 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
                      f"missing shared {axis}-axis decoder")
             _require(d.params.get("stages") == stages,
                      f"{axis}-axis decoder depth mismatch")
-            _check_cells((d,), "e_event_fj")
-        incs = ir.cells_of_kind("pa_increment")
+        incs = by_kind["pa_increment"]
         _require(len(incs) == 2 * spec.lanes,
                  "two one-hot increment cells per bank")
-        _check_cells(incs, "e_event_fj")
         e_dec_evt = (ir.cells["xdec"].params["e_event_fj"]
                      + ir.cells["ydec"].params["e_event_fj"])
         e_inc_evt = sum(c.params["e_event_fj"] for c in incs)
     else:
-        trs = ir.cells_of_kind("pa_increment")
+        trs = by_kind["pa_increment"]
         _require(len(trs) == spec.lanes, "one translator per bank")
         for c in trs:
             _require(c.params.get("mode") == "translate",
                      f"{c.name}: expected a translate-mode cell")
-        _check_cells(trs, "e_event_fj")
         for p in range(spec.banks_x):
             for q in range(spec.banks_y):
                 d = ir.cells.get(f"bank_{p}_{q}/sram/dec")
                 _require(d is not None and d.params.get("in_bits") == mb + nb,
                          f"bank ({p},{q}): private decode tree mismatch")
-                _check_cells((d,), "e_event_fj")
         e_dec_evt = spec.lanes * ir.cells["bank_0_0/sram/dec"].params["e_event_fj"]
         e_inc_evt = spec.lanes * trs[0].params["e_event_fj"]
 
@@ -452,13 +453,12 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, mode: str) -> SimResult:
 
 def simulate(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
     design = ir.meta.get("design")
+    if design not in ("sram_1r1w", "pa_sm", "pa_tm"):
+        raise SimError(f"no engine for design {design!r}")
+    by_kind = _check_cells(ir)
     if design == "sram_1r1w":
-        return _sim_sram(ir, trace)
-    if design == "pa_sm":
-        return _sim_pa(ir, trace, "sm")
-    if design == "pa_tm":
-        return _sim_pa(ir, trace, "tm")
-    raise SimError(f"no engine for design {design!r}")
+        return _sim_sram(ir, trace, by_kind)
+    return _sim_pa(ir, trace, by_kind, design[3:])
 
 
 # -- energy recomputation ----------------------------------------------------
@@ -476,27 +476,20 @@ def energy_report(result: SimResult, lib: Library | None = None) -> float:
             continue
         name, _, event = key.partition(":")
         cell = ir.cells[name]
-        if cell.kind == "baplus_instance":
-            if lib is not None and cell.params.get("variant") in lib:
-                macro = lib[cell.params["variant"]]
+        price = netlist.CELL_KINDS[cell.kind].price
+        if event:   # a macro's read or write
+            figure = f"e_{event}_fj"
+            variant = cell.params.get("variant")
+            if lib is not None and variant in lib:
+                e = getattr(lib[variant], figure)
             else:
-                macro = None
-            if event == "read":
-                e = macro.e_read_fj if macro else cell.params["e_read_fj"]
-            elif event == "write":
-                e = macro.e_write_fj if macro else cell.params["e_write_fj"]
-            else:
-                e = 0.0
-        elif lib is not None and cell.kind == "decoder":
-            # charge the tree that actually toggles: coordinate decoders
-            # take more input bits than they decode (the rest rotate lanes)
-            bits = cell.params["stages"] + cell.params.get("mux_bits", 0)
-            e = lib.tech.e_dec0_fj + lib.tech.e_dec1_fj * bits
-        elif lib is not None and cell.kind == "pa_increment":
-            e = lib.tech.e_inc_fj if cell.params.get("mode") == "translate" \
-                else lib.tech.e_inc_fj / 2
+                e = cell.params[figure]
+        elif price is None:
+            e = 0.0
+        elif lib is None:
+            e = cell.params["e_event_fj"]
         else:
-            e = float(cell.params.get("e_event_fj", 0.0))
+            e = price(cell.params, lib.tech)
         total += count * e
     return total
 

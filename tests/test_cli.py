@@ -61,6 +61,59 @@ def test_explore_infeasible_exit_code(tmp_path):
     assert chosen["feasible"] is False and chosen["violation"] > 0
 
 
+def test_explore_without_a_legal_organization_exits_1(tmp_path, capsys):
+    out = tmp_path / "e"
+    assert main(["explore", "--spec", "256x8", "--lib", LIB,
+                 "--bounds", "1,1,1,1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "no legal organization for this spec and library\n"
+    assert not list(out.iterdir())
+
+
+def _dropping(generate, net, ends):
+    """`generate`, with the `ends` ("drivers" or "sinks") of `net` dropped
+    from the netlist it returns."""
+    def dropped(*args):
+        ir = generate(*args)
+        getattr(ir.nets[net], ends).clear()
+        return ir
+    return dropped
+
+
+def test_synth_exits_1_on_a_failed_netlist_check(tmp_path, capsys, monkeypatch):
+    from smemsynth import cli
+    monkeypatch.setattr(cli, "generate_sram",
+                        _dropping(cli.generate_sram, "rdata", "drivers"))
+    out = tmp_path / "s"
+    assert main(["synth", "--config", "ba_32x8,2,2,2,2", "--lib", LIB,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "netlist check: net rdata: undriven output port\n"
+    assert not list(out.iterdir())
+
+
+def test_pa_exits_1_on_a_failed_netlist_check(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pa, "generate_pa", _dropping(pa.generate_pa, "rot_q", "drivers"))
+    out = tmp_path / "p"
+    assert main(["pa", "--spec", "4,4,1,1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "sm netlist check: net rot_q: no driver\n"
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--config", "{}", "--lib", LIB], "--config"),
+    (["explore", "--spec", "{}", "--lib", LIB], "--spec"),
+    (["pa", "--spec", "{}"], "--spec"),
+])
+def test_non_object_file_names_its_flag(tmp_path, capsys, argv, flag):
+    """A JSON file that is not an object is named by the flag it came from."""
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]\n")
+    argv = [str(path) if a == "{}" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        f"smemsynth {argv[0]}: {flag} file {path} must hold a JSON object\n"
+
+
 def test_synth_outputs(tmp_path):
     out = tmp_path / "s"
     assert main(["synth", "--config", "ba_32x8,2,2,2,2", "--lib", LIB,

@@ -15,6 +15,10 @@ from smemsynth.netlist import (CELL_KINDS, Cell, NetlistError, NetlistIR,
 from smemsynth.pa import PAWindowSpec, _graft, generate_pa
 
 
+def cells_of_kind(ir, kind):
+    return [c for c in ir.cells.values() if c.kind == kind]
+
+
 def small_lib():
     return Library([generate_variant(32, 8)], TechParams())
 
@@ -23,8 +27,8 @@ def test_single_macro_shape():
     lib = small_lib()
     ir = generate_sram(MemoryConfig("ba_32x8", 1, 1, 1, 1), lib)
     assert check_wellformed(ir) == []
-    assert len(ir.cells_of_kind("baplus_instance")) == 1
-    assert ir.cells_of_kind("column_mux") == []
+    assert len(cells_of_kind(ir, "baplus_instance")) == 1
+    assert cells_of_kind(ir, "column_mux") == []
     ports = {name: (d, ir.nets[name].width) for name, d in ir.ports.items()}
     assert ports["raddr"] == ("in", 5)
     assert ports["waddr"] == ("in", 5)
@@ -36,13 +40,13 @@ def test_full_organization_shape():
     lib = small_lib()
     ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), lib)
     assert check_wellformed(ir) == []
-    assert len(ir.cells_of_kind("baplus_instance")) == 8
+    assert len(cells_of_kind(ir, "baplus_instance")) == 8
     assert len(ir.cells) == 27
     assert len(ir.nets) == 42
     ports = {name: (d, ir.nets[name].width) for name, d in ir.ports.items()}
     assert ports["raddr"] == ("in", 8)      # 256 words
     assert ports["rdata"] == ("out", 8)     # C*W/M = 2*8/2
-    assert len(ir.cells_of_kind("column_mux")) == 1
+    assert len(cells_of_kind(ir, "column_mux")) == 1
     # per-column read bitlines are driven by one tri-state per k
     for c in range(2):
         net = ir.nets[f"col_bl_{c}"]
@@ -81,7 +85,7 @@ def test_many_random_configs_wellformed():
         cfg = rng.choice(cfgs)
         ir = generate_sram(cfg, lib)
         assert check_wellformed(ir) == [], cfg
-        assert len(ir.cells_of_kind("baplus_instance")) == cfg.R * cfg.C * cfg.K
+        assert len(cells_of_kind(ir, "baplus_instance")) == cfg.R * cfg.C * cfg.K
         seen += 1
 
 
@@ -142,8 +146,9 @@ def test_checker_violations():
     ir.add_net("n1", 1)
     ir.add_cell("u1", "decoder")
     ir.add_cell("u2", "output_reg")
-    ir.connect("n1", "u1", "z", role="drive")
-    ir.connect("n1", "u2", "z", role="drive")      # two non-tristate drivers
+    ir.connect("n1", "u1", "r_row")
+    ir.connect("n1", "u2", "q")                    # two non-tristate drivers
+    assert ir.nets["n1"].drivers == [("u1", "r_row"), ("u2", "q")]
     msgs = check_wellformed(ir)
     assert any("n1" in m and "driver" in m for m in msgs)
 
@@ -153,7 +158,7 @@ def test_checker_violations():
     ir2 = NetlistIR("floaty", meta={"design": "adhoc"})
     ir2.add_port("din", "in", 4)
     ir2.add_cell("u1", "pa_increment")
-    ir2.connect("din", "u1", "z", role="drive")    # input port driven inside
+    ir2.connect("din", "u1", "sel_oh")             # input port driven inside
     assert any("din" in m for m in check_wellformed(ir2))
 
 
@@ -162,10 +167,26 @@ def test_tristate_sharing_is_legal():
     ir.add_net("bl", 8)
     for i in range(4):
         ir.add_cell(f"t{i}", "tristate_driver")
-        ir.connect("bl", f"t{i}", "out", role="drive")
+        ir.connect("bl", f"t{i}", "out")
     ir.add_cell("sink", "output_reg")
-    ir.connect("bl", "sink", "d", role="sink")
+    ir.connect("bl", "sink", "d")
+    assert len(ir.nets["bl"].drivers) == 4 and ir.nets["bl"].sinks == [("sink", "d")]
     assert not any("bl" in m and "driver" in m for m in check_wellformed(ir))
+
+
+def test_missing_drivers_are_violations():
+    """An internal net without a driver, and an output port without one,
+    are each one violation."""
+    ir = NetlistIR("undriven")
+    ir.add_port("q", "out", 1)
+    ir.add_net("n", 1)
+    ir.add_cell("r", "output_reg")
+    ir.connect("n", "r", "d")
+    assert check_wellformed(ir) == ["net q: undriven output port",
+                                    "net n: no driver"]
+    ir.connect("n", "r", "q")
+    ir.connect("q", "r", "q")
+    assert check_wellformed(ir) == []
 
 
 def test_meta_survives_parse(tmp_path):
@@ -225,7 +246,12 @@ _BAD_LINES = [
     ("conn-no-pin", "conn raddr dec.raddr sink", "conn raddr dec sink",
      "unknown cell ''"),
     ("conn-bad-role", "conn raddr dec.raddr sink", "conn raddr dec.raddr source",
-     "bad role 'source'"),
+     "dec.raddr of a decoder takes role 'sink', not 'source'"),
+    # a conn's role must be the direction the cell's kind gives the pin
+    ("conn-wrong-role", "conn raddr dec.raddr sink", "conn raddr dec.raddr drive",
+     "dec.raddr of a decoder takes role 'sink', not 'drive'"),
+    ("conn-output-as-sink", "conn r_row dec.r_row drive", "conn r_row dec.r_row sink",
+     "dec.r_row of a decoder takes role 'drive', not 'sink'"),
     ("unknown-directive", "net r_row 32", "wire r_row 32",
      "unknown directive 'wire'"),
     # a conn ahead of the net it names: nets are declared before use
@@ -283,7 +309,6 @@ _API_MISTAKES = {
     "duplicate-cell": lambda ir: ir.add_cell("bank_0_0/wlg_0", "tristate_driver"),
     "conn-unknown-net": lambda ir: ir.connect("r_addr", "dec", "raddr"),
     "conn-unknown-cell": lambda ir: ir.connect("raddr", "decoder", "raddr"),
-    "conn-bad-role": lambda ir: ir.connect("raddr", "dec", "raddr", "source"),
 }
 
 
@@ -392,7 +417,7 @@ def test_cell_kinds_are_the_emitted_kinds():
     for spec in [PAWindowSpec(3, 3, 0, 0), PAWindowSpec(4, 3, 1, 1)]:
         for mode in ("sm", "tm"):
             emitted |= {c.kind for c in generate_pa(spec, mode).cells.values()}
-    assert emitted == CELL_KINDS
+    assert emitted == set(CELL_KINDS)
 
 
 # -- structural round trip ------------------------------------------------------
@@ -455,7 +480,7 @@ def _slot_wiring_faults(ir):
         for ep in net.drivers + net.sinks:
             net_of[ep] = net
     faults, seen = [], []
-    for tri in ir.cells_of_kind("tristate_driver"):
+    for tri in cells_of_kind(ir, "tristate_driver"):
         en = net_of[tri.name, "en"]
         gates = [c for c, pin in en.drivers
                  if ir.cells[c].kind == "wordline_gate" and pin == "rwl"]
@@ -473,7 +498,7 @@ def _slot_wiring_faults(ir):
             faults.append(f"{tri.name}: {macro}.wwl not driven by {gates[0]}")
         if net_of[macro, "qout"] is not net_of[tri.name, "in"]:
             faults.append(f"{tri.name}: in is not {macro}.qout")
-    macros = sorted(c.name for c in ir.cells_of_kind("baplus_instance"))
+    macros = sorted(c.name for c in cells_of_kind(ir, "baplus_instance"))
     if sorted(seen) != macros:
         faults.append(f"tristates reach macros {sorted(seen)}, not {macros}")
     return faults
@@ -491,5 +516,109 @@ def test_every_tristate_follows_its_slot(design):
         ir = generate_pa(PAWindowSpec(4, 3, 1, 1, boundary=rest[0]), head)
     else:
         ir = generate_sram(MemoryConfig(head, *map(int, rest)), small_lib())
-    assert ir.cells_of_kind("tristate_driver")
+    assert cells_of_kind(ir, "tristate_driver")
     assert _slot_wiring_faults(ir) == []
+
+
+# -- required pins ----------------------------------------------------------------
+
+def _sram_selects(meta):
+    """The one-hot selects an SRAM decoder drives into every wordline gate."""
+    fields = ["row"] + ["bank"] * (meta.get("R", 1) > 1) + ["ba"] * (meta.get("K", 1) > 1)
+    return {f"{rw}_{f}" for rw in "rw" for f in fields}
+
+
+def needs(ir, cell):
+    """The pins `cell` must connect, read from the params the generators
+    stamp, and from the meta's R, K and M for an SRAM's select sets."""
+    p, meta = cell.params, ir.meta
+    if cell.kind == "baplus_instance":
+        return {"clk", "rwl", "wwl", "din", "qout"} | ({"wsel"} if meta.get("M", 1) > 1 else set())
+    if cell.kind == "tristate_driver":
+        return {"clk", "in", "en", "out"}
+    if cell.kind == "column_mux":
+        return {f"in_{c}" for c in range(p["C"])} | {"sel", "out"}
+    if cell.kind == "output_reg":
+        ins = {"mux_sel_pipeline": {"clk", "d"},
+               "rotation_pipeline": {"clk", "x", "y", "en"}}[p["role"]]
+        return ins | {"q"}
+    if cell.kind == "pa_align":
+        return ({f"lane_{x}_{y}" for x in range(1 << p["a"]) for y in range(1 << p["b"])}
+                | ({"rot"} if p["a"] + p["b"] else set()) | {"out"})
+    if cell.kind == "pa_increment":
+        if p.get("mode") == "translate":
+            return {"x", "y", "wx", "wy", "we", "taddr", "twaddr", "twe"}
+        return {"base_oh", p["axis"], "sel_oh"}
+    if cell.kind == "decoder":
+        if "axis" in p:
+            a = p["axis"]
+            return {a, f"w{a}", "re", "we", "base_oh", "wbase_oh"}
+        msel = {"r_msel", "w_msel"} if p["mux_bits"] else set()
+        return {"raddr", "waddr", "re", "we"} | _sram_selects(meta) | msel
+    assert cell.kind == "wordline_gate", cell.kind
+    if p.get("mode") == "divided":
+        return {"rsel", "csel", "re", "we", "wx", "wy", "wxbase_oh", "wybase_oh",
+                "rwl", "wwl"}
+    return {"re", "we", "rwl", "wwl"} | _sram_selects(meta)
+
+
+def _pin_faults(ir):
+    """Each cell must connect each pin it needs exactly once, and no other."""
+    got = {}   # cell -> {pin: connections}
+    for net in ir.nets.values():
+        for cell, pin in net.drivers + net.sinks:
+            pins = got.setdefault(cell, {})
+            pins[pin] = pins.get(pin, 0) + 1
+    faults = []
+    for cell in ir.cells.values():
+        want, have = needs(ir, cell), got.get(cell.name, {})
+        for pin in sorted(want | set(have)):
+            if pin not in want:
+                faults.append(f"{cell.name}.{pin}: not a pin of this {cell.kind}")
+            elif have.get(pin) != 1:
+                faults.append(f"{cell.name}.{pin}: connected {have.get(pin, 0)} times")
+    return faults
+
+
+def test_generated_netlists_connect_every_pin():
+    lib = default_library(TechParams())
+    irs = []
+    for words, bits in [(256, 8), (1024, 16), (4096, 32)]:
+        cfgs = enumerate_configs(UserSpec(words, bits), lib)
+        irs += [generate_sram(cfg, lib) for cfg in cfgs[::len(cfgs) // 12 or 1]]
+    for m, n, a, b in [(3, 3, 0, 0), (4, 3, 1, 1), (4, 4, 2, 0), (3, 5, 0, 2)]:
+        for boundary in ("wrap", "clamp"):
+            irs += [generate_pa(PAWindowSpec(m, n, a, b, boundary=boundary), mode)
+                    for mode in ("sm", "tm")]
+    for ir in irs:
+        assert _pin_faults(ir) == [], ir.name
+
+
+# (design, net, cell, pin): connections whose loss leaves every net with a
+# driver and a sink, so check_wellformed passes without them
+_DROPS = [
+    ("sram", "clk", "bank_0_0/ba_0", "clk"),
+    ("sram", "clk", "bank_1_1/tri_1", "clk"),
+    ("sram", "clk", "sel_reg", "clk"),
+    ("sm", "clk", "rot_reg", "clk"),
+    ("sm", "x", "rot_reg", "x"),
+    ("sm", "y", "rot_reg", "y"),
+    ("sm", "re", "rot_reg", "en"),
+    ("sm", "x", "xdec", "x"),
+    ("sm", "wy", "ydec", "wy"),
+    ("sm", "re", "xdec", "re"),
+    ("sm", "we", "ydec", "we"),
+    ("sm", "x", "bank_1_0/incx", "x"),
+]
+
+
+@pytest.mark.parametrize("design, net, cell, pin", _DROPS,
+                         ids=[f"{d[0]}-{d[2]}.{d[3]}" for d in _DROPS])
+def test_dropped_connection_names_its_pin(design, net, cell, pin):
+    if design == "sram":
+        ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+    else:
+        ir = generate_pa(PAWindowSpec(4, 3, 1, 1), design)
+    ir.nets[net].sinks.remove((cell, pin))
+    assert check_wellformed(ir) == []
+    assert _pin_faults(ir) == [f"{cell}.{pin}: connected 0 times"]

@@ -39,3 +39,41 @@ def test_no_tech_beside_lib():
                     both.append(f"{path.name}:{node.lineno}: "
                                 f"{getattr(node, 'name', 'lambda')}")
     assert both == []
+
+
+def _uses(names):
+    """(file:line, owner, name) for each use of one of `names` in
+    src/smemsynth/*.py, as an attribute, a plain name or a keyword.  The
+    owner is the dotted path of the enclosing classes and functions, or
+    for module-level code the name it assigns."""
+    found = []
+
+    def visit(node, path, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        elif not owner and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            owner = getattr(target, "id", "")
+        name = getattr(node, "attr", None) or getattr(node, "id", None) \
+            or (node.arg if isinstance(node, ast.keyword) else None)
+        if name in names:
+            found.append((f"{path.name}:{node.lineno}", owner, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), path, "")
+    return found
+
+
+def test_each_price_written_once():
+    """The decode price is written once, in TechParams.e_dec_fj; every
+    other estimate calls it.  The increment price is written once, in the
+    cell-kind table, beside compare_pa_ppa's per-bank total."""
+    allowed = {"e_dec0_fj": {"TechParams", "TechParams.e_dec_fj"},
+               "e_dec1_fj": {"TechParams", "TechParams.e_dec_fj"},
+               "e_inc_fj": {"TechParams", "CELL_KINDS", "compare_pa_ppa"}}
+    uses = _uses(set(allowed))
+    assert {owner for _, owner, name in uses if name == "e_dec0_fj"} \
+        == {"TechParams", "TechParams.e_dec_fj"}
+    assert [u for u in uses if u[1] not in allowed[u[2]]] == []

@@ -9,8 +9,8 @@ from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
 from smemsynth.netlist import (emit_netlist, generate_sram, join_address,
                                parse_netlist)
-from smemsynth.pa import PAWindowSpec, check_plans, generate_pa
-from smemsynth.sim import (SimError, SimTrace, TraceError, energy_report,
+from smemsynth.pa import PAWindowSpec, check_plans, compare_pa_ppa, generate_pa
+from smemsynth.sim import (SimError, SimTrace, TraceError, energy_report, leak_fj,
                            simulate, verify_pa)
 
 
@@ -233,29 +233,63 @@ def test_energy_report_agrees_with_simulation():
     assert energy_report(res) == pytest.approx(res.e_total_fj)
 
 
-@pytest.mark.parametrize("design", ["sram", "sm", "tm"])
-def test_energy_report_without_library_reads_the_cells(design):
-    """Without a library, energy_report prices every cell by the figures
-    the netlist carries, so it agrees with e_total for a netlist built
-    under a technology other than the default one."""
+def _run_under(design, tech):
+    """simulate() of a seeded trace on a small `design` built under `tech`."""
     rng = random.Random(5)
     tr = SimTrace()
     if design == "sram":
-        tech = TechParams(e_dec0_fj=9.0)
         ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2),
                            Library([generate_variant(32, 8, tech)], tech))
         for cycle in range(100):
             tr.write(rng.randrange(256), rng.getrandbits(8), cycle)
             tr.read(rng.randrange(256), cycle)
     else:
-        tech = TechParams(e_inc_fj=3.0, e_dec0_fj=9.0)
         ir = generate_pa(PAWindowSpec(4, 4, 1, 1), design, tech)
         for cycle in range(100):
             tr.write(rng.randrange(256), rng.getrandbits(8), 2 * cycle)
             tr.window(rng.randrange(16), rng.randrange(16), 2 * cycle + 1)
-    res = simulate(ir, tr)
+    return simulate(ir, tr)
+
+
+@pytest.mark.parametrize("design", ["sram", "sm", "tm"])
+def test_energy_report_without_library_reads_the_cells(design):
+    """Without a library, energy_report prices every cell by the figures
+    the netlist carries, so it agrees with e_total for a netlist built
+    under a technology other than the default one."""
+    tech = TechParams(e_dec0_fj=9.0) if design == "sram" \
+        else TechParams(e_inc_fj=3.0, e_dec0_fj=9.0)
+    res = _run_under(design, tech)
     assert energy_report(res) == pytest.approx(res.e_total_fj)
     assert energy_report(res, Library([], tech)) == pytest.approx(res.e_total_fj)
+
+
+@pytest.mark.parametrize("design", ["sram", "sm", "tm"])
+def test_energy_report_prices_by_the_library_tech(design):
+    """With a library, energy_report prices decoders and increments by the
+    library's technology, not by the figures the netlist was built with:
+    a netlist built under the default technology, priced under another,
+    costs what the same run of a netlist built under the other does."""
+    other = TechParams(e_inc_fj=3.0, e_dec0_fj=9.0, e_dec1_fj=2.5)
+    res, want = _run_under(design, TechParams()), _run_under(design, other)
+    assert want.e_total_fj != pytest.approx(res.e_total_fj)
+    lib = Library([generate_variant(32, 8, other)], other)
+    assert energy_report(res, lib) == pytest.approx(want.e_total_fj)
+
+
+@pytest.mark.parametrize("mode", ["sm", "tm"])
+def test_window_reads_cost_the_analytic_energy(mode):
+    """A window read costs what compare_pa_ppa's model says, once leakage
+    is taken out: the cells' stamped prices sum to the model's."""
+    spec = PAWindowSpec(4, 4, 1, 1)
+    tech = TechParams(e_inc_fj=3.0, e_dec0_fj=9.0, e_dec1_fj=2.5)
+    ir = generate_pa(spec, mode, tech)
+    tr = SimTrace()
+    for i in range(50):
+        tr.window(i % 16, (3 * i) % 16)
+    res = simulate(ir, tr)
+    per_read = (res.e_total_fj - leak_fj(ir.meta, res.cycles)) / 50
+    assert per_read == pytest.approx(getattr(compare_pa_ppa(spec, tech), mode).e_op_fj,
+                                     rel=1e-6)
 
 
 def test_parsed_netlist_simulates(tmp_path):
@@ -503,6 +537,13 @@ def _port_width(net, width):
     ("pa_tm", _set_param("bank_1_1/sram/dec", "e_event_fj", "nan"),
      "bank_1_1/sram/dec e_event_fj"),
     ("pa_tm", _port_width("rdata", 16), "rdata must be an out port of 32 bits"),
+    # e_event_fj on every priced kind, and each param a price reads, are
+    # checked, also where the engines never read them
+    ("sram", _set_param("mux", "e_event_fj", "nan"), "mux e_event_fj"),
+    ("sram", _set_param("dec", "mux_bits", "-1"), "dec mux_bits"),
+    ("pa_sm", _set_param("align", "e_event_fj", None), "align lacks e_event_fj"),
+    ("pa_tm", _set_param("bank_0_0/sram/dec", "stages", None),
+     "bank_0_0/sram/dec lacks stages"),
 ])
 def test_sim_rejects_malformed_cell(tmp_path, capsys, design, edit, named):
     """Every cell figure an engine reads, on every cell, must exist and be
