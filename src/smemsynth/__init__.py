@@ -16,7 +16,7 @@ from .leafcell import (GridLayout, LayoutError, Shape, check_restrictions,
 from .netlist import (Cell, Net, NetlistError, NetlistIR, check_wellformed,
                       emit_hdl, emit_netlist, generate_sram, parse_netlist)
 from .pa import (PAComparison, PAError, PAWindowSpec, check_plans,
-                 compare_pa_ppa, generate_pa, map_pixel, window_planner)
+                 compare_pa_ppa, generate_pa, window_planner)
 from .sim import (SimError, SimResult, SimTrace, TraceError, energy_report,
                   simulate, verify_pa)
 

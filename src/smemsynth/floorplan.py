@@ -141,12 +141,6 @@ def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
     return fp
 
 
-def bounding_box(fp: Floorplan):
-    if not fp.placements:
-        return 0, 0
-    return max(r.x2 for r in fp.placements), max(r.y2 for r in fp.placements)
-
-
 def _overlapping_pairs(solid: list) -> list[tuple[int, int]]:
     """Sorted index pairs (i, j), i < j, of rects in `solid` that overlap.
 

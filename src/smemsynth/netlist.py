@@ -181,10 +181,6 @@ def split_address(addr: int, lR: int, lK: int, lB: int, lM: int):
     return r, k, row, s
 
 
-def join_address(r: int, k: int, row: int, s: int, lR: int, lK: int, lB: int, lM: int) -> int:
-    return (((r << lK | k) << lB | row) << lM) | s
-
-
 # -- the BA+ slot ------------------------------------------------------------
 
 def add_slot(ir: NetlistIR, scope: str, suffix: str, macro: BAPlusMacro,

@@ -92,23 +92,6 @@ class PAWindowSpec:
 SPEC_KEYS = ("m", "n", "a", "b", "pixel_bits", "boundary")
 
 
-def map_pixel(spec: PAWindowSpec, x: int, y: int):
-    """((bank_x, bank_y), (row, col)) storage location of pixel (x, y)."""
-    if not (0 <= x < spec.image_w and 0 <= y < spec.image_h):
-        raise PAError(f"pixel ({x}, {y}) outside {spec.image_w}x{spec.image_h}")
-    bx = x & (spec.banks_x - 1)
-    by = y & (spec.banks_y - 1)
-    return (bx, by), (x >> spec.a, y >> spec.b)
-
-
-def bank_index(spec: PAWindowSpec, bx: int, by: int) -> int:
-    return (bx << spec.b) | by
-
-
-def bank_addr(spec: PAWindowSpec, row: int, col: int) -> int:
-    return (row << (spec.n - spec.b)) | col
-
-
 def _axis_plans(side_bits: int, low_bits: int, clamp: bool) -> list:
     """Per-coordinate plans along one axis of a 2^side_bits surface.
 
@@ -178,7 +161,8 @@ def check_plans(spec: PAWindowSpec) -> dict:
 
     For every corner on the surface, the plan must start at the covered
     window's first pixel and its bank, and must send each bank the address
-    that map_pixel gives the covered pixel it holds; each wrong corner and
+    of the covered pixel it holds; along x, pixel x sits in bank x mod 2^a
+    at address x >> a, and along y likewise with b.  Each wrong corner and
     each wrong address is one mismatch.  Each axis of a corner whose pixels
     share a bank is one conflict.  A sound spec reports 0 and 0.
     """

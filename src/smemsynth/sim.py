@@ -10,8 +10,8 @@ Semantics (identical for every design):
 
 Each design kind gets its own engine that first validates the netlist's
 structure (cell inventory and parameters), then steps the trace while
-counting per-cell activations.  Energy is activations times per-event
-energies plus leakage over the trace duration.
+counting per-cell activations.  _price alone turns them into energy:
+leakage over the trace duration plus each count times its cell's price.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import netlist, pa
-from .baplus import Library, ilog2, is_int, is_pow2
+from .baplus import Library, ilog2, is_pow2
 
 
 class SimError(ValueError):
@@ -155,7 +155,8 @@ class SimTrace:
 @dataclass
 class SimResult:
     outputs: list          # (cycle, value), one per read, at issue cycle + 1
-    activity: dict         # cell name (":read"/":write" suffix for macros) -> count
+    activity: dict         # cell name (":read"/":write" suffix for macros),
+                           # or "__wire__" for the ops on the wires -> count
     e_total_fj: float
     cycles: int
     warnings: list = field(default_factory=list)
@@ -167,32 +168,34 @@ def _require(cond: bool, msg: str) -> None:
         raise SimError(f"netlist structure: {msg}")
 
 
+def _is_figure(v) -> bool:
+    """v is a finite int or float >= 0: not a bool, and not NaN, which
+    no comparison binds."""
+    return type(v) in (int, float) and 0 <= v < math.inf
+
+
 def _check_figures(d: dict, what: str, *keys) -> None:
     """SimError naming `what` and the first key that `d` lacks or that is
     not a finite number >= 0."""
     for k in keys:
         if k not in d:
             raise SimError(f"{what} lacks {k}")
-        v = d[k]
-        # `not 0 <= v < inf` also rejects NaN, which no comparison would bind
-        if not (is_int(v) or isinstance(v, float)) or not 0 <= v < math.inf:
-            raise SimError(f"{what} {k}={v!r} is not a finite number >= 0")
+        if not _is_figure(d[k]):
+            raise SimError(f"{what} {k}={d[k]!r} is not a finite number >= 0")
 
 
 def _check_cells(ir: netlist.NetlistIR) -> dict:
     """The cells of `ir` by kind, once _check_figures passes, naming the
     cell, every param its kind is priced by and a priced kind's e_event_fj.
     Like cells share figures, so a kind's cells are walked only when one
-    of a key's distinct values fails or is neither an int nor a float."""
+    of a key's distinct values is not a figure."""
     by_kind = {kind: [] for kind in netlist.CELL_KINDS}
     for cell in ir.cells.values():
         by_kind[cell.kind].append(cell)
     for kind, cells in by_kind.items():
         entry = netlist.CELL_KINDS[kind]
         for k in entry.reads + (("e_event_fj",) if entry.price else ()):
-            values = {cell.params.get(k) for cell in cells}
-            if not all(type(v) in (int, float) and 0 <= v < math.inf
-                       for v in values):
+            if not all(map(_is_figure, {cell.params.get(k) for cell in cells})):
                 for cell in cells:
                     _check_figures(cell.params, f"netlist cell {cell.name}", k)
     return by_kind
@@ -211,7 +214,7 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 # -- 1R-1W engine -----------------------------------------------------------
 
-def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict) -> SimResult:
+def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict):
     meta = ir.meta
     _check_figures(meta, "netlist meta", *"RCKMBW", "e_wire_op_fj",
                    "p_leak_nw", "t_cycle_ps")
@@ -238,16 +241,10 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict) -> SimResul
     _require((M > 1) == ("mux" in ir.cells), "column mux present iff M > 1")
     _require((M > 1) == ("sel_reg" in ir.cells), "select register iff M > 1")
 
-    e_read = bas[0].params["e_read_fj"]
-    e_write = bas[0].params["e_write_fj"]
-    e_dec = dec.params["e_event_fj"]
-    e_wire = meta["e_wire_op_fj"]
-
     mem: dict[int, int] = {}   # written words only: memory follows the trace
     poison = (1 << bits) - 1
     outputs = []
     warnings = []
-    reads = writes = 0
     addr_reads: dict[int, int] = {}
     addr_writes: dict[int, int] = {}
 
@@ -260,7 +257,6 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict) -> SimResul
                 v = poison
                 warnings.append(f"cycle {cycle}: uninitialized read at address {a}")
             outputs.append((cycle + 1, v))
-            reads += 1
             addr_reads[a] = addr_reads.get(a, 0) + 1
         elif kind == "W":
             if not 0 <= a < words:
@@ -268,12 +264,13 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict) -> SimResul
             if b > poison:
                 raise SimError(f"cycle {cycle}: write data wider than {bits} bits")
             mem[a] = b
-            writes += 1
             addr_writes[a] = addr_writes.get(a, 0) + 1
         elif kind == "WIN":
             raise SimError("window reads apply to parallel-access designs only")
 
-    act = {"__wire__": reads + writes, "dec": reads + writes}
+    reads = len(outputs)
+    ops = reads + sum(addr_writes.values())
+    act = {"__wire__": ops, "dec": ops}
     if M > 1:
         act["mux"] = reads
         act["sel_reg"] = reads
@@ -290,11 +287,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict) -> SimResul
                 act[f"{bank}/ba_{k}{suffix}"] = act.get(f"{bank}/ba_{k}{suffix}", 0) + n
                 if suffix == ":read":
                     act[f"{bank}/tri_{k}"] = act.get(f"{bank}/tri_{k}", 0) + n
-
-    e = (act["dec"] * e_dec + act["__wire__"] * e_wire
-         + reads * C * e_read + writes * C * e_write
-         + leak_fj(meta, trace.n_cycles))
-    return SimResult(outputs, act, e, trace.n_cycles, warnings, ir)
+    return outputs, act, warnings
 
 
 # -- parallel-access engines -------------------------------------------------
@@ -315,7 +308,7 @@ def _pa_common(ir: netlist.NetlistIR, by_kind: dict):
     _require(align.params.get("lanes") == spec.lanes, "aligner lane count mismatch")
     _require((spec.a + spec.b > 0) == ("rot_reg" in ir.cells),
              "rotation register iff the window spans multiple banks")
-    return spec, bas[0]
+    return spec
 
 
 def _pa_step_tables(spec: pa.PAWindowSpec):
@@ -335,9 +328,10 @@ def _pa_step_tables(spec: pa.PAWindowSpec):
     return tables
 
 
-def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) -> SimResult:
-    spec, ba0 = _pa_common(ir, by_kind)
+def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
+    spec = _pa_common(ir, by_kind)
     mb, nb = spec.m - spec.a, spec.n - spec.b
+    incs = by_kind["pa_increment"]
     if mode == "sm":
         for axis, stages in (("x", mb), ("y", nb)):
             d = ir.cells.get(f"{axis}dec")
@@ -345,16 +339,11 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) ->
                      f"missing shared {axis}-axis decoder")
             _require(d.params.get("stages") == stages,
                      f"{axis}-axis decoder depth mismatch")
-        incs = by_kind["pa_increment"]
         _require(len(incs) == 2 * spec.lanes,
                  "two one-hot increment cells per bank")
-        e_dec_evt = (ir.cells["xdec"].params["e_event_fj"]
-                     + ir.cells["ydec"].params["e_event_fj"])
-        e_inc_evt = sum(c.params["e_event_fj"] for c in incs)
     else:
-        trs = by_kind["pa_increment"]
-        _require(len(trs) == spec.lanes, "one translator per bank")
-        for c in trs:
+        _require(len(incs) == spec.lanes, "one translator per bank")
+        for c in incs:
             _require(c.params.get("mode") == "translate",
                      f"{c.name}: expected a translate-mode cell")
         for p in range(spec.banks_x):
@@ -362,11 +351,7 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) ->
                 d = ir.cells.get(f"bank_{p}_{q}/sram/dec")
                 _require(d is not None and d.params.get("in_bits") == mb + nb,
                          f"bank ({p},{q}): private decode tree mismatch")
-        e_dec_evt = spec.lanes * ir.cells["bank_0_0/sram/dec"].params["e_event_fj"]
-        e_inc_evt = spec.lanes * trs[0].params["e_event_fj"]
 
-    e_read, e_write = ba0.params["e_read_fj"], ba0.params["e_write_fj"]
-    e_wire = ir.meta["e_wire_op_fj"]
     P = spec.pixel_bits
     lanes = spec.lanes
     a_, b_ = spec.a, spec.b
@@ -379,7 +364,6 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) ->
     mem = [[None] * spec.bank_words for _ in range(lanes)]
     outputs = []
     warnings = []
-    reads = writes = 0
     bank_writes = [0] * lanes
 
     for cycle, kind, xa, yb in trace.ops:
@@ -400,7 +384,6 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) ->
                     out |= v << shifts[bi]
                     bi += 1
             outputs.append((cycle + 1, out))
-            reads += 1
         elif kind == "W":
             x, y = xa >> spec.n, xa & ym
             if not (0 <= x <= xm and 0 <= y <= ym):
@@ -410,14 +393,14 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) ->
             bi = ((x & bxm) << b_) | (y & bym)
             mem[bi][(x >> a_) * cols_n + (y >> b_)] = yb
             bank_writes[bi] += 1
-            writes += 1
         elif kind == "R":
             raise SimError("single-address reads apply to 1R-1W designs only")
 
-    act = {"__wire__": reads + writes, "align": reads}
+    reads = len(outputs)
+    ops = reads + sum(bank_writes)
+    act = {"__wire__": ops, "align": reads}
     if a_ + b_:
         act["rot_reg"] = reads
-    ops = reads + writes
     for p in range(spec.banks_x):
         for q in range(spec.banks_y):
             bank = f"bank_{p}_{q}"
@@ -428,6 +411,7 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) ->
                 act[f"{bank}/tri"] = reads
             else:
                 act[f"{bank}/translate"] = ops
+                # every private tree decodes on reads; writes decode in one bank
                 act[f"{bank}/sram/dec"] = reads + bank_writes[bi]
                 act[f"{bank}/sram/bank_0_0/wlg_0"] = reads + bank_writes[bi]
                 act[f"{bank}/sram/bank_0_0/tri_0"] = reads
@@ -437,18 +421,7 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str) ->
                 act[f"{ba}:write"] = bank_writes[bi]
     if mode == "sm":
         act["xdec"] = act["ydec"] = ops
-
-    if mode == "sm":
-        e_dec_total = ops * e_dec_evt
-    else:
-        # every private tree decodes on reads; writes decode in one bank
-        e_dec_total = (reads * e_dec_evt
-                       + writes * e_dec_evt / lanes)
-    e = (e_dec_total + reads * e_inc_evt
-         + (writes * e_inc_evt if mode == "tm" else 0.0)
-         + reads * lanes * e_read + writes * e_write
-         + ops * e_wire + leak_fj(ir.meta, trace.n_cycles))
-    return SimResult(outputs, act, e, trace.n_cycles, warnings, ir)
+    return outputs, act, warnings
 
 
 def simulate(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
@@ -457,20 +430,24 @@ def simulate(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
         raise SimError(f"no engine for design {design!r}")
     by_kind = _check_cells(ir)
     if design == "sram_1r1w":
-        return _sim_sram(ir, trace, by_kind)
-    return _sim_pa(ir, trace, by_kind, design[3:])
+        outputs, act, warnings = _sim_sram(ir, trace, by_kind)
+    else:
+        outputs, act, warnings = _sim_pa(ir, trace, by_kind, design[3:])
+    cycles = trace.n_cycles
+    return SimResult(outputs, act, _price(ir, act, cycles), cycles, warnings, ir)
 
 
-# -- energy recomputation ----------------------------------------------------
+# -- energy -------------------------------------------------------------------
 
-def energy_report(result: SimResult, lib: Library | None = None) -> float:
-    """Recompute total energy (fJ) from activity and the library's macro and
-    tech models; without a library, from each cell's own figures."""
-    ir = result.ir
-    if ir is None:
-        raise SimError("result carries no netlist")
-    total = leak_fj(ir.meta, result.cycles)
-    for key, count in result.activity.items():
+def _price(ir: netlist.NetlistIR, activity: dict, cycles: int,
+           lib: Library | None = None) -> float:
+    """Energy (fJ): leakage over `cycles` plus each `activity` count times
+    its price.  A macro's read or write is priced by `lib`'s variant when
+    `lib` holds it, else by the macro's own figure; another priced kind by
+    its table price under `lib`'s technology, or without `lib` by the
+    e_event_fj the cell carries."""
+    total = leak_fj(ir.meta, cycles)
+    for key, count in activity.items():
         if key == "__wire__":
             total += count * ir.meta["e_wire_op_fj"]
             continue
@@ -492,6 +469,14 @@ def energy_report(result: SimResult, lib: Library | None = None) -> float:
             e = price(cell.params, lib.tech)
         total += count * e
     return total
+
+
+def energy_report(result: SimResult, lib: Library | None = None) -> float:
+    """Reprice `result`'s activity (fJ) by the library's macro and tech
+    models; without a library this is exactly `result.e_total_fj`."""
+    if result.ir is None:
+        raise SimError("result carries no netlist")
+    return _price(result.ir, result.activity, result.cycles, lib)
 
 
 # -- exhaustive window verification -------------------------------------------

@@ -14,7 +14,7 @@ from smemsynth.cli import main
 from smemsynth.explorer import (MemoryConfig, UserSpec, enumerate_configs,
                                 evaluate_ppa, pareto_front,
                                 traditional_baseline_ppa)
-from smemsynth.floorplan import bounding_box, check, estimate_dimensions, realize
+from smemsynth.floorplan import check, estimate_dimensions, realize
 from smemsynth.leafcell import (count_constructs, fin_efficiency, load_cell,
                                 power_rail_efficiency, transistor_efficiency)
 from smemsynth.netlist import generate_sram
@@ -22,6 +22,7 @@ from smemsynth.pa import PAWindowSpec, check_plans, generate_pa
 from smemsynth.sim import SimTrace, simulate, verify_pa
 
 from test_explorer import brute_force_configs, naive_front
+from test_floorplan import bounding_box
 from test_leafcell import naive_constructs
 from test_sim import flat_reference
 

@@ -7,8 +7,15 @@ import pytest
 
 from smemsynth.baplus import TechParams, default_library
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs
-from smemsynth.floorplan import (Floorplan, Rect, bounding_box, check,
-                                 estimate_dimensions, export_text, realize)
+from smemsynth.floorplan import (Floorplan, Rect, check, estimate_dimensions,
+                                 export_text, realize)
+
+
+def bounding_box(fp):
+    """(x, y) of the far corner of the placements, (0, 0) for none."""
+    if not fp.placements:
+        return 0, 0
+    return max(r.x2 for r in fp.placements), max(r.y2 for r in fp.placements)
 
 
 def random_configs(seed, count):

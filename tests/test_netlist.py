@@ -10,13 +10,18 @@ from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs
 from smemsynth.netlist import (CELL_KINDS, Cell, NetlistError, NetlistIR,
                                address_fields, check_wellformed, emit_hdl,
-                               emit_netlist, generate_sram, join_address,
-                               parse_netlist, split_address)
+                               emit_netlist, generate_sram, parse_netlist,
+                               split_address)
 from smemsynth.pa import PAWindowSpec, _graft, generate_pa
 
 
 def cells_of_kind(ir, kind):
     return [c for c in ir.cells.values() if c.kind == kind]
+
+
+def join_address(r, k, row, s, lR, lK, lB, lM):
+    """split_address's inverse: the fields packed MSB-first."""
+    return (((r << lK | k) << lB | row) << lM) | s
 
 
 def small_lib():

@@ -8,13 +8,27 @@ import pytest
 
 from smemsynth import pa
 from smemsynth.netlist import check_wellformed, emit_netlist, parse_netlist
-from smemsynth.pa import (PAError, PAWindowSpec, bank_addr, bank_index,
-                          check_plans, compare_pa_ppa, emit_hdl_pa,
-                          generate_pa, map_pixel, window_planner)
+from smemsynth.pa import (PAError, PAWindowSpec, check_plans, compare_pa_ppa,
+                          emit_hdl_pa, generate_pa, window_planner)
 
 
 def cells_of_kind(ir, kind):
     return [c for c in ir.cells.values() if c.kind == kind]
+
+
+def map_pixel(spec, x, y):
+    """((bank_x, bank_y), (row, col)) storage location of pixel (x, y):
+    the low a (b) bits of x (y) pick the bank, the rest the row (column)."""
+    return ((x & (spec.banks_x - 1), y & (spec.banks_y - 1)),
+            (x >> spec.a, y >> spec.b))
+
+
+def bank_index(spec, bx, by):
+    return (bx << spec.b) | by
+
+
+def bank_addr(spec, row, col):
+    return (row << (spec.n - spec.b)) | col
 
 
 def test_spec_validation():

@@ -1,7 +1,9 @@
 """Packaging guards: the library imports nothing outside the standard
-library, and a model that takes a library reads its technology there."""
+library, a model that takes a library reads its technology there, the
+simulator prices energy in one place, and src/ holds no test-only code."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -77,3 +79,38 @@ def test_each_price_written_once():
     assert {owner for _, owner, name in uses if name == "e_dec0_fj"} \
         == {"TechParams", "TechParams.e_dec_fj"}
     assert [u for u in uses if u[1] not in allowed[u[2]]] == []
+
+
+def test_sim_reads_price_figures_only_in_its_pricing_pass():
+    """In sim.py, every subscript keyed by an `e_..._fj` string constant
+    (`params["e_read_fj"]`, `meta["e_wire_op_fj"]`, ...) sits in _price:
+    the engines count activity, and energy has one definition."""
+    path = SRC / "sim.py"
+    tree = ast.parse(path.read_text(), str(path))
+    inside = {id(n) for f in tree.body
+              if isinstance(f, ast.FunctionDef) and f.name == "_price"
+              for n in ast.walk(f)}
+    keyed = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)
+             and isinstance(n.slice.value, str)
+             and re.fullmatch(r"e_\w+_fj", n.slice.value)]
+    assert any(id(n) in inside for n in keyed)
+    assert [f"sim.py:{n.lineno}: {n.slice.value}" for n in keyed
+            if id(n) not in inside] == []
+
+
+def test_every_definition_has_a_caller_in_src():
+    """Every module-level function and class in src/smemsynth/ is named by
+    src/ code other than __init__'s re-exports; test-only helpers live in
+    tests/.  traditional_baseline_ppa is the paper's fixed-architecture
+    baseline, which the acceptance tests read."""
+    defined, named = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        defined |= {n.name for n in tree.body
+                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))}
+        if path.name != "__init__.py":
+            named |= {getattr(n, "id", None) or getattr(n, "attr", None)
+                      for n in ast.walk(tree)}
+    assert defined - named == {"traditional_baseline_ppa"}

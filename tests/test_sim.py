@@ -7,11 +7,12 @@ import pytest
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
-from smemsynth.netlist import (emit_netlist, generate_sram, join_address,
-                               parse_netlist)
+from smemsynth.netlist import emit_netlist, generate_sram, parse_netlist
 from smemsynth.pa import PAWindowSpec, check_plans, compare_pa_ppa, generate_pa
 from smemsynth.sim import (SimError, SimTrace, TraceError, energy_report, leak_fj,
                            simulate, verify_pa)
+
+from test_netlist import join_address
 
 
 def small_lib():
@@ -230,7 +231,74 @@ def test_energy_report_agrees_with_simulation():
         tr.read(rng.randrange(256), cycle)
     res = simulate(ir, tr)
     assert energy_report(res, lib) == pytest.approx(res.e_total_fj)
-    assert energy_report(res) == pytest.approx(res.e_total_fj)
+    assert energy_report(res) == res.e_total_fj
+
+
+def closed_form_energy(ir, trace):
+    """The fJ that `trace` costs on `ir`, from op counts and the figures
+    of one macro and one decoder or increment, not from any activity.
+
+    An SRAM op decodes once and crosses the wires once; a read or write
+    fires one macro in each of the C bank columns.  A window read fires
+    every lane's macro, a pixel write one lane's.  sm decodes each op
+    once per axis and steps both increments of every lane on a read.
+    tm translates every op in every lane; its private trees decode in
+    every lane on a read but in the written lane only on a write."""
+    meta, cells = ir.meta, ir.cells
+    reads = sum(kind in ("R", "WIN") for _, kind, _, _ in trace.ops)
+    writes = sum(kind == "W" for _, kind, _, _ in trace.ops)
+    ops = reads + writes
+    leak = meta["p_leak_nw"] * meta["t_cycle_ps"] * trace.n_cycles * 1e-6
+    wire = ops * meta["e_wire_op_fj"]
+
+    def event(name):
+        return cells[name].params["e_event_fj"]
+    if meta["design"] == "sram_1r1w":
+        ba, C = cells["bank_0_0/ba_0"].params, meta["C"]
+        return (ops * event("dec") + reads * C * ba["e_read_fj"]
+                + writes * C * ba["e_write_fj"] + wire + leak)
+    lanes = 1 << (meta["a"] + meta["b"])
+    if meta["design"] == "pa_sm":
+        ba = cells["bank_0_0/ba"].params
+        inc = sum(c.params["e_event_fj"] for c in cells.values()
+                  if c.kind == "pa_increment")
+        return (ops * (event("xdec") + event("ydec")) + reads * inc
+                + reads * lanes * ba["e_read_fj"] + writes * ba["e_write_fj"]
+                + wire + leak)
+    ba = cells["bank_0_0/sram/bank_0_0/ba_0"].params
+    dec, inc = event("bank_0_0/sram/dec"), event("bank_0_0/translate")
+    return (reads * lanes * dec + writes * dec + ops * lanes * inc
+            + reads * lanes * ba["e_read_fj"] + writes * ba["e_write_fj"]
+            + wire + leak)
+
+
+@pytest.mark.parametrize("design, shape", [
+    ("sram", (1, 1, 1, 1)), ("sram", (2, 2, 2, 2)), ("sram", (1, 4, 2, 4)),
+    ("sram", (8, 1, 1, 1)), ("sram", (4, 2, 4, 1)),
+    ("sm", "wrap"), ("sm", "clamp"), ("tm", "wrap"), ("tm", "clamp")])
+def test_energy_matches_the_closed_form(design, shape):
+    """e_total is the closed form on random mixed traces, idle cycles
+    included, and energy_report without a library is exactly e_total."""
+    rng = random.Random(f"closed-form:{design}:{shape}")
+    if design == "sram":
+        ir = generate_sram(MemoryConfig("ba_32x8", *shape), small_lib())
+        addrs, bits = ir.meta["words"], ir.meta["bits"]
+    else:
+        spec = PAWindowSpec(4, 3, 2, 1, boundary=shape)
+        ir = generate_pa(spec, design)
+        addrs, bits = spec.image_w * spec.image_h, spec.pixel_bits
+    tr = SimTrace()
+    for cycle in range(600):
+        if rng.random() < 0.6:
+            if design == "sram":
+                tr.read(rng.randrange(addrs), cycle)
+            else:
+                tr.window(rng.randrange(-4, 20), rng.randrange(-4, 12), cycle)
+        if rng.random() < 0.6:
+            tr.write(rng.randrange(addrs), rng.getrandbits(bits), cycle)
+    res = simulate(ir, tr)
+    assert res.e_total_fj == pytest.approx(closed_form_energy(ir, tr), rel=1e-12)
+    assert energy_report(res) == res.e_total_fj
 
 
 def _run_under(design, tech):
@@ -259,7 +327,7 @@ def test_energy_report_without_library_reads_the_cells(design):
     tech = TechParams(e_dec0_fj=9.0) if design == "sram" \
         else TechParams(e_inc_fj=3.0, e_dec0_fj=9.0)
     res = _run_under(design, tech)
-    assert energy_report(res) == pytest.approx(res.e_total_fj)
+    assert energy_report(res) == res.e_total_fj
     assert energy_report(res, Library([], tech)) == pytest.approx(res.e_total_fj)
 
 
@@ -383,8 +451,8 @@ def test_sm_tm_equivalence_random_ops():
         r_tm = simulate(tm, tr)
         assert r_sm.outputs == r_tm.outputs
         assert len(r_sm.outputs) > 500
-        assert energy_report(r_sm) == pytest.approx(r_sm.e_total_fj)
-        assert energy_report(r_tm) == pytest.approx(r_tm.e_total_fj)
+        assert energy_report(r_sm) == r_sm.e_total_fj
+        assert energy_report(r_tm) == r_tm.e_total_fj
 
 
 def test_pa_partial_init_poisons_lanes():
