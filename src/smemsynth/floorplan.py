@@ -84,14 +84,13 @@ def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
         raise ValueError(f"logic_area_um2 must be a finite number >= 0, "
                          f"got {logic_area_um2}")
     macro_w, macro_h, gutter, periph_w, bank_ph, global_ph = _grid_dims(cfg, lib)
-
-    die_w = cfg.C * (macro_w + gutter) + periph_w
+    die_w, die_h = estimate_dimensions(cfg, lib)
     extra_h = 0
     if logic_area_um2 > 0:
         # inflate by utilization, spread across the die width
         extra_h = -(-round(logic_area_um2 * 1e6 / tech.utilization) // die_w)
     bottom_h = global_ph + extra_h
-    die_h = cfg.R * (cfg.K * macro_h + bank_ph) + bottom_h
+    die_h += extra_h
 
     rects = [
         Rect("decode_strip", "periph_region", 0, 0, periph_w, die_h),

@@ -3,7 +3,8 @@
 A window of 2^a x 2^b pixels is fetched per cycle from 2^(a+b) banks.  Pixel
 (x, y) lives in bank (x mod 2^a, y mod 2^b) at in-bank address
 (x >> a, y >> b), so any aligned-or-not window touches every bank exactly
-once.  Two microarchitectures are generated:
+once; storage_map and lane_shifts are the one definition of this layout.
+Two microarchitectures are generated:
 
 * select-mode ("sm"): two shared base decoders (one per axis) produce base
   one-hot selects; each bank locally rotates the one-hot by its carry bit
@@ -92,25 +93,48 @@ class PAWindowSpec:
 SPEC_KEYS = ("m", "n", "a", "b", "pixel_bits", "boundary")
 
 
-def _axis_plans(side_bits: int, low_bits: int, clamp: bool) -> list:
-    """Per-coordinate plans along one axis of a 2^side_bits surface.
+def storage_map(spec: PAWindowSpec):
+    """(xs, ys, bank, row_addr): where the window memory stores each pixel.
 
-    Entry [c] is (c0, r, addrs): the effective coordinate (clamped so the
-    window stays on the surface, else c itself), the rotation (the bank
-    index holding the window's first pixel), and the address issued to
-    each of the 2^low_bits banks along the axis.  Banks whose index
-    precedes the rotation point take the next address (carry), wrapping at
-    the edge of the bank.
+    xs[x] = (p, row) and ys[y] = (q, col): pixel (x, y) is held by bank
+    (p, q) = (x mod 2^a, y mod 2^b) at row x >> a, column y >> b.  That
+    bank is numbered bank[p][q] = p * 2^b + q, and the pixel's address in
+    it is row_addr[row] + col = row * 2^(n-b) + col.
     """
-    cmax = (1 << side_bits) - (1 << low_bits)
-    bmask = (1 << low_bits) - 1
-    amask = (1 << (side_bits - low_bits)) - 1
+    bx, by = spec.banks_x, spec.banks_y
+    return ([(x % bx, x // bx) for x in range(spec.image_w)],
+            [(y % by, y // by) for y in range(spec.image_h)],
+            [[p * by + q for q in range(by)] for p in range(bx)],
+            [row * spec.cols for row in range(spec.rows)])
+
+
+def lane_shifts(spec: PAWindowSpec) -> list:
+    """The aligner: shifts[rx][ry][bank] is the rdata bit at which bank
+    (p, q)'s lane lands under rotation (rx, ry).  That is its window slot
+    ((p - rx) mod 2^a) * 2^b + (q - ry) mod 2^b times pixel_bits, so slot
+    dx * 2^b + dy holds the pixel at window offset (dx, dy)."""
+    bx, by = spec.banks_x, spec.banks_y
+    return [[[((p - rx) % bx * by + (q - ry) % by) * spec.pixel_bits
+              for p in range(bx) for q in range(by)]   # in bank order
+             for ry in range(by)] for rx in range(bx)]
+
+
+def _axis_plans(cells: list, clamp: bool) -> list:
+    """Per-coordinate plans along an axis whose pixel c is in cells[c].
+
+    Entry [c] is (c0, r, rows): the effective coordinate (clamped so the
+    window stays on the surface, else c itself), the rotation (the bank of
+    pixel c0, by storage_map's cells[c0] = (bank, row)) and the row issued
+    to each bank.  Banks that precede the rotation point take the next row
+    (carry), wrapping at the edge of the bank.
+    """
+    side, banks = len(cells), 1 + max(bank for bank, _ in cells)
     plans = []
-    for c in range(1 << side_bits):
-        c0 = min(c, cmax) if clamp else c
-        r, base = c0 & bmask, c0 >> low_bits
-        plans.append((c0, r, tuple((base + (p < r)) & amask
-                                   for p in range(bmask + 1))))
+    for c in range(side):
+        c0 = min(c, side - banks) if clamp else c
+        r, base = cells[c0]
+        plans.append((c0, r, tuple((base + (p < r)) % (side // banks)
+                                   for p in range(banks))))
     return plans
 
 
@@ -124,8 +148,7 @@ def window_planner(spec: PAWindowSpec):
     are tabulated once per spec.
     """
     clamp = spec.boundary == "clamp"
-    xs = _axis_plans(spec.m, spec.a, clamp)
-    ys = _axis_plans(spec.n, spec.b, clamp)
+    xs, ys = (_axis_plans(cells, clamp) for cells in storage_map(spec)[:2])
     xm, ym = spec.image_w - 1, spec.image_h - 1
     if not clamp:
         return lambda x, y: (xs[x & xm], ys[y & ym])
@@ -157,25 +180,24 @@ def window_cover(spec: PAWindowSpec):
 
 
 def check_plans(spec: PAWindowSpec) -> dict:
-    """Check window_planner against window_cover and the pixel-to-bank map.
+    """Check window_planner against window_cover and storage_map.
 
     For every corner on the surface, the plan must start at the covered
-    window's first pixel and its bank, and must send each bank the address
-    of the covered pixel it holds; along x, pixel x sits in bank x mod 2^a
-    at address x >> a, and along y likewise with b.  Each wrong corner and
-    each wrong address is one mismatch.  Each axis of a corner whose pixels
-    share a bank is one conflict.  A sound spec reports 0 and 0.
+    window's first pixel and its bank, and must send each bank the row
+    (along x) or column (along y) of the covered pixel it holds.  Each
+    wrong corner and each wrong address is one mismatch.  Each axis of a
+    corner whose pixels share a bank is one conflict.  A sound spec
+    reports 0 and 0.
     """
     xs, ys = window_cover(spec)
     plan = window_planner(spec)
 
-    def expect(cover, low_bits):
+    def expect(cover, cells):
         # per corner: (first pixel, its bank), (bank, address) per pixel,
         # and whether two pixels share a bank
-        mask = (1 << low_bits) - 1
-        return [((c[0], c[0] & mask), [(p & mask, p >> low_bits) for p in c],
-                 len({p & mask for p in c}) != len(c)) for c in cover]
-    xe, ye = expect(xs, spec.a), expect(ys, spec.b)
+        return [((c[0], cells[c[0]][0]), [cells[p] for p in c],
+                 len({cells[p][0] for p in c}) != len(c)) for c in cover]
+    xe, ye = map(expect, (xs, ys), storage_map(spec)[:2])
     mismatches = 0
     for x, (x0, xaddrs, _) in enumerate(xe):
         for y, (y0, yaddrs, _) in enumerate(ye):
@@ -428,9 +450,13 @@ def _graft(ir: netlist.NetlistIR, sub: netlist.NetlistIR, prefix: str,
 
 # -- Verilog-2001 emission ---------------------------------------------------
 
-def _slice(sig: str, hi: int, lo: int) -> str:
-    """The bit field sig[hi-1:lo], or "" when it is empty."""
-    return f"{sig}[{hi - 1}:{lo}]" if hi > lo else ""
+def _fields(spec: PAWindowSpec, sig: str):
+    """(bank, row): the bit fields of coordinate `sig` (x, xe or wx; y, ye
+    or wy) that pick its bank and row (or column) in storage_map's layout.
+    A bank field with no bits is 1'b0, bank 0; an empty row field is ""."""
+    bits, low = (spec.m, spec.a) if "x" in sig else (spec.n, spec.b)
+    return (f"{sig}[{low - 1}:0]" if low else "1'b0",
+            f"{sig}[{bits - 1}:{low}]" if bits > low else "")
 
 
 def _cat(fields: list) -> str:
@@ -446,7 +472,9 @@ def _emit_pa_align(L: list, spec: PAWindowSpec):
     lanes = spec.lanes
     if spec.a + spec.b:
         L.append(f"  reg [{spec.a + spec.b - 1}:0] rot_q;")
-        cat = _cat([_slice("xe", spec.a, 0), _slice("ye", spec.b, 0)])
+        # the corner's bank fields, of each axis with more than one bank
+        cat = _cat([_fields(spec, sig)[0]
+                    for sig, low in (("xe", spec.a), ("ye", spec.b)) if low])
         L.append(f"  always @(posedge clk) if (re) rot_q <= {cat};")
     lane_names = [f"lane_{p}_{q}" for p in range(spec.banks_x)
                   for q in range(spec.banks_y)]
@@ -475,20 +503,15 @@ def _emit_pa_align(L: list, spec: PAWindowSpec):
 def _hdl_sm(spec: PAWindowSpec):
     """Select mode: shared one-hot base decode; each bank rotates it."""
     R, C = spec.rows, spec.cols
-    axes = {"x": (R, spec.m, spec.a), "y": (C, spec.n, spec.b)}
-    decode = []
-    for sig, src in (("x", "xe"), ("y", "ye"), ("wx", "wx"), ("wy", "wy")):
-        width, bits, low_bits = axes[sig[-1]]
-        base = _slice(src, bits, low_bits)
-        onehot = netlist._onehot_shift(width, base) if base else "1'b1"
-        decode.append(f"  wire [{width - 1}:0] {sig}base_oh = {onehot};")
+    decode, ports = [], []
+    for pre, sigs in (("", ("xe", "ye")), ("w", ("wx", "wy"))):
+        fields = [_fields(spec, sig) for sig in sigs]
+        for axis, width, (_, row) in zip("xy", (R, C), fields):
+            onehot = netlist._onehot_shift(width, row) if row else "1'b1"
+            decode.append(f"  wire [{width - 1}:0] {pre}{axis}base_oh = {onehot};")
+            ports.append((f"{pre}{axis}base_oh",) * 2)
+        ports += [(f"{pre}{axis}low", bank) for axis, (bank, _) in zip("xy", fields)]
     decode.append("")
-    ports = [("xbase_oh", "xbase_oh"), ("ybase_oh", "ybase_oh"),
-             ("xlow", _slice("xe", spec.a, 0) or "1'b0"),
-             ("ylow", _slice("ye", spec.b, 0) or "1'b0"),
-             ("wxbase_oh", "wxbase_oh"), ("wybase_oh", "wybase_oh"),
-             ("wxlow", _slice("wx", spec.a, 0) or "1'b0"),
-             ("wylow", _slice("wy", spec.b, 0) or "1'b0")]
     inputs = [(R, "xbase_oh, wxbase_oh"), (C, "ybase_oh, wybase_oh"),
               (max(spec.a, 1), "xlow, wxlow"), (max(spec.b, 1), "ylow, wylow")]
     # local one-hot rotate: banks before the rotation point take the carry
@@ -517,19 +540,16 @@ def _hdl_tm(spec: PAWindowSpec):
     inputs = [(spec.m, "x, wx"), (spec.n, "y, wy")]
     # binary translate: base plus carry, wrapping at the bank array edge
     body, addr = [], []
-    for name, sig, bits, low_bits, par in (("row_t", "x", spec.m, spec.a, "P_SEL"),
-                                           ("col_t", "y", spec.n, spec.b, "Q_SEL")):
-        if bits > low_bits:
-            low = _slice(sig, low_bits, 0) or "1'b0"
-            body.append(f"  wire [{bits - low_bits - 1}:0] {name} = "
-                        f"({_slice(sig, bits, low_bits)} + ({par} < {low}));")
+    for name, sig, width, par in (("row_t", "x", spec.m - spec.a, "P_SEL"),
+                                  ("col_t", "y", spec.n - spec.b, "Q_SEL")):
+        bank, row = _fields(spec, sig)
+        if row:
+            body.append(f"  wire [{width - 1}:0] {name} = ({row} + ({par} < {bank}));")
             addr.append(name)
-    waddr = _cat([_slice("wx", spec.m, spec.a), _slice("wy", spec.n, spec.b)])
+    (wxlow, wxrow), (wylow, wyrow) = _fields(spec, "wx"), _fields(spec, "wy")
     abits = max(spec.m - spec.a + spec.n - spec.b, 1)
-    wxlow = _slice("wx", spec.a, 0) or "1'b0"
-    wylow = _slice("wy", spec.b, 0) or "1'b0"
     body += [f"  wire [{abits - 1}:0] taddr = {_cat(addr)};",
-             f"  wire [{abits - 1}:0] twaddr = {waddr};",
+             f"  wire [{abits - 1}:0] twaddr = {_cat([wxrow, wyrow])};",
              f"  wire wmatch = we & ({wxlow} == P_SEL) & ({wylow} == Q_SEL);",
              f"  wire [{B - 1}:0] rwl = re ? "
              + netlist._onehot_shift(B, "taddr") + f" : {B}'d0;",

@@ -311,70 +311,52 @@ def _pa_common(ir: netlist.NetlistIR, by_kind: dict):
     return spec
 
 
-def _pa_step_tables(spec: pa.PAWindowSpec):
-    """slot_shift[rx * 2^b + ry][bank_index] -> output bit offset."""
-    P = spec.pixel_bits
-    bx, by = spec.banks_x, spec.banks_y
-    tables = []
-    for rx in range(bx):
-        for ry in range(by):
-            t = [0] * (bx * by)
-            for p in range(bx):
-                for q in range(by):
-                    dx = (p - rx) % bx
-                    dy = (q - ry) % by
-                    t[(p << spec.b) | q] = (dx * by + dy) * P
-            tables.append(t)
-    return tables
-
-
 def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
     spec = _pa_common(ir, by_kind)
     mb, nb = spec.m - spec.a, spec.n - spec.b
     incs = by_kind["pa_increment"]
+
+    def decoder(name, in_bits, stages):
+        # the depth a decoder is priced by must be the depth it decodes
+        d = ir.cells.get(name)
+        _require(d is not None and d.kind == "decoder", f"missing decoder {name}")
+        got = tuple(d.params.get(k) for k in ("in_bits", "stages", "mux_bits"))
+        _require(got == (in_bits, stages, 0), f"{name}: decoder width or depth mismatch")
     if mode == "sm":
-        for axis, stages in (("x", mb), ("y", nb)):
-            d = ir.cells.get(f"{axis}dec")
-            _require(d is not None and d.kind == "decoder",
-                     f"missing shared {axis}-axis decoder")
-            _require(d.params.get("stages") == stages,
-                     f"{axis}-axis decoder depth mismatch")
+        decoder("xdec", spec.m, mb)
+        decoder("ydec", spec.n, nb)
         _require(len(incs) == 2 * spec.lanes,
                  "two one-hot increment cells per bank")
     else:
         _require(len(incs) == spec.lanes, "one translator per bank")
-        for c in incs:
-            _require(c.params.get("mode") == "translate",
-                     f"{c.name}: expected a translate-mode cell")
         for p in range(spec.banks_x):
             for q in range(spec.banks_y):
-                d = ir.cells.get(f"bank_{p}_{q}/sram/dec")
-                _require(d is not None and d.params.get("in_bits") == mb + nb,
-                         f"bank ({p},{q}): private decode tree mismatch")
+                decoder(f"bank_{p}_{q}/sram/dec", mb + nb, mb + nb)
+    for c in incs:
+        # the mode an increment is priced by must be the design's
+        _require((c.params.get("mode") == "translate") == (mode == "tm"),
+                 f"{c.name}: {'expected a' if mode == 'tm' else 'unexpected'} "
+                 "translate-mode cell")
 
     P = spec.pixel_bits
-    lanes = spec.lanes
-    a_, b_ = spec.a, spec.b
-    bxm, bym = spec.banks_x - 1, spec.banks_y - 1
     xm, ym = spec.image_w - 1, spec.image_h - 1
-    cols_n = spec.cols
     pmask = (1 << P) - 1
     plan = pa.window_planner(spec)
-    tables = _pa_step_tables(spec)
-    mem = [[None] * spec.bank_words for _ in range(lanes)]
+    xs, ys, bank, row_addr = pa.storage_map(spec)
+    lane_shifts = pa.lane_shifts(spec)
+    mem = [[None] * spec.bank_words for _ in range(spec.lanes)]
     outputs = []
     warnings = []
-    bank_writes = [0] * lanes
+    bank_writes = [0] * spec.lanes
 
     for cycle, kind, xa, yb in trace.ops:
         if kind == "WIN":
             (x, rx, rows), (y, ry, cols) = plan(xa, yb)
-            shifts = tables[(rx << b_) | ry]
+            shifts = lane_shifts[rx][ry]
             out = 0
-            bi = 0
-            for p in range(bxm + 1):
-                base = rows[p] * cols_n
-                for q in range(bym + 1):
+            for p, banks in enumerate(bank):
+                base = row_addr[rows[p]]
+                for q, bi in enumerate(banks):
                     v = mem[bi][base + cols[q]]
                     if v is None:
                         v = pmask
@@ -382,7 +364,6 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
                             f"cycle {cycle}: uninitialized lane ({p},{q}) "
                             f"in window at ({x},{y})")
                     out |= v << shifts[bi]
-                    bi += 1
             outputs.append((cycle + 1, out))
         elif kind == "W":
             x, y = xa >> spec.n, xa & ym
@@ -390,8 +371,9 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
                 raise SimError(f"cycle {cycle}: pixel write ({x},{y}) off-surface")
             if yb > pmask:
                 raise SimError(f"cycle {cycle}: write data wider than {P} bits")
-            bi = ((x & bxm) << b_) | (y & bym)
-            mem[bi][(x >> a_) * cols_n + (y >> b_)] = yb
+            (p, row), (q, col) = xs[x], ys[y]
+            bi = bank[p][q]
+            mem[bi][row_addr[row] + col] = yb
             bank_writes[bi] += 1
         elif kind == "R":
             raise SimError("single-address reads apply to 1R-1W designs only")
@@ -399,23 +381,22 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
     reads = len(outputs)
     ops = reads + sum(bank_writes)
     act = {"__wire__": ops, "align": reads}
-    if a_ + b_:
+    if spec.lanes > 1:
         act["rot_reg"] = reads
-    for p in range(spec.banks_x):
-        for q in range(spec.banks_y):
-            bank = f"bank_{p}_{q}"
-            bi = (p << b_) | q
+    for p, banks in enumerate(bank):
+        for q, bi in enumerate(banks):
+            name = f"bank_{p}_{q}"
             if mode == "sm":
-                act[f"{bank}/incx"] = act[f"{bank}/incy"] = reads
-                act[f"{bank}/wlg"] = reads + bank_writes[bi]
-                act[f"{bank}/tri"] = reads
+                act[f"{name}/incx"] = act[f"{name}/incy"] = reads
+                act[f"{name}/wlg"] = reads + bank_writes[bi]
+                act[f"{name}/tri"] = reads
             else:
-                act[f"{bank}/translate"] = ops
+                act[f"{name}/translate"] = ops
                 # every private tree decodes on reads; writes decode in one bank
-                act[f"{bank}/sram/dec"] = reads + bank_writes[bi]
-                act[f"{bank}/sram/bank_0_0/wlg_0"] = reads + bank_writes[bi]
-                act[f"{bank}/sram/bank_0_0/tri_0"] = reads
-            ba = f"{bank}/ba" if mode == "sm" else f"{bank}/sram/bank_0_0/ba_0"
+                act[f"{name}/sram/dec"] = reads + bank_writes[bi]
+                act[f"{name}/sram/bank_0_0/wlg_0"] = reads + bank_writes[bi]
+                act[f"{name}/sram/bank_0_0/tri_0"] = reads
+            ba = f"{name}/ba" if mode == "sm" else f"{name}/sram/bank_0_0/ba_0"
             act[f"{ba}:read"] = reads
             if bank_writes[bi]:
                 act[f"{ba}:write"] = bank_writes[bi]

@@ -191,14 +191,15 @@ def test_pa_fails_a_plan_without_carry(tmp_path, monkeypatch):
 
 
 def test_pa_fails_swapped_output_slots(tmp_path, monkeypatch):
-    tables = sim._pa_step_tables
+    lane_shifts = pa.lane_shifts
 
     def swapped(spec):
-        ts = tables(spec)
-        for t in ts:
+        # banks 0 and 1 trade output slots under every rotation
+        shifts = lane_shifts(spec)
+        for t in (t for per_rx in shifts for t in per_rx):
             t[0], t[1] = t[1], t[0]
-        return ts
-    monkeypatch.setattr(sim, "_pa_step_tables", swapped)
+        return shifts
+    monkeypatch.setattr(pa, "lane_shifts", swapped)
     assert main(["pa", "--spec", "4,4,1,1", "--out", str(tmp_path)]) == 1
     assert pa.check_plans(pa.PAWindowSpec(4, 4, 1, 1))["mismatches"] == 0
     lines = _pa_lines(tmp_path)

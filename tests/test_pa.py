@@ -7,7 +7,7 @@ import re
 import pytest
 
 from smemsynth import pa
-from smemsynth.netlist import check_wellformed, emit_netlist, parse_netlist
+from smemsynth.netlist import check_wellformed, emit_hdl, emit_netlist, parse_netlist
 from smemsynth.pa import (PAError, PAWindowSpec, check_plans, compare_pa_ppa,
                           emit_hdl_pa, generate_pa, window_planner)
 
@@ -57,6 +57,27 @@ def test_pixel_mapping_is_a_bijection():
                 assert key not in seen
                 seen.add(key)
         assert len(seen) == spec.image_w * spec.image_h
+
+
+@pytest.mark.parametrize("m, n, a, b", [
+    (4, 4, 1, 1), (5, 4, 2, 1), (3, 5, 0, 2), (5, 3, 2, 0), (3, 3, 0, 0),
+    (3, 4, 3, 1), (2, 3, 2, 3), (1, 1, 1, 0), (6, 2, 3, 2),
+])
+def test_storage_map_matches_the_oracle(m, n, a, b):
+    """pa.storage_map places every pixel where map_pixel, bank_index and
+    bank_addr do, a = 0, b = 0 and a = m included."""
+    spec = PAWindowSpec(m, n, a, b)
+    xs, ys, bank, row_addr = pa.storage_map(spec)
+    assert (len(xs), len(ys)) == (spec.image_w, spec.image_h)
+    assert [len(banks) for banks in bank] == [spec.banks_y] * spec.banks_x
+    assert len(row_addr) == spec.rows
+    for x in range(spec.image_w):
+        for y in range(spec.image_h):
+            (bx, by), (row, col) = map_pixel(spec, x, y)
+            (p, prow), (q, pcol) = xs[x], ys[y]
+            assert ((p, q), (prow, pcol)) == ((bx, by), (row, col)), (x, y)
+            assert bank[p][q] == bank_index(spec, bx, by)
+            assert row_addr[prow] + pcol == bank_addr(spec, row, col)
 
 
 def test_window_plan_covers_window_exactly():
@@ -209,6 +230,49 @@ def test_hdl_structure(mode, boundary):
     assert ("wire [2:0] ye = y;" in text) == (not clamped)
     assert ("xbase_oh" in text) == (mode == "sm")
     assert ("taddr" in text) == (mode == "tm")
+
+
+def verilog_index(expr, rot):
+    """The value of an aligner index: integers, rot_q and its slices
+    rot_q[h:l] with rot_q holding `rot`, +, &, * and parentheses, which
+    Verilog and Python rank alike."""
+    assert re.fullmatch(r"(rot_q(\[\d+:\d+\])?|\d+|[()+&* ])+", expr), expr
+    py = re.sub(r"rot_q\[(\d+):(\d+)\]", lambda f: f"((rot >> {f[2]}) & "
+                f"{(1 << (int(f[1]) - int(f[2]) + 1)) - 1})", expr)
+    return eval(py.replace("rot_q", "rot"), {"__builtins__": {}}, {"rot": rot})
+
+
+@pytest.mark.parametrize("m, n, a, b", [
+    (3, 3, 0, 2), (3, 3, 2, 0), (3, 3, 0, 0), (2, 3, 1, 1), (4, 3, 2, 1),
+])
+@pytest.mark.parametrize("mode", ["sm", "tm"])
+def test_hdl_aligner_follows_the_lane_order(tmp_path, mode, m, n, a, b):
+    """Written by netlist.emit_hdl, rot_q loads the corner's bank fields,
+    x's above y's, and under every rotation each rdata slot takes the lane
+    that pa.lane_shifts sends there."""
+    spec = PAWindowSpec(m, n, a, b, pixel_bits=4)
+    path = tmp_path / "pa.v"
+    emit_hdl(generate_pa(spec, mode), path)
+    text = path.read_text()
+    fields = [f"{axis}e[{k - 1}:0]" for axis, k in (("x", a), ("y", b)) if k]
+    if fields:
+        loads = fields[0] if len(fields) == 1 else "{" + ", ".join(fields) + "}"
+        assert f"  always @(posedge clk) if (re) rot_q <= {loads};" in text
+    else:
+        assert "rot_q" not in text
+    bus = re.search(r"lane_bus = \{(.*)\};", text)[1].split(", ")[::-1]
+    assigns = re.findall(r"assign rdata\[(\d+):(\d+)\] = "
+                         r"lane_bus >> \((.*) \* 4\);", text)
+    assert sorted(int(lo) for _, lo, _ in assigns) == \
+        [4 * s for s in range(spec.lanes)]
+    shifts = pa.lane_shifts(spec)
+    for rx in range(spec.banks_x):
+        for ry in range(spec.banks_y):
+            for hi, lo, idx in assigns:
+                assert int(hi) == int(lo) + 3
+                lane = bus[verilog_index(idx, (rx << b) | ry)]
+                p, q = map(int, re.fullmatch(r"lane_(\d+)_(\d+)", lane).groups())
+                assert shifts[rx][ry][bank_index(spec, p, q)] == int(lo), (rx, ry, lane)
 
 
 def test_generate_pa_rejects_unknown_mode():

@@ -1,6 +1,7 @@
 """Packaging guards: the library imports nothing outside the standard
 library, a model that takes a library reads its technology there, the
-simulator prices energy in one place, and src/ holds no test-only code."""
+simulator prices energy in one place and leaves pixel placement to pa,
+and src/ holds no test-only code."""
 
 import ast
 import re
@@ -97,6 +98,33 @@ def test_sim_reads_price_figures_only_in_its_pricing_pass():
     assert any(id(n) in inside for n in keyed)
     assert [f"sim.py:{n.lineno}: {n.slice.value}" for n in keyed
             if id(n) not in inside] == []
+
+
+def test_sim_leaves_pixel_placement_to_pa():
+    """sim.py shifts, masks, multiplies, divides and takes remainders of no
+    window layout figure (a spec's a, b, rows, cols, banks_x or banks_y,
+    or a name bound to one) unless by a constant, as verify_pa's seed
+    does: where a pixel is stored and which slot its lane takes come from
+    pa.storage_map and pa.lane_shifts."""
+    layout = {"a", "b", "rows", "cols", "banks_x", "banks_y"}
+    path = SRC / "sim.py"
+    tree = ast.parse(path.read_text(), str(path))
+
+    def reads_layout(node, names=frozenset()):
+        return any(isinstance(n, ast.Attribute) and n.attr in layout
+                   or isinstance(n, ast.Name) and n.id in names
+                   for n in ast.walk(node))
+    bound = {t.id for n in ast.walk(tree)
+             if isinstance(n, ast.Assign) and reads_layout(n.value)
+             for target in n.targets for t in ast.walk(target)
+             if isinstance(t, ast.Name)}
+    ops = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitOr, ast.Mult,
+           ast.FloorDiv, ast.Mod)
+    assert [f"sim.py:{n.lineno}: {ast.unparse(n)}" for n in ast.walk(tree)
+            if isinstance(n, ast.BinOp) and isinstance(n.op, ops)
+            and not isinstance(n.left, ast.Constant)
+            and not isinstance(n.right, ast.Constant)
+            and reads_layout(n, bound)] == []
 
 
 def test_every_definition_has_a_caller_in_src():

@@ -612,6 +612,20 @@ def _port_width(net, width):
     ("pa_sm", _set_param("align", "e_event_fj", None), "align lacks e_event_fj"),
     ("pa_tm", _set_param("bank_0_0/sram/dec", "stages", None),
      "bank_0_0/sram/dec lacks stages"),
+    # a figure a price reads must also agree with the window spec, or
+    # `sim --lib` prices a decode depth or mode the engine never ran
+    ("pa_tm", _set_param("bank_0_0/sram/dec", "stages", "40.5"),
+     "bank_0_0/sram/dec: decoder width or depth mismatch"),
+    ("pa_tm", _set_param("bank_1_1/sram/dec", "mux_bits", "1"),
+     "bank_1_1/sram/dec: decoder width or depth mismatch"),
+    ("pa_tm", _set_param("bank_0_1/translate", "mode", None),
+     "bank_0_1/translate: expected a translate-mode cell"),
+    ("pa_sm", _set_param("xdec", "mux_bits", "1"),
+     "xdec: decoder width or depth mismatch"),
+    ("pa_sm", _set_param("ydec", "stages", "2"),
+     "ydec: decoder width or depth mismatch"),
+    ("pa_sm", _set_param("bank_1_0/incx", "mode", "translate"),
+     "bank_1_0/incx: unexpected translate-mode cell"),
 ])
 def test_sim_rejects_malformed_cell(tmp_path, capsys, design, edit, named):
     """Every cell figure an engine reads, on every cell, must exist and be
