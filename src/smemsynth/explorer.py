@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import floorplan
 from .baplus import Library, ilog2, is_int, is_pow2
@@ -60,6 +61,55 @@ def check_aspect_ratio(target: float | None, tol: float) -> None:
         raise ConfigError("aspect_ratio_target must be positive and finite")
 
 
+class AddressMap(NamedTuple):
+    """How a 1R-1W address splits: the bit widths of its fields, MSB to LSB
+    [bank_row | macro_in_bank | row_in_macro | mux_slot].  A stored word is
+    striped across all C bank columns; within a column's W-bit row, mux slot
+    s holds bits for the word whose low address bits equal s."""
+    lR: int
+    lK: int
+    lB: int
+    lM: int
+
+    @classmethod
+    def of(cls, R: int, K: int, B: int, M: int) -> "AddressMap":
+        return cls(ilog2(R), ilog2(K), ilog2(B), ilog2(M))
+
+    @property
+    def width(self) -> int:
+        return self.lR + self.lK + self.lB + self.lM
+
+    @property
+    def port_width(self) -> int:
+        """An address port has one bit even for a one-word memory."""
+        return max(self.width, 1)
+
+    @property
+    def decoder(self) -> dict:
+        """The decode tree's params: it takes every address bit and decodes
+        all but the mux-select bits."""
+        return {"in_bits": self.width, "stages": self.width - self.lM,
+                "mux_bits": self.lM}
+
+    @property
+    def ranges(self) -> tuple:
+        """Each field's (msb, lsb), MSB first; an empty field has msb < lsb."""
+        m, bm = self.lM, self.lB + self.lM
+        kbm = self.lK + bm
+        return (self.width - 1, kbm), (kbm - 1, bm), (bm - 1, m), (m - 1, 0)
+
+    def split(self, addr: int) -> tuple:
+        """addr -> (bank_row, macro, row, mux_slot)."""
+        lR, lK, lB, lM = self
+        s = addr & ((1 << lM) - 1)
+        row = (addr >> lM) & ((1 << lB) - 1)
+        k = (addr >> (lM + lB)) & ((1 << lK) - 1)
+        r = addr >> (lM + lB + lK)
+        if r >> lR:
+            raise ValueError(f"address {addr} out of range")
+        return r, k, row, s
+
+
 @dataclass(frozen=True)
 class MemoryConfig:
     """Bank organization: R x C banks, K macros per bank, M-way column mux."""
@@ -85,6 +135,9 @@ class MemoryConfig:
         """(words, bits) this organization realizes."""
         m = lib[self.variant]
         return self.R * self.K * m.B * self.M, self.C * m.W // self.M
+
+    def address_map(self, lib: Library) -> AddressMap:
+        return AddressMap.of(self.R, self.K, lib[self.variant].B, self.M)
 
     def key(self):
         return (self.variant, self.R, self.C, self.K, self.M)
@@ -181,20 +234,19 @@ def evaluate_ppa(cfg: MemoryConfig, lib: Library) -> PPAEstimate:
     tech = lib.tech
     cfg.validate(lib)
     macro = lib[cfg.variant]
-    words, _bits = cfg.dims(lib)
-    abits = ilog2(words) if words > 1 else 0
+    amap = cfg.address_map(lib)
 
-    t = tech.d0_ps + tech.d1_ps * abits + macro.t_access_ps
+    t = tech.d0_ps + tech.d1_ps * amap.width + macro.t_access_ps
     if cfg.R * cfg.K > 1:
         t += tech.g0_ps + tech.g1_ps * cfg.K
     if cfg.M > 1:
-        t += tech.m0_ps + tech.m1_ps * ilog2(cfg.M)
+        t += tech.m0_ps + tech.m1_ps * amap.lM
 
     w_nm, h_nm = floorplan.estimate_dimensions(cfg, lib)
     area = w_nm * h_nm / 1e6
     semiperim_um = (w_nm + h_nm) / 1e3
 
-    e_op = (tech.e_dec_fj(abits) + cfg.C * macro.e_read_fj
+    e_op = (tech.e_dec_fj(amap.width) + cfg.C * macro.e_read_fj
             + tech.e_wire_per_um_fj * semiperim_um)
     p_leak = cfg.R * cfg.C * cfg.K * macro.p_leak_nw + tech.p_leak_periph_nw
     return PPAEstimate(area, t, e_op, p_leak).check_finite(ConfigError, cfg)

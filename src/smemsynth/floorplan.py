@@ -116,8 +116,8 @@ def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
                           die_w, rail_h))
 
     # address/data pins hug the decode-strip edge (x = 0)
-    words, bits = cfg.dims(lib)
-    abits = max(1, words.bit_length() - 1)
+    _words, bits = cfg.dims(lib)
+    abits = cfg.address_map(lib).port_width
     pin_names = ([f"raddr[{i}]" for i in range(abits)]
                  + [f"waddr[{i}]" for i in range(abits)]
                  + ["clk", "re", "we"]

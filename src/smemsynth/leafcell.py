@@ -59,8 +59,9 @@ class GridLayout:
                 raise LayoutError(f"{self.name}: shape {i} direction {s.direction!r}")
             if s.layer not in self.layer_classes:
                 raise LayoutError(f"{self.name}: shape {i} on undeclared layer {s.layer}")
-            if s.start >= s.end:
-                raise LayoutError(f"{self.name}: shape {i} has empty extent")
+            # `not a < b` also rejects a NaN start or end, which no comparison binds
+            if not s.start < s.end:
+                raise LayoutError(f"{self.name}: shape {i} has an empty or NaN extent")
             along = self.width_pitches if s.direction == "H" else self.track_count
             across = self.track_count if s.direction == "H" else self.width_pitches
             if s.start < 0 or s.end > along or not 0 <= s.index < across:

@@ -4,11 +4,7 @@ Cells carry a kind plus integer/string params; nets record driver and sink
 endpoints as (cell, pin) pairs.  Hierarchy is the '/' in cell and net names:
 a cell's scope is its name up to the last '/'.  A port is the net of the same
 name plus a direction.  Select buses are one-hot (width = line count);
-address ports are binary.
-
-Address layout, MSB to LSB: [bank_row | macro_in_bank | row_in_macro | mux_sel].
-A stored word is striped across all C bank columns; within a column's W-bit
-row, mux slot s holds bits for the word whose low address bits equal s.
+address ports are binary, split as explorer.AddressMap says.
 """
 
 from __future__ import annotations
@@ -18,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from . import explorer, floorplan
-from .baplus import BAPlusMacro, Library, ilog2
+from .baplus import BAPlusMacro, Library
 
 class Kind(NamedTuple):
     """What a cell kind means: the pins it drives (every other pin is an
@@ -162,25 +158,6 @@ def check_wellformed(ir: NetlistIR) -> list[str]:
     return v
 
 
-# -- address helpers ------------------------------------------------------
-
-def address_fields(cfg: explorer.MemoryConfig, lib: Library):
-    """(lR, lK, lB, lM) bit widths of the address partition."""
-    m = lib[cfg.variant]
-    return ilog2(cfg.R), ilog2(cfg.K), ilog2(m.B), ilog2(cfg.M)
-
-
-def split_address(addr: int, lR: int, lK: int, lB: int, lM: int):
-    """addr -> (bank_row, macro, row, mux_slot); MSB-first partition."""
-    s = addr & ((1 << lM) - 1)
-    row = (addr >> lM) & ((1 << lB) - 1)
-    k = (addr >> (lM + lB)) & ((1 << lK) - 1)
-    r = addr >> (lM + lB + lK)
-    if r >> lR:
-        raise ValueError(f"address {addr} out of range")
-    return r, k, row, s
-
-
 # -- the BA+ slot ------------------------------------------------------------
 
 def add_slot(ir: NetlistIR, scope: str, suffix: str, macro: BAPlusMacro,
@@ -238,8 +215,7 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     macro = lib[cfg.variant]
     tech = lib.tech
     words, bits = cfg.dims(lib)
-    lR, lK, lB, lM = address_fields(cfg, lib)
-    A = lR + lK + lB + lM
+    amap = cfg.address_map(lib)
     est = explorer.evaluate_ppa(cfg, lib)
     w_nm, h_nm = floorplan.estimate_dimensions(cfg, lib)
 
@@ -254,15 +230,14 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         },
     )
     ir.add_port("clk", "in", 1)
-    ir.add_port("raddr", "in", max(A, 1))
-    ir.add_port("waddr", "in", max(A, 1))
+    ir.add_port("raddr", "in", amap.port_width)
+    ir.add_port("waddr", "in", amap.port_width)
     ir.add_port("re", "in", 1)
     ir.add_port("we", "in", 1)
     ir.add_port("wdata", "in", bits)
     ir.add_port("rdata", "out", bits)
 
-    ir.add_priced_cell("dec", "decoder", tech, in_bits=A, stages=lR + lK + lB,
-                       mux_bits=lM, ports="rw")
+    ir.add_priced_cell("dec", "decoder", tech, **amap.decoder, ports="rw")
     for p in ("raddr", "waddr", "re", "we"):
         ir.connect(p, "dec", p)
 
@@ -277,12 +252,12 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         selects.append((dec_out(name, width), name))
 
     for prefix in ("r", "w"):
-        if lR:
+        if amap.lR:
             select(f"{prefix}_bank", cfg.R)
-        if lK:
+        if amap.lK:
             select(f"{prefix}_ba", cfg.K)
         select(f"{prefix}_row", macro.B)
-    if lM:
+    if amap.lM:
         dec_out("r_msel", cfg.M)
         dec_out("w_msel", cfg.M)
         ir.add_net("r_msel_q", cfg.M)
@@ -300,7 +275,7 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         ir.connect("r_msel_q", "mux", "sel")
         ir.connect("rdata", "mux", "out")
 
-    wsel = "w_msel" if lM else None
+    wsel = "w_msel" if amap.lM else None
     for r in range(cfg.R):
         for c in range(cfg.C):
             bank = f"bank_{r}_{c}"
@@ -487,40 +462,26 @@ def _emit_hdl_sram(ir: NetlistIR) -> str:
     m = ir.meta
     R, C, K, M = m["R"], m["C"], m["K"], m["M"]
     B, W, bits = m["B"], m["W"], m["bits"]
-    lR, lK, lB, lM = (ilog2(R), ilog2(K), ilog2(B), ilog2(M))
-    A = lR + lK + lB + lM
+    amap = explorer.AddressMap.of(R, K, B, M)
     WM = W // M
     ba_mod = f"ba_{B}x{W}"
     L = [f"// generated 1R-1W memory: {ir.name}",
          f"module {ir.name} (clk, raddr, waddr, re, we, wdata, rdata);",
          "  input clk, re, we;",
-         f"  input [{A - 1}:0] raddr, waddr;",
+         f"  input [{amap.port_width - 1}:0] raddr, waddr;",
          f"  input [{bits - 1}:0] wdata;",
          f"  output [{bits - 1}:0] rdata;", ""]
 
-    def slices(addr: str):
-        bank = f"{addr}[{A - 1}:{A - lR}]" if lR else "1'b0"
-        ba = f"{addr}[{lM + lB + lK - 1}:{lM + lB}]" if lK else "1'b0"
-        row = f"{addr}[{lM + lB - 1}:{lM}]"
-        mux = f"{addr}[{lM - 1}:0]" if lM else "1'b0"
-        return bank, ba, row, mux
-
-    rb, rk, rr, rm = slices("raddr")
-    wb, wk, wr, wm = slices("waddr")
-    L.append(f"  wire [{R - 1}:0] r_bank = " +
-             (_onehot_shift(R, rb) if lR else "1'b1") + ";")
-    L.append(f"  wire [{K - 1}:0] r_ba = " +
-             (_onehot_shift(K, rk) if lK else "1'b1") + ";")
-    L.append(f"  wire [{B - 1}:0] r_row = {_onehot_shift(B, rr)};")
-    L.append(f"  wire [{R - 1}:0] w_bank = " +
-             (_onehot_shift(R, wb) if lR else "1'b1") + ";")
-    L.append(f"  wire [{K - 1}:0] w_ba = " +
-             (_onehot_shift(K, wk) if lK else "1'b1") + ";")
-    L.append(f"  wire [{B - 1}:0] w_row = {_onehot_shift(B, wr)};")
-    if lM:
-        L.append(f"  wire [{lM - 1}:0] w_msel = {wm};")
-        L.append(f"  reg [{lM - 1}:0] r_msel_q;")
-        L.append(f"  always @(posedge clk) r_msel_q <= {rm};")
+    *selects, (msb, lsb) = amap.ranges
+    for pre in "rw":
+        # one one-hot select per field; an empty field selects its one line
+        for sel, width, (hi, lo) in zip(("bank", "ba", "row"), (R, K, B), selects):
+            onehot = _onehot_shift(width, f"{pre}addr[{hi}:{lo}]") if hi >= lo else "1'b1"
+            L.append(f"  wire [{width - 1}:0] {pre}_{sel} = {onehot};")
+    if amap.lM:
+        L.append(f"  wire [{msb}:0] w_msel = waddr[{msb}:{lsb}];")
+        L.append(f"  reg [{msb}:0] r_msel_q;")
+        L.append(f"  always @(posedge clk) r_msel_q <= raddr[{msb}:{lsb}];")
         L.append(f"  wire [{W - 1}:0] wmask = {{{WM}{{1'b1}}}} << (w_msel * {WM});")
     else:
         L.append(f"  wire [{W - 1}:0] wmask = {{{W}{{1'b1}}}};")

@@ -81,6 +81,11 @@ class PAWindowSpec:
         return self.rows * self.cols
 
     @property
+    def bank_map(self) -> explorer.AddressMap:
+        """A bank's address split, as the one-macro SRAM of a tm bank."""
+        return explorer.AddressMap.of(1, 1, self.bank_words, 1)
+
+    @property
     def image_w(self) -> int:
         return 1 << self.m
 
@@ -404,7 +409,7 @@ def _tm_banks(ir: netlist.NetlistIR, spec: PAWindowSpec, tech: TechParams, macro
     grafted in under the bank scope, so every bank carries its own
     full-depth decode tree.
     """
-    abits = max(spec.m - spec.a + spec.n - spec.b, 1)
+    abits = spec.bank_map.port_width
     sub = netlist.generate_sram(explorer.MemoryConfig(macro.name, 1, 1, 1, 1),
                                 Library([macro], tech))
 
@@ -547,7 +552,7 @@ def _hdl_tm(spec: PAWindowSpec):
             body.append(f"  wire [{width - 1}:0] {name} = ({row} + ({par} < {bank}));")
             addr.append(name)
     (wxlow, wxrow), (wylow, wyrow) = _fields(spec, "wx"), _fields(spec, "wy")
-    abits = max(spec.m - spec.a + spec.n - spec.b, 1)
+    abits = spec.bank_map.port_width
     body += [f"  wire [{abits - 1}:0] taddr = {_cat(addr)};",
              f"  wire [{abits - 1}:0] twaddr = {_cat([wxrow, wyrow])};",
              f"  wire wmatch = we & ({wxlow} == P_SEL) & ({wylow} == Q_SEL);",

@@ -20,8 +20,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from . import netlist, pa
-from .baplus import Library, ilog2, is_pow2
+from . import explorer, netlist, pa
+from .baplus import Library, is_pow2
 
 
 class SimError(ValueError):
@@ -168,6 +168,15 @@ def _require(cond: bool, msg: str) -> None:
         raise SimError(f"netlist structure: {msg}")
 
 
+def _check_decoder(ir: netlist.NetlistIR, name: str, in_bits: int, stages: int,
+                   mux_bits: int = 0) -> None:
+    """The decoder `name` must decode the width and depth it is priced by."""
+    d = ir.cells.get(name)
+    _require(d is not None and d.kind == "decoder", f"missing decoder {name}")
+    got = tuple(d.params.get(k) for k in ("in_bits", "stages", "mux_bits"))
+    _require(got == (in_bits, stages, mux_bits), f"{name}: decoder width or depth mismatch")
+
+
 def _is_figure(v) -> bool:
     """v is a finite int or float >= 0: not a bool, and not NaN, which
     no comparison binds."""
@@ -221,16 +230,12 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict):
     for k in "RCKMBW":
         _require(is_pow2(meta[k]), f"meta {k}={meta[k]} is not a power of two")
     R, C, K, M, B, W = (meta[k] for k in "RCKMBW")
-    lR, lK, lB, lM = ilog2(R), ilog2(K), ilog2(B), ilog2(M)
+    amap = explorer.AddressMap.of(R, K, B, M)
     # derived, not read: the cells are checked against these factors, and
     # the meta's own `words` and `bits` could claim any size
     words, bits = R * K * B * M, C * W // M
     _check_rdata(ir, bits)
-    dec = ir.cells.get("dec")
-    _require(dec is not None and dec.kind == "decoder", "missing global decoder")
-    _require(dec.params.get("in_bits") == lR + lK + lB + lM, "decoder width mismatch")
-    _require(dec.params.get("stages") == lR + lK + lB, "decoder stage count mismatch")
-    _require(dec.params.get("mux_bits") == lM, "decoder mux-select bits mismatch")
+    _check_decoder(ir, "dec", **amap.decoder)
     bas = by_kind["baplus_instance"]
     _require(len(bas) == R * C * K, f"expected {R*C*K} macros, found {len(bas)}")
     for cell in bas:
@@ -278,7 +283,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict):
         # (bank row, macro) -> accesses, in order of first access
         rk_map: dict[tuple, int] = {}
         for a, n in addr_map.items():
-            r, k, _row, _s = netlist.split_address(a, lR, lK, lB, lM)
+            r, k, _row, _s = amap.split(a)
             rk_map[r, k] = rk_map.get((r, k), 0) + n
         for (r, k), n in rk_map.items():
             for c in range(C):
@@ -313,25 +318,17 @@ def _pa_common(ir: netlist.NetlistIR, by_kind: dict):
 
 def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
     spec = _pa_common(ir, by_kind)
-    mb, nb = spec.m - spec.a, spec.n - spec.b
     incs = by_kind["pa_increment"]
-
-    def decoder(name, in_bits, stages):
-        # the depth a decoder is priced by must be the depth it decodes
-        d = ir.cells.get(name)
-        _require(d is not None and d.kind == "decoder", f"missing decoder {name}")
-        got = tuple(d.params.get(k) for k in ("in_bits", "stages", "mux_bits"))
-        _require(got == (in_bits, stages, 0), f"{name}: decoder width or depth mismatch")
     if mode == "sm":
-        decoder("xdec", spec.m, mb)
-        decoder("ydec", spec.n, nb)
+        _check_decoder(ir, "xdec", spec.m, spec.m - spec.a)
+        _check_decoder(ir, "ydec", spec.n, spec.n - spec.b)
         _require(len(incs) == 2 * spec.lanes,
                  "two one-hot increment cells per bank")
     else:
         _require(len(incs) == spec.lanes, "one translator per bank")
         for p in range(spec.banks_x):
             for q in range(spec.banks_y):
-                decoder(f"bank_{p}_{q}/sram/dec", mb + nb, mb + nb)
+                _check_decoder(ir, f"bank_{p}_{q}/sram/dec", **spec.bank_map.decoder)
     for c in incs:
         # the mode an increment is priced by must be the design's
         _require((c.params.get("mode") == "translate") == (mode == "tm"),

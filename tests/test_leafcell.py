@@ -190,10 +190,23 @@ def test_non_utf8_cell_names_its_line(tmp_path, capsys, lineno):
 
 
 def test_validate_catches_bad_geometry():
-    lay = GridLayout("g", 8, 4)
-    lay.shapes.append(Shape("poly", "V", 0, 5, 2))   # inverted extent
-    with pytest.raises(LayoutError):
-        lay.validate()
+    # an inverted extent, and a NaN start or end, which passes every bound test
+    for start, end in ((5, 2), (float("nan"), 2), (1, float("nan"))):
+        lay = GridLayout("g", 8, 4, layer_classes={"poly": "pure_grating_1d"})
+        lay.shapes.append(Shape("poly", "V", 0, start, end))
+        with pytest.raises(LayoutError, match="shape 0 has an empty or NaN extent"):
+            lay.validate()
+
+
+@pytest.mark.parametrize("extent", ["nan 12", "0 nan"])
+def test_leafcell_rejects_a_nan_extent(tmp_path, capsys, extent):
+    """A NaN end would make a grating line count as end to end."""
+    path = tmp_path / "nan.cell"
+    text = (FIXTURES / "uniform_grating.cell").read_text()
+    path.write_text(text.replace("shape poly V 1 0 12", f"shape poly V 1 {extent}"))
+    assert main(["leafcell", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "smemsynth leafcell: nan: shape 1 has an empty or NaN extent\n"
 
 
 _FUZZ_WORDS = ["meta", "layer", "shape", "#", "", "x", "0", "-1", "2.5", "nan",

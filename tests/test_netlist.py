@@ -7,11 +7,10 @@ import pytest
 
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.cli import main
-from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs
+from smemsynth.explorer import AddressMap, MemoryConfig, UserSpec, enumerate_configs
 from smemsynth.netlist import (CELL_KINDS, Cell, NetlistError, NetlistIR,
-                               address_fields, check_wellformed, emit_hdl,
-                               emit_netlist, generate_sram, parse_netlist,
-                               split_address)
+                               check_wellformed, emit_hdl, emit_netlist,
+                               generate_sram, parse_netlist)
 from smemsynth.pa import PAWindowSpec, _graft, generate_pa
 
 
@@ -20,7 +19,7 @@ def cells_of_kind(ir, kind):
 
 
 def join_address(r, k, row, s, lR, lK, lB, lM):
-    """split_address's inverse: the fields packed MSB-first."""
+    """AddressMap.split's inverse: the fields packed MSB-first."""
     return (((r << lK | k) << lB | row) << lM) | s
 
 
@@ -63,19 +62,19 @@ def test_full_organization_shape():
 def test_address_split_join_roundtrip():
     lib = small_lib()
     cfg = MemoryConfig("ba_32x8", 2, 2, 2, 2)
-    lR, lK, lB, lM = address_fields(cfg, lib)
-    assert (lR, lK, lB, lM) == (1, 1, 5, 1)
+    amap = cfg.address_map(lib)
+    assert amap == AddressMap.of(2, 2, 32, 2) == (1, 1, 5, 1)
     rng = random.Random(5)
     for _ in range(200):
         addr = rng.randrange(256)
-        r, k, row, s = split_address(addr, lR, lK, lB, lM)
-        assert join_address(r, k, row, s, lR, lK, lB, lM) == addr
+        r, k, row, s = amap.split(addr)
+        assert join_address(r, k, row, s, *amap) == addr
         assert r < 2 and k < 2 and row < 32 and s < 2
     # MSB-first field order: bank row above macro-in-bank above row above mux
-    assert split_address(0b1_0_00000_0, lR, lK, lB, lM) == (1, 0, 0, 0)
-    assert split_address(0b0_1_00000_0, lR, lK, lB, lM) == (0, 1, 0, 0)
-    assert split_address(0b0_0_00001_0, lR, lK, lB, lM) == (0, 0, 1, 0)
-    assert split_address(0b0_0_00000_1, lR, lK, lB, lM) == (0, 0, 0, 1)
+    assert amap.split(0b1_0_00000_0) == (1, 0, 0, 0)
+    assert amap.split(0b0_1_00000_0) == (0, 1, 0, 0)
+    assert amap.split(0b0_0_00001_0) == (0, 0, 1, 0)
+    assert amap.split(0b0_0_00000_1) == (0, 0, 0, 1)
 
 
 def test_many_random_configs_wellformed():
@@ -143,6 +142,79 @@ def test_hdl_elaborated_instances(tmp_path):
     assert len(insts) == 8                 # fully unrolled, no parameter games
     emit_hdl(ir, tmp_path / "again.v")
     assert (tmp_path / "again.v").read_bytes() == path.read_bytes()
+
+
+def verilog_ports(text):
+    """{name: (direction, width)} from the `input`/`output [h:l] a, b;`
+    lines of the first (top) module.  A range [h:l] spans |h - l| + 1 bits,
+    as Verilog reads it; no range is one bit."""
+    top = text.split("endmodule")[0]
+    ports = {}
+    for d, h, lo, names in re.findall(r"^  (input|output) (?:\[(-?\d+):(-?\d+)\] )?"
+                                      r"([\w, ]+);$", top, re.M):
+        width = abs(int(h) - int(lo)) + 1 if h else 1
+        for name in names.split(", "):
+            assert name not in ports, name
+            ports[name] = ({"input": "in", "output": "out"}[d], width)
+    return ports
+
+
+def _hdl_srams():
+    """(lib, cfg): default-library configs of a few shapes, small enough to
+    emit quickly, and the two configs of a one-row macro."""
+    lib = default_library(TechParams())
+    out = [(lib, c) for words, bits in ((32, 8), (256, 16), (2048, 64), (64, 256))
+           for c in enumerate_configs(UserSpec(words, bits), lib) if c.R * c.C * c.K <= 64]
+    one_row = Library([generate_variant(1, 8, b_bounds=None)], TechParams())
+    return out + [(one_row, MemoryConfig("ba_1x8", 1, 1, 1, M)) for M in (1, 2)]
+
+
+def test_hdl_ports_match_the_netlist(tmp_path):
+    """Every port of the .v's top module has the direction and width of the
+    .nl's port of that name, and the two name the same ports."""
+    irs = [generate_sram(cfg, lib) for lib, cfg in _hdl_srams()]
+    irs += [generate_pa(PAWindowSpec(*s), mode) for mode in ("sm", "tm")
+            for s in ((1, 1, 0, 0), (3, 3, 1, 0), (4, 3, 1, 2), (2, 2, 2, 2))]
+    assert any(ir.meta.get("B") == 1 for ir in irs)
+    for ir in irs:
+        emit_hdl(ir, tmp_path / "m.v")
+        want = {name: (d, ir.nets[name].width) for name, d in ir.ports.items()}
+        assert verilog_ports((tmp_path / "m.v").read_text()) == want, ir.name
+
+
+def _select_index(text, wire, addr):
+    """The line the select `wire` of the .v picks for address `addr`: the
+    value of the one `raddr[h:l]`/`waddr[h:l]` slice it is loaded from, or
+    0 for a constant one-line select (or a mux slot with no mux)."""
+    m = re.search(rf"^  (?:wire \[\d+:0\] {wire} = |always @\(posedge clk\) "
+                  rf"{wire} <= )(.*);$", text, re.M)
+    if m is None:
+        assert "msel" in wire
+        return 0
+    if m[1] == "1'b1":
+        return 0
+    (h, lo), = re.findall(r"[rw]addr\[(-?\d+):(-?\d+)\]", m[1])
+    h, lo = int(h), int(lo)
+    assert h >= lo, m[0]
+    return (addr >> lo) & ((1 << (h - lo + 1)) - 1)
+
+
+def test_hdl_address_fields_match_the_oracle(tmp_path):
+    """For random addresses packed by join_address, the .v's bank-row,
+    macro, row and mux-slot selects of both ports pick the packed fields."""
+    rng = random.Random(14)
+    for lib, cfg in _hdl_srams():
+        emit_hdl(generate_sram(cfg, lib), tmp_path / "m.v")
+        text = (tmp_path / "m.v").read_text()
+        sizes = (cfg.R, cfg.K, lib[cfg.variant].B, cfg.M)
+        widths = [v.bit_length() - 1 for v in sizes]
+        for _ in range(20):
+            fields = [rng.randrange(v) for v in sizes]
+            addr = join_address(*fields, *widths)
+            for port in "rw":
+                got = [_select_index(text, f"{port}_{sel}", addr)
+                       for sel in ("bank", "ba", "row", "msel_q" if port == "r" else "msel")]
+                assert got == fields, (cfg, port, addr)
 
 
 def test_checker_violations():

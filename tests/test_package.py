@@ -1,7 +1,7 @@
 """Packaging guards: the library imports nothing outside the standard
-library, a model that takes a library reads its technology there, the
-simulator prices energy in one place and leaves pixel placement to pa,
-and src/ holds no test-only code."""
+library, a model that takes a library reads its technology there, address
+widths come from one map, the simulator prices energy in one place and
+leaves pixel placement to pa, and src/ holds no test-only code."""
 
 import ast
 import re
@@ -80,6 +80,12 @@ def test_each_price_written_once():
     assert {owner for _, owner, name in uses if name == "e_dec0_fj"} \
         == {"TechParams", "TechParams.e_dec_fj"}
     assert [u for u in uses if u[1] not in allowed[u[2]]] == []
+
+
+def test_address_widths_come_from_the_address_map():
+    """Only explorer.AddressMap takes the log2 of a size: how an SRAM address
+    splits, and how wide its ports and decode tree are, has one definition."""
+    assert {owner for _, owner, _ in _uses({"ilog2"})} == {"AddressMap.of"}
 
 
 def test_sim_reads_price_figures_only_in_its_pricing_pass():

@@ -626,6 +626,10 @@ def _port_width(net, width):
      "ydec: decoder width or depth mismatch"),
     ("pa_sm", _set_param("bank_1_0/incx", "mode", "translate"),
      "bank_1_0/incx: unexpected translate-mode cell"),
+    # the SRAM's tree takes 8 address bits and decodes 7 of them; 1 selects the mux
+    ("sram", _set_param("dec", "stages", "8"), "dec: decoder width or depth mismatch"),
+    ("sram", _set_param("dec", "mux_bits", "0"), "dec: decoder width or depth mismatch"),
+    ("sram", _set_param("dec", "in_bits", "7"), "dec: decoder width or depth mismatch"),
 ])
 def test_sim_rejects_malformed_cell(tmp_path, capsys, design, edit, named):
     """Every cell figure an engine reads, on every cell, must exist and be
