@@ -9,6 +9,7 @@ selection pick the config to realize.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 from dataclasses import dataclass
@@ -252,27 +253,41 @@ def evaluate_ppa(cfg: MemoryConfig, lib: Library) -> PPAEstimate:
     return PPAEstimate(area, t, e_op, p_leak).check_finite(ConfigError, cfg)
 
 
-def _dominates(a, b) -> bool:
-    """a dominates b when a is <= everywhere and < somewhere (minimization)."""
-    return all(x <= y for x, y in zip(a, b)) and any(x < y for x, y in zip(a, b))
-
-
 def pareto_front(points):
     """Non-dominated subset of [(config, estimate), ...], input order kept.
 
-    Minimizes (area, t_cycle, e_op).  Sorting by the triple means only
-    already-kept points can dominate a candidate, so one staircase sweep
-    suffices.
+    Minimizes (area, t_cycle, e_op) with the 3-D skyline sweep of Kung,
+    Luccio and Preparata ("On finding the maxima of a set of vectors",
+    J. ACM 22(4), 1975), O(n log n).  Points are visited in ascending
+    triple order, so every earlier point has an area no larger than the
+    current one.  Equal triples do not dominate each other, so a group of
+    them is kept or dropped whole, and the group is dominated exactly when
+    a point of an earlier group has t <= its t and e <= its e.
+    A staircase of the kept (t, e) pairs that no other kept pair beats on
+    both, t ascending and e strictly descending, answers that by bisection.
     """
-    order = sorted(range(len(points)), key=lambda i: points[i][1].triple())
-    kept: list[int] = []
+    triples = [est.triple() for _, est in points]
+    order = sorted(range(len(points)), key=triples.__getitem__)
+    ts: list[float] = []
+    es: list[float] = []
+    keep = [False] * len(points)
+    last = verdict = None
     for i in order:
-        ti = points[i][1].triple()
-        if any(_dominates(points[j][1].triple(), ti) for j in kept):
-            continue
-        kept.append(i)
-    keep = set(kept)
-    return [points[i] for i in range(len(points)) if i in keep]
+        tri = triples[i]
+        if tri != last:
+            last = tri
+            _, t, e = tri
+            j = bisect.bisect_right(ts, t)
+            verdict = not (j and es[j - 1] <= e)
+            if verdict:
+                # the new step hides each step with t' >= t and e' >= e
+                lo = hi = bisect.bisect_left(ts, t)
+                while hi < len(ts) and es[hi] >= e:
+                    hi += 1
+                ts[lo:hi] = [t]
+                es[lo:hi] = [e]
+        keep[i] = verdict
+    return [p for p, k in zip(points, keep) if k]
 
 
 @dataclass

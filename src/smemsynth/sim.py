@@ -478,13 +478,21 @@ def verify_pa(spec: pa.PAWindowSpec, ir: netlist.NetlistIR, seed: int = 0) -> di
     P = spec.pixel_bits
     img = [[rng.randrange(1 << P) for _y in range(spec.image_h)]
            for _x in range(spec.image_w)]
+    # every pixel written, then a window read at every origin, one op per
+    # cycle: stamps rise and ports never clash, so the ops go straight into
+    # the trace without _add's checks, as in SimTrace.from_file
     trace = SimTrace()
+    ops = trace.ops
+    cycle = 0
+    for x in range(spec.image_w):
+        column = img[x]
+        for y in range(spec.image_h):
+            ops.append((cycle, "W", (x << spec.n) | y, column[y]))
+            cycle += 1
     for x in range(spec.image_w):
         for y in range(spec.image_h):
-            trace.write((x << spec.n) | y, img[x][y])
-    for x in range(spec.image_w):
-        for y in range(spec.image_h):
-            trace.window(x, y)
+            ops.append((cycle, "WIN", x, y))
+            cycle += 1
     result = simulate(ir, trace)
     xs, ys = pa.window_cover(spec)
     reads = iter(result.outputs)

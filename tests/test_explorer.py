@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -135,6 +136,56 @@ def test_pareto_matches_naive_filter():
         got = pareto_front(pts)
         want = naive_front(pts)
         assert {id(p) for _, p in got} == {id(p) for _, p in want}
+
+
+def _tied_cloud(rng, coarse, n=150):
+    """A cloud whose `coarse` axes (0 area, 1 t, 2 e) take a few values
+    each, so points tie there, plus exact copies of earlier triples."""
+    pts = []
+    for i in range(n):
+        if pts and rng.random() < 0.1:
+            tri = pts[rng.randrange(len(pts))][1].triple()
+        else:
+            tri = tuple(float(rng.randint(1, 6)) if axis in coarse
+                        else rng.uniform(1, 100) for axis in range(3))
+        est = PPAEstimate(*tri, rng.uniform(1, 500))
+        pts.append((MemoryConfig("ba_8x8", 1, 1, 1 << (i % 3), 1), est))
+    return pts
+
+
+def test_pareto_ties_match_naive_filter_in_order():
+    rng = random.Random(15)
+    clouds = [_tied_cloud(rng, coarse)
+              for coarse in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2),
+                             (0, 1, 2))
+              for _ in range(6)]
+    lib = default_library(TechParams())
+    for spec in (UserSpec(1024, 16), UserSpec(2048, 64), UserSpec(4096, 32),
+                 UserSpec(16384, 16, aspect_ratio_target=1.0,
+                          aspect_ratio_tol=0.5)):
+        clouds.append([(c, evaluate_ppa(c, lib))
+                       for c in enumerate_configs(spec, lib)])
+    for pts in clouds:
+        got = pareto_front(pts)
+        assert [id(p) for p in got] == [id(p) for p in naive_front(pts)]
+
+
+def test_pareto_front_scales_on_antichain():
+    # a + t + e is the same for every point and no two areas are equal,
+    # so no point dominates another and all n are on the front
+    n = 4000
+    perm = list(range(n))
+    rng = random.Random(4000)
+    rng.shuffle(perm)
+    pts = [(MemoryConfig("ba_8x8", 1, 1, 1, 1),
+            PPAEstimate(float(i), float(perm[i]), float(2 * n - i - perm[i]), 1.0))
+           for i in range(n)]
+    rng.shuffle(pts)
+    t0 = time.perf_counter()
+    got = pareto_front(pts)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"pareto_front of {n} points took {elapsed:.2f}s"
+    assert [id(p) for p in got] == [id(p) for p in pts]
 
 
 def test_pareto_keeps_duplicates_consistent():
