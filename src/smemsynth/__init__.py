@@ -15,9 +15,9 @@ from .leafcell import (GridLayout, LayoutError, Shape, check_restrictions,
                        power_rail_efficiency, transistor_efficiency)
 from .netlist import (Cell, Net, NetlistError, NetlistIR, check_wellformed,
                       emit_hdl, emit_netlist, generate_sram, parse_netlist)
-from .pa import (PAComparison, PAError, PAWindowSpec, check_plans,
-                 compare_pa_ppa, generate_pa, window_planner)
-from .sim import (SimError, SimResult, SimTrace, TraceError, energy_report,
-                  simulate, verify_pa)
+from .pa import (PAComparison, PAError, PAWindowSpec, check_budget,
+                 check_plans, compare_pa_ppa, generate_pa, window_planner)
+from .sim import (SimError, SimResult, SimTrace, TraceError, TraceFile,
+                  energy_report, simulate, verify_pa)
 
 __version__ = "0.1.0"

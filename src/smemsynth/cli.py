@@ -33,6 +33,13 @@ class UsageError(ValueError):
     """Bad invocation: missing files, malformed spec strings, and so on."""
 
 
+# what main reports as `smemsynth <command>: <reason>` with exit 2: bad
+# usage (UsageError) and the libraries' domain errors are all ValueError
+# subclasses; a finite but huge figure can still overflow where a model
+# rounds it to whole nanometres
+DOMAIN_ERRORS = (ValueError, OSError, KeyError, OverflowError)
+
+
 # -- small parsers -------------------------------------------------------------
 
 def _parse_bounds(text):
@@ -249,6 +256,7 @@ def cmd_synth(args) -> int:
 def cmd_pa(args) -> int:
     tech = _load_tech(args.tech)
     spec = _pa_spec(args)
+    pa.check_budget(spec)
     out = Path(args.out)
     irs = {}
     for mode in ("sm", "tm"):
@@ -294,8 +302,15 @@ def cmd_pa(args) -> int:
 
 def cmd_sim(args) -> int:
     ir = parse_netlist(args.netlist)
-    trace = sim.SimTrace.from_file(args.trace)
-    res = sim.simulate(ir, trace)
+    trace = sim.TraceFile(args.trace)
+    try:
+        res = sim.simulate(ir, trace)
+    except DOMAIN_ERRORS:
+        # the engine reads the trace as it goes, so it may fail before
+        # reaching a malformed line; that line is still the error reported
+        for _op in trace:
+            pass
+        raise
     digits = max(1, (ir.nets["rdata"].width + 3) // 4)
     leak = sim.leak_fj(ir.meta, res.cycles)
 
@@ -464,10 +479,7 @@ def main(argv=None) -> int:
     try:
         _check_args(args)
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, KeyError, OverflowError) as exc:
-        # bad usage (UsageError) and the libraries' domain errors are all
-        # ValueError subclasses; a finite but huge figure can still
-        # overflow where a model rounds it to whole nanometres
+    except DOMAIN_ERRORS as exc:
         print(f"smemsynth {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -97,6 +97,37 @@ class PAWindowSpec:
 # the spec fields, as a netlist's meta records them
 SPEC_KEYS = ("m", "n", "a", "b", "pixel_bits", "boundary")
 
+# The budget of `smemsynth pa`, which verifies both designs at every window
+# origin: its memory follows the origins and the rdata width, and its time
+# the lanes read over all origins.  On a 2.1 GHz Xeon vCPU, specs at the
+# limits took 3-6 s and peaked at 210 MiB or less (9,9,2,2 with 1-bit
+# pixels, 9,9,0,0 with 1024-bit pixels); 10,10,1,1 took 13 s and 470 MiB.
+MAX_ORIGINS_LOG2 = 18
+MAX_RDATA_BITS = 1 << 10
+MAX_LANE_READS = 1 << 22
+
+
+def check_budget(spec: PAWindowSpec) -> None:
+    """PAError unless `spec` is valid and within the budget above.
+
+    The origins are bounded by their exponent first, so a spec far over
+    the budget is rejected without building a number of its size.
+    """
+    spec.validate()
+    if spec.m + spec.n > MAX_ORIGINS_LOG2:
+        raise PAError(f"a {spec.m},{spec.n} image has 2^{spec.m + spec.n} "
+                      f"window origins; the budget is 2^{MAX_ORIGINS_LOG2}")
+    rdata = spec.lanes * spec.pixel_bits
+    if rdata > MAX_RDATA_BITS:
+        raise PAError(f"rdata is {rdata} bits ({spec.lanes} lanes x "
+                      f"{spec.pixel_bits}-bit pixels); the budget is "
+                      f"{MAX_RDATA_BITS}")
+    reads = spec.image_w * spec.image_h * spec.lanes
+    if reads > MAX_LANE_READS:
+        raise PAError(f"verifying reads {reads} lanes ({spec.lanes} at each "
+                      f"of {spec.image_w * spec.image_h} origins); the "
+                      f"budget is {MAX_LANE_READS}")
+
 
 def storage_map(spec: PAWindowSpec):
     """(xs, ys, bank, row_addr): where the window memory stores each pixel.

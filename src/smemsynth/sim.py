@@ -113,16 +113,44 @@ class SimTrace:
 
     @classmethod
     def from_file(cls, path) -> "SimTrace":
-        """Read a trace file, streamed; each op line is the next cycle.
+        """Read a trace file into a trace that more ops can be added to.
 
         One op per line means stamps never decrease and ports never clash,
-        so ops are appended without _add's checks.
+        so the file's ops are taken without _add's checks.
         """
         tr = cls()
-        ops = tr.ops
+        tr.ops = ops = list(TraceFile(path))
+        if ops:
+            tr._cycle, tr._used = ops[-1][0], _PORT[ops[-1][1]]
+        return tr
+
+    def __iter__(self):
+        return iter(self.ops)
+
+
+class TraceFile:
+    """The ops of a trace file, parsed as they are iterated.
+
+    Each op line is the next cycle: W <addr> <hexdata> | R <addr> |
+    WIN <x> <y> | IDLE.  Blank lines and `#` comments take no cycle.
+    Iterating yields (cycle, kind, a, b) ops one line at a time, so no
+    list of ops is built; a malformed line raises TraceError naming
+    `path:lineno` when the pass reaches it.  len() is the number of ops
+    the last pass read.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._read = 0
+
+    def __len__(self):
+        return self._read
+
+    def __iter__(self):
+        path = self.path
         cycle = 0
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 for lineno, line in enumerate(fh, 1):
                     toks = line.split()
                     if not toks or toks[0][0] == "#":
@@ -133,23 +161,22 @@ class SimTrace:
                             a, b = int(toks[1], 0), int(toks[2], 16)
                             if b < 0:
                                 raise TraceError("write data must be non-negative")
-                            ops.append((cycle, "W", a, b))
+                            yield cycle, "W", a, b
                         elif op == "R":
-                            ops.append((cycle, "R", int(toks[1], 0), 0))
+                            yield cycle, "R", int(toks[1], 0), 0
                         elif op == "WIN":
-                            ops.append((cycle, "WIN", int(toks[1], 0), int(toks[2], 0)))
+                            yield cycle, "WIN", int(toks[1], 0), int(toks[2], 0)
                         elif op == "IDLE":
-                            ops.append((cycle, "IDLE", 0, 0))
+                            yield cycle, "IDLE", 0, 0
                         else:
                             raise TraceError(f"unknown op {op!r}")
                     except (IndexError, ValueError) as e:
                         raise TraceError(f"{path}:{lineno}: {e}") from None
                     cycle += 1
-            except UnicodeDecodeError as e:
-                raise TraceError(netlist.undecodable_line(path, e)) from None
-        if ops:
-            tr._cycle, tr._used = cycle - 1, _PORT[ops[-1][1]]
-        return tr
+        except UnicodeDecodeError as e:
+            raise TraceError(netlist.undecodable_line(path, e)) from None
+        finally:
+            self._read = cycle
 
 
 @dataclass
@@ -223,7 +250,7 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 # -- 1R-1W engine -----------------------------------------------------------
 
-def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict):
+def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
     meta = ir.meta
     _check_figures(meta, "netlist meta", *"RCKMBW", "e_wire_op_fj",
                    "p_leak_nw", "t_cycle_ps")
@@ -253,7 +280,8 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict):
     addr_reads: dict[int, int] = {}
     addr_writes: dict[int, int] = {}
 
-    for cycle, kind, a, b in trace.ops:
+    cycle = -1
+    for cycle, kind, a, b in trace:
         if kind == "R":
             if not 0 <= a < words:
                 raise SimError(f"cycle {cycle}: read address {a} out of range")
@@ -292,7 +320,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict):
                 act[f"{bank}/ba_{k}{suffix}"] = act.get(f"{bank}/ba_{k}{suffix}", 0) + n
                 if suffix == ":read":
                     act[f"{bank}/tri_{k}"] = act.get(f"{bank}/tri_{k}", 0) + n
-    return outputs, act, warnings
+    return outputs, act, warnings, cycle + 1
 
 
 # -- parallel-access engines -------------------------------------------------
@@ -316,7 +344,7 @@ def _pa_common(ir: netlist.NetlistIR, by_kind: dict):
     return spec
 
 
-def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
+def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
     spec = _pa_common(ir, by_kind)
     incs = by_kind["pa_increment"]
     if mode == "sm":
@@ -341,27 +369,35 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
     plan = pa.window_planner(spec)
     xs, ys, bank, row_addr = pa.storage_map(spec)
     lane_shifts = pa.lane_shifts(spec)
+    # bank number -> "p,q", for the warnings
+    labels = {bi: f"{p},{q}" for p, banks in enumerate(bank)
+              for q, bi in enumerate(banks)}
     mem = [[None] * spec.bank_words for _ in range(spec.lanes)]
     outputs = []
     warnings = []
     bank_writes = [0] * spec.lanes
 
-    for cycle, kind, xa, yb in trace.ops:
+    cycle = -1
+    for cycle, kind, xa, yb in trace:
         if kind == "WIN":
             (x, rx, rows), (y, ry, cols) = plan(xa, yb)
             shifts = lane_shifts[rx][ry]
             out = 0
+            unset = []     # the banks whose lane is uninitialized
             for p, banks in enumerate(bank):
                 base = row_addr[rows[p]]
                 for q, bi in enumerate(banks):
                     v = mem[bi][base + cols[q]]
                     if v is None:
                         v = pmask
-                        warnings.append(
-                            f"cycle {cycle}: uninitialized lane ({p},{q}) "
-                            f"in window at ({x},{y})")
+                        unset.append(bi)
                     out |= v << shifts[bi]
             outputs.append((cycle + 1, out))
+            if unset:
+                # the window's part of the text is formatted once
+                head = f"cycle {cycle}: uninitialized lane ("
+                tail = f") in window at ({x},{y})"
+                warnings += [head + labels[bi] + tail for bi in unset]
         elif kind == "W":
             x, y = xa >> spec.n, xa & ym
             if not (0 <= x <= xm and 0 <= y <= ym):
@@ -399,19 +435,23 @@ def _sim_pa(ir: netlist.NetlistIR, trace: SimTrace, by_kind: dict, mode: str):
                 act[f"{ba}:write"] = bank_writes[bi]
     if mode == "sm":
         act["xdec"] = act["ydec"] = ops
-    return outputs, act, warnings
+    return outputs, act, warnings, cycle + 1
 
 
-def simulate(ir: netlist.NetlistIR, trace: SimTrace) -> SimResult:
+def simulate(ir: netlist.NetlistIR, trace: SimTrace | TraceFile) -> SimResult:
+    """Check `ir`'s structure, then run the ops of `trace` on it in one pass.
+
+    The engines read each op once, in order, so a TraceFile streams from
+    its file: memory follows the outputs and warnings, not the trace.
+    """
     design = ir.meta.get("design")
     if design not in ("sram_1r1w", "pa_sm", "pa_tm"):
         raise SimError(f"no engine for design {design!r}")
     by_kind = _check_cells(ir)
     if design == "sram_1r1w":
-        outputs, act, warnings = _sim_sram(ir, trace, by_kind)
+        outputs, act, warnings, cycles = _sim_sram(ir, trace, by_kind)
     else:
-        outputs, act, warnings = _sim_pa(ir, trace, by_kind, design[3:])
-    cycles = trace.n_cycles
+        outputs, act, warnings, cycles = _sim_pa(ir, trace, by_kind, design[3:])
     return SimResult(outputs, act, _price(ir, act, cycles), cycles, warnings, ir)
 
 

@@ -1,11 +1,15 @@
 """Command-line driver: exit codes, file outputs, fixture walkthroughs."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import smemsynth
 from smemsynth import pa, sim
 from smemsynth.cli import main
 
@@ -221,6 +225,27 @@ def test_sim_roundtrip(tmp_path):
     assert any(ln.startswith("# e_total_fj ") for ln in lines)
 
 
+def test_sim_passes_a_trace_that_counts_its_ops(tmp_path, monkeypatch):
+    """sim streams the trace into simulate; once the call returns, len() of
+    what it passed is the trace's op count, as per-op rates read it."""
+    s = tmp_path / "s"
+    main(["synth", "--config", "ba_32x8,1,1,2,1", "--lib", LIB,
+          "--out", str(s)])
+    tr = tmp_path / "ops.tr"
+    tr.write_text("# five ops\nW 5 c3\n\nIDLE\nR 5\n  # note\nR 6\nW 1 0\n")
+    counted = []
+    simulate = sim.simulate
+
+    def counting(ir, trace):
+        res = simulate(ir, trace)
+        counted.append(len(trace))
+        return res
+    monkeypatch.setattr(sim, "simulate", counting)
+    assert main(["sim", str(next(s.glob("*.nl"))), str(tr),
+                 "--out", str(tmp_path / "m")]) == 0
+    assert counted == [5]
+
+
 def test_sim_empty_trace_leakage_only(tmp_path):
     s = tmp_path / "s"
     main(["synth", "--config", "ba_32x8,1,1,1,1", "--lib", LIB,
@@ -350,6 +375,34 @@ def test_rejected_synth_writes_nothing(tmp_path, capsys, monkeypatch):
     assert main(argv + ["--out", str(tmp_path / "b")]) == 1
     assert capsys.readouterr().err.endswith("floorplan check: rect x: overlap\n")
     assert not list((tmp_path / "b").iterdir())
+
+
+@pytest.mark.parametrize("spec, cap_mib, named", [
+    ("40,40,0,0", 400, "a 40,40 image has 2^80 window origins"),
+    ({"m": 4, "n": 4, "a": 1, "b": 1, "pixel_bits": 1 << 40}, 1536,
+     "rdata is 4398046511104 bits (4 lanes x 1099511627776-bit pixels)"),
+], ids=["origins", "rdata"])
+def test_pa_over_budget_exits_2_and_writes_nothing(tmp_path, spec, cap_mib, named):
+    """A spec past pa's budget is rejected before anything of its size is
+    built: the run is capped well below what building it would take."""
+    if isinstance(spec, dict):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        spec = str(path)
+    out = tmp_path / "out"
+    cap = cap_mib << 20
+    code = ("import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+            "from smemsynth.cli import main\n"
+            f"sys.exit(main(['pa', '--spec', {spec!r}, '--out', {str(out)!r}]))\n")
+    src = str(Path(smemsynth.__file__).parent.parent)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("smemsynth pa: ") and run.stderr.count("\n") == 1
+    assert named in run.stderr
+    assert not list(out.iterdir())
 
 
 def test_unknown_spec_fields_named(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Cycle-level simulation: functional oracles, energy accounting, PA sweep."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -9,8 +10,8 @@ from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
 from smemsynth.netlist import emit_netlist, generate_sram, parse_netlist
 from smemsynth.pa import PAWindowSpec, check_plans, compare_pa_ppa, generate_pa
-from smemsynth.sim import (SimError, SimTrace, TraceError, energy_report, leak_fj,
-                           simulate, verify_pa)
+from smemsynth.sim import (SimError, SimTrace, TraceError, TraceFile, energy_report,
+                           leak_fj, simulate, verify_pa)
 
 from test_netlist import join_address
 
@@ -669,12 +670,19 @@ def test_sim_size_follows_the_cells(tmp_path, capsys):
     ("R 010", "invalid literal for int() with base 0: '010'"),
     ("WIN 3", "list index out of range"),
 ])
-def test_trace_file_rejects_line(tmp_path, bad, msg):
+def test_trace_file_rejects_line(tmp_path, capsys, bad, msg):
     path = tmp_path / "bad.tr"
     path.write_text(f"# header\nW 0x10 ff\n\nR 1_0\n{bad}\nIDLE\n")
     with pytest.raises(TraceError) as exc:
         SimTrace.from_file(path)
     assert str(exc.value) == f"{path}:5: {msg}"
+    # sim names the line too, although the write to 0x10 before it is out
+    # of range for an 8-word memory
+    nl = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig("ba_8x8", 1, 1, 1, 1),
+                               default_library(TechParams())), nl)
+    assert main(["sim", str(nl), str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"smemsynth sim: {path}:5: {msg}\n"
 
 
 def test_trace_file_fuzz(tmp_path):
@@ -695,10 +703,15 @@ def test_trace_file_fuzz(tmp_path):
             assert [op[0] for op in tr.ops] == list(range(len(tr.ops)))
 
 
-@pytest.mark.parametrize("lineno", [2, 3001])
-def test_non_utf8_trace_names_its_line(tmp_path, capsys, lineno):
+@pytest.mark.parametrize("lineno, meta", [
+    pytest.param(2, None, id="2"), pytest.param(3001, None, id="3001"),
+    pytest.param(3001, ("K", 3), id="3001-bad-structure"),
+])
+def test_non_utf8_trace_names_its_line(tmp_path, capsys, lineno, meta):
     """The bad byte's own line is named, not the line where the reader's
-    decode chunk began."""
+    decode chunk began.  sim names it ahead of the faults the engine meets
+    first: the writes from line 2049 on are out of range, and `meta`
+    makes the netlist's structure fail its check."""
     path = tmp_path / "bad.tr"
     lines = [f"W {i} {i:x}".encode() for i in range(4000)]
     lines[lineno - 1] += b"\xff"
@@ -709,8 +722,118 @@ def test_non_utf8_trace_names_its_line(tmp_path, capsys, lineno):
     assert msg.startswith(f"{path}:{lineno}: ") and "decode byte 0xff" in msg
     nl = tmp_path / "m.nl"
     emit_netlist(generate_sram(MemoryConfig("ba_32x8", 4, 4, 8, 2), small_lib()), nl)
+    if meta:
+        _edit_meta(nl, nl, *meta)
     assert main(["sim", str(nl), str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"smemsynth sim: {msg}\n"
+
+
+def _random_trace_text(rng, read_kind, words, n_lines):
+    """Trace-file text of writes, reads, IDLE, blank lines and comments."""
+    lines = []
+    for _ in range(n_lines):
+        r = rng.random()
+        if r < 0.1:
+            lines.append(rng.choice(["", "   ", "# note", "  # R 1"]))
+        elif r < 0.2:
+            lines.append("IDLE")
+        elif r < 0.55:
+            lines.append(f"W {rng.randrange(words)} {rng.getrandbits(8):x}")
+        elif read_kind == "R":
+            lines.append(f"R {rng.randrange(words)}")
+        else:
+            lines.append(f"WIN {rng.randrange(-20, 40)} {rng.randrange(-20, 40)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("design", ["sram", "pa_sm", "pa_tm"])
+def test_trace_file_streams_what_from_file_reads(tmp_path, design):
+    """simulate reads a TraceFile as it goes and gets what it gets from the
+    SimTrace that from_file builds; len() is the ops the pass read."""
+    rng = random.Random(f"stream:{design}")
+    if design == "sram":
+        ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+        read_kind, words = "R", 256
+    else:
+        ir = generate_pa(PAWindowSpec(4, 4, 1, 1), design[3:])
+        read_kind, words = "WIN", 256
+    path = tmp_path / "ops.tr"
+    texts = ["", "# only a comment\n\n", "IDLE\n# trailing\n"]
+    texts += [_random_trace_text(rng, read_kind, words, rng.randint(1, 600))
+              for _ in range(8)]
+    for text in texts:
+        path.write_text(text)
+        listed = SimTrace.from_file(path)
+        streamed = TraceFile(path)
+        got, want = simulate(ir, streamed), simulate(ir, listed)
+        for field in ("outputs", "activity", "e_total_fj", "cycles", "warnings"):
+            assert getattr(got, field) == getattr(want, field), (field, text)
+        assert len(streamed) == len(listed)
+        assert list(streamed) == listed.ops      # each pass reads the file anew
+
+
+def test_sim_memory_follows_the_outputs_not_the_trace(tmp_path):
+    """sim streams its trace: 200k ops of writes and idles with 20 reads
+    peak at a fraction of the 21 MiB that a list of the ops takes."""
+    nl = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig("ba_32x8", 1, 1, 1, 1), small_lib()), nl)
+    path = tmp_path / "long.tr"
+    with open(path, "w") as fh:
+        for i in range(200_000):
+            fh.write("R 7\n" if i % 10_000 == 0 else f"W {i % 32} {i % 256:x}\n"
+                     if i % 2 else "IDLE\n")
+    tracemalloc.start()
+    try:
+        assert main(["sim", str(nl), str(path), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert "# cycles 200000" in (tmp_path / "out" / "result.txt").read_text()
+
+
+def _lanes(cycle, corner, *labels):
+    return [f"cycle {cycle}: uninitialized lane ({label}) in window at ({corner})"
+            for label in labels]
+
+
+ALL_LANES = ("0,0", "0,1", "1,0", "1,1")
+# 3,3,1,1: pixels (1,1) and (1,5) are written, both held by bank (1,1)
+PA_WARNED = "# pixels\nW 9 5\nW 13 7\n\nWIN 1 1\nIDLE\nWIN 9 11\nWIN -3 5\n"
+
+
+@pytest.mark.parametrize("design, trace, want", [
+    ("sram", "W 3 a\nR 3\nR 7\nIDLE\nR 31\n# again\nR 7\n",
+     ["cycle 2: uninitialized read at address 7",
+      "cycle 4: uninitialized read at address 31",
+      "cycle 5: uninitialized read at address 7"]),
+    # the corners rotate the window by (1,1), so slot order is not bank order
+    ("wrap", PA_WARNED,
+     _lanes(2, "1,1", "0,0", "0,1", "1,0") + _lanes(4, "1,3", *ALL_LANES)
+     + _lanes(5, "5,5", *ALL_LANES)),
+    # clamped to (6,6), rotation (0,0), and to (0,5), rotation (0,1)
+    ("clamp", PA_WARNED,
+     _lanes(2, "1,1", "0,0", "0,1", "1,0") + _lanes(4, "6,6", *ALL_LANES)
+     + _lanes(5, "0,5", "0,0", "0,1", "1,0")),
+], ids=["sram", "wrap", "clamp"])
+def test_warnings_text_and_order(tmp_path, capsys, design, trace, want):
+    """The exact warnings, in bank order within a window, in the result and
+    in result.txt."""
+    if design == "sram":
+        irs = [generate_sram(MemoryConfig("ba_32x8", 1, 1, 1, 1), small_lib())]
+    else:
+        irs = [generate_pa(PAWindowSpec(3, 3, 1, 1, boundary=design), mode)
+               for mode in ("sm", "tm")]
+    tr, nl, out = tmp_path / "w.tr", tmp_path / "w.nl", tmp_path / "out"
+    tr.write_text(trace)
+    for ir in irs:
+        assert simulate(ir, SimTrace.from_file(tr)).warnings == want
+        emit_netlist(ir, nl)
+        assert main(["sim", str(nl), str(tr), "--out", str(out)]) == 0
+        lines = (out / "result.txt").read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("# warning ")] == \
+            [f"# warning {w}" for w in want]
+    capsys.readouterr()
 
 
 def test_trace_file_comments_take_no_cycle(tmp_path):
