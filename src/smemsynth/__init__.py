@@ -18,6 +18,6 @@ from .netlist import (Cell, Net, NetlistError, NetlistIR, check_wellformed,
 from .pa import (PAComparison, PAError, PAWindowSpec, check_budget,
                  check_plans, compare_pa_ppa, generate_pa, window_planner)
 from .sim import (SimError, SimResult, SimTrace, TraceError, TraceFile,
-                  energy_report, simulate, verify_pa)
+                  Warnings, energy_report, simulate, verify_pa)
 
 __version__ = "0.1.0"

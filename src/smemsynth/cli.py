@@ -320,8 +320,9 @@ def cmd_sim(args) -> int:
         fh.write(f"# cycles {res.cycles}\n")
         fh.write(f"# e_total_fj {res.e_total_fj:.3f}\n")
         fh.write(f"# e_leak_fj {leak:.3f}\n")
-        for w in res.warnings:
-            fh.write(f"# warning {w}\n")
+        # one write per record: a window's lanes, or one SRAM read
+        for text in res.warnings.blocks("# warning "):
+            fh.write(text)
         out_line = f"OUT %d %0{digits}x\n"
         fh.writelines(out_line % cv for cv in res.outputs)
     if args.lib:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import explorer, floorplan
@@ -152,9 +153,9 @@ def check_wellformed(ir: NetlistIR) -> list[str]:
                 if ir.cells[cell].kind != "tristate_driver":
                     v.append(f"net {net.name}: multiple drivers include "
                              f"non-tristate {cell}")
-    if len(set(ir.nets) | set(ir.cells)) != len(ir.nets) + len(ir.cells):
-        for n in set(ir.nets) & set(ir.cells):
-            v.append(f"name {n!r} used for both a cell and a net")
+    # in net order, and without a set copy of every name
+    v += [f"name {n!r} used for both a cell and a net"
+          for n in ir.nets if n in ir.cells]
     return v
 
 
@@ -295,27 +296,40 @@ def _fmt_param(v) -> str:
     return str(v)
 
 
-def emit_netlist(ir: NetlistIR, path) -> None:
-    """Line-oriented netlist text; see parse_netlist for the grammar."""
-    lines = [f"# smemsynth netlist {ir.name}"]
+# lines per write of emit_netlist: the text held at once stays a few
+# hundred KiB, however large the design
+_EMIT_CHUNK = 4096
+
+
+def _netlist_lines(ir: NetlistIR):
+    """The lines of `ir`'s text, in emit order, made one at a time."""
+    yield f"# smemsynth netlist {ir.name}"
     if ir.meta:
         kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in ir.meta.items())
-        lines.append(f"# meta {kv}")
+        yield f"# meta {kv}"
     for name, d in ir.ports.items():
-        lines.append(f"port {name} {d} {ir.nets[name].width}")
+        yield f"port {name} {d} {ir.nets[name].width}"
     for c in ir.cells.values():
         kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in c.params.items())
-        lines.append(f"cell {c.name} {c.kind}{' ' + kv if kv else ''}")
+        yield f"cell {c.name} {c.kind}{' ' + kv if kv else ''}"
     for n in ir.nets.values():
         if n.name not in ir.ports:
-            lines.append(f"net {n.name} {n.width}")
+            yield f"net {n.name} {n.width}"
     for n in ir.nets.values():
         for cell, pin in n.drivers:
-            lines.append(f"conn {n.name} {cell}.{pin} drive")
+            yield f"conn {n.name} {cell}.{pin} drive"
         for cell, pin in n.sinks:
-            lines.append(f"conn {n.name} {cell}.{pin} sink")
+            yield f"conn {n.name} {cell}.{pin} sink"
+
+
+def emit_netlist(ir: NetlistIR, path) -> None:
+    """Line-oriented netlist text; see parse_netlist for the grammar.  It is
+    written _EMIT_CHUNK lines at a time, so memory follows the IR, not a
+    copy of its text."""
+    lines = _netlist_lines(ir)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        while chunk := list(islice(lines, _EMIT_CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
 
 
 def _parse_value(tok: str):
@@ -360,7 +374,10 @@ def parse_netlist(path) -> NetlistIR:
     cells, nets = ir.cells, ir.nets
     name_ok = _NAME_RE.match
     params_of = {}  # "key=value" token -> (key, value), converted once
-    outputs_of = {}  # cell name -> the pins its kind drives
+    # a conn's (cell, pin) holds the cell line's own name and one string
+    # per distinct pin, so the parsed IR is about the size of a generated one
+    cell_of = {}  # cell name -> (that name, the pins its kind drives)
+    pins = {}
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, 1):
@@ -374,7 +391,7 @@ def parse_netlist(path) -> NetlistIR:
                         role = toks[3]
                         try:
                             net = nets[toks[1]]
-                            outputs = outputs_of[cell]
+                            cell, outputs = cell_of[cell]
                         except KeyError:
                             if toks[1] not in nets:
                                 raise NetlistError(f"unknown net {toks[1]!r}") from None
@@ -386,7 +403,7 @@ def parse_netlist(path) -> NetlistIR:
                         if role != want:
                             raise NetlistError(f"{cell}.{pin} of a {cells[cell].kind} "
                                                f"takes role {want!r}, not {role!r}")
-                        ends.append((cell, pin))
+                        ends.append((cell, pins.setdefault(pin, pin)))
                     elif head == "cell":
                         name, kind = toks[1], toks[2]
                         if not name_ok(name):
@@ -404,7 +421,7 @@ def parse_netlist(path) -> NetlistIR:
                                 kv = params_of[tok] = (k, _parse_value(v))
                             params[kv[0]] = kv[1]
                         cells[name] = Cell(name, kind, params)
-                        outputs_of[name] = entry.outputs
+                        cell_of[name] = name, entry.outputs
                     elif head == "net":
                         ir.add_net(toks[1], int(toks[2]))
                     elif head == "port":

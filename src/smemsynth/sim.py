@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from . import explorer, netlist, pa
 from .baplus import Library, is_pow2
@@ -179,6 +182,58 @@ class TraceFile:
             self._read = cycle
 
 
+class Warnings(Sequence):
+    """A run's warnings, kept as the engine's records and formatted only
+    when read.
+
+    `render(record, prefix)` gives one record's warnings as text, one
+    line `prefix + warning` each; `count` is how many all records give.
+    len(), iteration, indexing and == against a list see the warnings,
+    in order; blocks() gives the text record by record.
+    """
+
+    def __init__(self, records=(), render=None, count=0):
+        self._records = records
+        self._render = render
+        self._count = count
+        self._ends = None    # each record's end index, made on first indexing
+
+    def __len__(self):
+        return self._count
+
+    def blocks(self, prefix=""):
+        """Each record's text, `prefix` leading each of its lines."""
+        render = self._render
+        return (render(r, prefix) for r in self._records)
+
+    def __iter__(self):
+        for text in self.blocks():
+            yield from text.splitlines()
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("warning index out of range")
+        if self._ends is None:
+            self._ends = list(accumulate(t.count("\n") for t in self.blocks()))
+        k = bisect_right(self._ends, i)
+        lines = self._render(self._records[k], "").splitlines()
+        return lines[i - (self._ends[k - 1] if k else 0)]
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, Warnings)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"Warnings({list(self)!r})"
+
+
 @dataclass
 class SimResult:
     outputs: list          # (cycle, value), one per read, at issue cycle + 1
@@ -186,7 +241,7 @@ class SimResult:
                            # or "__wire__" for the ops on the wires -> count
     e_total_fj: float
     cycles: int
-    warnings: list = field(default_factory=list)
+    warnings: Warnings = field(default_factory=Warnings)
     ir: netlist.NetlistIR | None = None
 
 
@@ -288,7 +343,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
             v = mem.get(a)
             if v is None:
                 v = poison
-                warnings.append(f"cycle {cycle}: uninitialized read at address {a}")
+                warnings.append((cycle, a))
             outputs.append((cycle + 1, v))
             addr_reads[a] = addr_reads.get(a, 0) + 1
         elif kind == "W":
@@ -320,7 +375,12 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
                 act[f"{bank}/ba_{k}{suffix}"] = act.get(f"{bank}/ba_{k}{suffix}", 0) + n
                 if suffix == ":read":
                     act[f"{bank}/tri_{k}"] = act.get(f"{bank}/tri_{k}", 0) + n
-    return outputs, act, warnings, cycle + 1
+    return outputs, act, Warnings(warnings, _read_warning, len(warnings)), cycle + 1
+
+
+def _read_warning(record, prefix) -> str:
+    cycle, a = record
+    return f"{prefix}cycle {cycle}: uninitialized read at address {a}\n"
 
 
 # -- parallel-access engines -------------------------------------------------
@@ -374,7 +434,9 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
               for q, bi in enumerate(banks)}
     mem = [[None] * spec.bank_words for _ in range(spec.lanes)]
     outputs = []
+    # (cycle, x, y, the labels of the banks whose lane is uninitialized)
     warnings = []
+    unset_lanes = 0
     bank_writes = [0] * spec.lanes
 
     cycle = -1
@@ -383,21 +445,19 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
             (x, rx, rows), (y, ry, cols) = plan(xa, yb)
             shifts = lane_shifts[rx][ry]
             out = 0
-            unset = []     # the banks whose lane is uninitialized
+            unset = []
             for p, banks in enumerate(bank):
                 base = row_addr[rows[p]]
                 for q, bi in enumerate(banks):
                     v = mem[bi][base + cols[q]]
                     if v is None:
                         v = pmask
-                        unset.append(bi)
+                        unset.append(labels[bi])
                     out |= v << shifts[bi]
             outputs.append((cycle + 1, out))
             if unset:
-                # the window's part of the text is formatted once
-                head = f"cycle {cycle}: uninitialized lane ("
-                tail = f") in window at ({x},{y})"
-                warnings += [head + labels[bi] + tail for bi in unset]
+                warnings.append((cycle, x, y, unset))
+                unset_lanes += len(unset)
         elif kind == "W":
             x, y = xa >> spec.n, xa & ym
             if not (0 <= x <= xm and 0 <= y <= ym):
@@ -435,14 +495,23 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
                 act[f"{ba}:write"] = bank_writes[bi]
     if mode == "sm":
         act["xdec"] = act["ydec"] = ops
-    return outputs, act, warnings, cycle + 1
+
+    def lanes(record, prefix) -> str:
+        # the window's part of the text is formatted once
+        cycle, x, y, unset = record
+        head = f"{prefix}cycle {cycle}: uninitialized lane ("
+        tail = f") in window at ({x},{y})\n"
+        return head + (tail + head).join(unset) + tail
+
+    return outputs, act, Warnings(warnings, lanes, unset_lanes), cycle + 1
 
 
 def simulate(ir: netlist.NetlistIR, trace: SimTrace | TraceFile) -> SimResult:
     """Check `ir`'s structure, then run the ops of `trace` on it in one pass.
 
     The engines read each op once, in order, so a TraceFile streams from
-    its file: memory follows the outputs and warnings, not the trace.
+    its file: memory follows the outputs and the warnings' records, not
+    the trace.
     """
     design = ir.meta.get("design")
     if design not in ("sram_1r1w", "pa_sm", "pa_tm"):
@@ -499,6 +568,19 @@ def energy_report(result: SimResult, lib: Library | None = None) -> float:
 
 # -- exhaustive window verification -------------------------------------------
 
+class _Ops:
+    """The `count` ops that `make()` yields, made anew on each pass."""
+
+    def __init__(self, make, count: int):
+        self._make, self._count = make, count
+
+    def __iter__(self):
+        return self._make()
+
+    def __len__(self):
+        return self._count
+
+
 def verify_pa(spec: pa.PAWindowSpec, ir: netlist.NetlistIR, seed: int = 0) -> dict:
     """Load a pseudorandom image into the netlist, read a window at every
     corner on the surface, and compare each read with pa.window_cover.
@@ -519,21 +601,19 @@ def verify_pa(spec: pa.PAWindowSpec, ir: netlist.NetlistIR, seed: int = 0) -> di
     img = [[rng.randrange(1 << P) for _y in range(spec.image_h)]
            for _x in range(spec.image_w)]
     # every pixel written, then a window read at every origin, one op per
-    # cycle: stamps rise and ports never clash, so the ops go straight into
-    # the trace without _add's checks, as in SimTrace.from_file
-    trace = SimTrace()
-    ops = trace.ops
-    cycle = 0
-    for x in range(spec.image_w):
-        column = img[x]
-        for y in range(spec.image_h):
-            ops.append((cycle, "W", (x << spec.n) | y, column[y]))
-            cycle += 1
-    for x in range(spec.image_w):
-        for y in range(spec.image_h):
-            ops.append((cycle, "WIN", x, y))
-            cycle += 1
-    result = simulate(ir, trace)
+    # cycle, made as the engine reads them
+    def ops():
+        cycle = 0
+        for x in range(spec.image_w):
+            column = img[x]
+            for y in range(spec.image_h):
+                yield cycle, "W", (x << spec.n) | y, column[y]
+                cycle += 1
+        for x in range(spec.image_w):
+            for y in range(spec.image_h):
+                yield cycle, "WIN", x, y
+                cycle += 1
+    result = simulate(ir, _Ops(ops, 2 * spec.image_w * spec.image_h))
     xs, ys = pa.window_cover(spec)
     reads = iter(result.outputs)
     cycle = spec.image_w * spec.image_h

@@ -1,14 +1,16 @@
 """Structural IR: generation, well-formedness, text round-trip, HDL emission."""
 
+import gc
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.cli import main
 from smemsynth.explorer import AddressMap, MemoryConfig, UserSpec, enumerate_configs
-from smemsynth.netlist import (CELL_KINDS, Cell, NetlistError, NetlistIR,
+from smemsynth.netlist import (_EMIT_CHUNK, CELL_KINDS, Cell, NetlistError, NetlistIR,
                                check_wellformed, emit_hdl, emit_netlist,
                                generate_sram, parse_netlist)
 from smemsynth.pa import PAWindowSpec, _graft, generate_pa
@@ -217,6 +219,66 @@ def test_hdl_address_fields_match_the_oracle(tmp_path):
                 assert got == fields, (cfg, port, addr)
 
 
+@pytest.mark.parametrize("n_lines", [_EMIT_CHUNK - 1, _EMIT_CHUNK, _EMIT_CHUNK + 1,
+                                     2 * _EMIT_CHUNK])
+def test_emit_in_chunks_is_one_join(tmp_path, n_lines):
+    """emit_netlist writes in chunks of _EMIT_CHUNK lines; around each
+    chunk edge the bytes are those of the whole text joined at once."""
+    ir = NetlistIR("chunks")
+    ir.add_port("clk", "in", 1)
+    n_regs = (n_lines - 2) // 2             # a cell line and a conn line each
+    regs = [f"r_{i}" for i in range(n_regs + (n_lines - 2) % 2)]
+    for name in regs:
+        ir.add_cell(name, "output_reg")
+    for name in regs[:n_regs]:
+        ir.connect("clk", name, "clk")
+    want = (["# smemsynth netlist chunks", "port clk in 1"]
+            + [f"cell {name} output_reg" for name in regs]
+            + [f"conn clk {name}.clk sink" for name in regs[:n_regs]])
+    assert len(want) == n_lines
+    path = tmp_path / "c.nl"
+    emit_netlist(ir, path)
+    assert path.read_text() == "\n".join(want) + "\n"
+    emit_netlist(parse_netlist(path), tmp_path / "back.nl")
+    assert (tmp_path / "back.nl").read_bytes() == path.read_bytes()
+
+
+def _traced(fn, *args):
+    """fn(*args), the tracemalloc peak over what was allocated before the
+    call, and what the call left allocated."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - before, now - before
+
+
+def test_netlist_text_path_holds_the_design_once(tmp_path):
+    """On a 3,000-cell SRAM (1 MB of text), emit_netlist holds one chunk
+    of text at a time, not the 4 MiB of the whole text's lines; the parsed
+    IR has about the generated one's size, not 1.66 times it, because a
+    conn shares its cell's name and its pin's string; check_wellformed
+    copies no names."""
+    cfg = MemoryConfig("ba_8x8", 1, 8, 128, 1)
+    lib = default_library()
+    generate_sram(cfg, lib)                 # warm the models' caches
+    ir, _, generated = _traced(generate_sram, cfg, lib)
+    path = tmp_path / "m.nl"
+    _, emit_peak, _ = _traced(emit_netlist, ir, path)
+    assert emit_peak < 2 << 20, emit_peak
+    _, check_peak, _ = _traced(check_wellformed, ir)
+    assert check_peak < 64 << 10, check_peak
+    del ir
+    back, _, parsed = _traced(parse_netlist, path)
+    assert len(back.cells) == 3 * 8 * 128 + 1
+    assert parsed < 1.3 * generated, (parsed, generated)
+
+
 def test_checker_violations():
     ir = NetlistIR("broken", meta={"design": "adhoc"})
     ir.add_port("clk", "in", 1)
@@ -264,6 +326,23 @@ def test_missing_drivers_are_violations():
     ir.connect("n", "r", "q")
     ir.connect("q", "r", "q")
     assert check_wellformed(ir) == []
+
+
+def test_name_clashes_come_in_net_order():
+    """Names that are both a net and a cell are reported after the net
+    checks, in the order the nets were added, whatever the hash seed."""
+    ir = NetlistIR("clash")
+    names = [f"n_{i}" for i in random.Random(17).sample(range(20), 20)]
+    for name in names:
+        ir.add_net(name, 1)
+    ir.add_cell("drv", "output_reg")
+    for name in reversed(names):
+        ir.add_cell(name, "output_reg")
+    for name in names:
+        ir.connect(name, "drv", "q")
+        ir.connect(name, name, "d")
+    assert check_wellformed(ir) == [f"name {n!r} used for both a cell and a net"
+                                    for n in names]
 
 
 def test_meta_survives_parse(tmp_path):

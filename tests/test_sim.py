@@ -10,8 +10,8 @@ from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
 from smemsynth.netlist import emit_netlist, generate_sram, parse_netlist
 from smemsynth.pa import PAWindowSpec, check_plans, compare_pa_ppa, generate_pa
-from smemsynth.sim import (SimError, SimTrace, TraceError, TraceFile, energy_report,
-                           leak_fj, simulate, verify_pa)
+from smemsynth.sim import (SimError, SimTrace, TraceError, TraceFile, Warnings,
+                           energy_report, leak_fj, simulate, verify_pa)
 
 from test_netlist import join_address
 
@@ -493,6 +493,31 @@ def test_verify_pa_frozen():
     assert check_plans(spec)["conflicts"] == 0
 
 
+def test_verify_pa_streams_its_trace(monkeypatch):
+    """verify_pa makes its 2·W·H ops as the engine reads them: on 6,6,1,1
+    its tracemalloc peak is 0.55 MiB, against 1.5 MiB with the ops in a
+    list.  simulate gets a trace whose len() is that op count."""
+    spec = PAWindowSpec(6, 6, 1, 1)
+    ir = generate_pa(spec, "tm")
+    counted = []
+
+    def counting(ir, trace):
+        res = simulate(ir, trace)
+        counted.append(len(trace))
+        return res
+    monkeypatch.setattr("smemsynth.sim.simulate", counting)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = verify_pa(spec, ir)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert rep["mismatches"] == 0 and rep["origins"] == 64 * 64
+    assert counted == [2 * 64 * 64]
+    assert peak < 1 << 20, peak
+
+
 def test_verify_pa_checks_meta():
     ir = generate_pa(PAWindowSpec(4, 4, 1, 1), "sm")
     with pytest.raises(SimError):
@@ -834,6 +859,55 @@ def test_warnings_text_and_order(tmp_path, capsys, design, trace, want):
         assert [ln for ln in lines if ln.startswith("# warning ")] == \
             [f"# warning {w}" for w in want]
     capsys.readouterr()
+
+
+def test_warnings_read_as_a_sequence_of_strings():
+    """SimResult.warnings keeps records and reads as the list of strings:
+    len, iteration, indexing from either end, slices and ==; blocks()
+    gives one window's lines at a time, each after a prefix."""
+    ir = generate_pa(PAWindowSpec(3, 3, 1, 1), "sm")
+    trace = SimTrace().write(9, 5).write(13, 7).idle().window(1, 1)
+    trace.idle().window(9, 11).window(-3, 5)
+    got = simulate(ir, trace).warnings
+    want = (_lanes(3, "1,1", "0,0", "0,1", "1,0") + _lanes(5, "1,3", *ALL_LANES)
+            + _lanes(6, "5,5", *ALL_LANES))
+    assert isinstance(got, Warnings) and len(got) == len(want) == 11
+    assert list(got) == want and got == want and want == got
+    assert got != want[:-1] and got != want[:-1] + ["other"] and got != tuple(want)
+    assert [got[i] for i in range(-11, 11)] == want + want
+    assert got[2:5] == want[2:5] and got[::-3] == want[::-3]
+    for i in (11, -12):
+        with pytest.raises(IndexError):
+            got[i]
+    blocks = list(got.blocks("# "))
+    assert [b.count("\n") for b in blocks] == [3, 4, 4]
+    assert "".join(blocks) == "".join(f"# {w}\n" for w in want)
+    assert want[4] in got and got.index(want[7]) == 7
+    assert simulate(ir, SimTrace().write(9, 5)).warnings == [] == Warnings()
+
+
+def test_pa_warnings_stay_records_until_written(tmp_path):
+    """3,000 window reads of an unwritten 16-lane memory give 48,000
+    warnings.  They stay one record per window until result.txt is
+    written a window at a time, so sim peaks at 1.4 MiB, against 5.8 MiB
+    with the strings made by the engine."""
+    nl, tr, out = tmp_path / "w.nl", tmp_path / "w.tr", tmp_path / "out"
+    emit_netlist(generate_pa(PAWindowSpec(5, 5, 2, 2), "sm"), nl)
+    rng = random.Random(3)
+    corners = [(rng.randrange(32), rng.randrange(32)) for _ in range(3000)]
+    tr.write_text("".join(f"WIN {x} {y}\n" for x, y in corners))
+    tracemalloc.start()
+    try:
+        assert main(["sim", str(nl), str(tr), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    warned = [ln for ln in (out / "result.txt").read_text().splitlines()
+              if ln.startswith("# warning ")]
+    assert len(warned) == 48_000
+    x, y = corners[1]
+    assert warned[17] == f"# warning cycle 1: uninitialized lane (0,1) in window at ({x},{y})"
+    assert peak < 3 << 20, peak
 
 
 def test_trace_file_comments_take_no_cycle(tmp_path):
