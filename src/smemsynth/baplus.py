@@ -201,10 +201,6 @@ class BAPlusMacro:
         if self.p_leak_nw <= 0:
             raise ValueError(f"{self.name}: leakage must be positive")
 
-    @property
-    def capacity_bits(self) -> int:
-        return self.B * self.W
-
     def width_nm(self, tech: TechParams) -> int:
         return round(self.width_pitches * tech.poly_pitch_nm)
 

@@ -118,16 +118,21 @@ class NetlistIR:
         params["e_event_fj"] = round(CELL_KINDS[kind].price(params, tech), 6)
         return self.add_cell(name, kind, **params)
 
-    def connect(self, net: str, cell: str, pin: str) -> None:
-        """Put `pin` of `cell` on `net`, as a driver if the cell's kind drives it."""
-        n = self.nets.get(net)
-        if n is None:
-            raise NetlistError(f"unknown net {net!r}")
-        c = self.cells.get(cell)
-        if c is None:
-            raise NetlistError(f"unknown cell {cell!r}")
-        ends = n.drivers if pin in CELL_KINDS[c.kind].outputs else n.sinks
-        ends.append((cell, pin))
+    def connect(self, net: str, cell: str, pin: str) -> str:
+        """Put `pin` of `cell` on `net`, as a driver if the cell's kind drives
+        it; return the role taken, "drive" or "sink".  The endpoint holds
+        the cell's own name, so every IR shares one string per cell name."""
+        try:
+            n, c = self.nets[net], self.cells[cell]
+        except KeyError:
+            if net not in self.nets:
+                raise NetlistError(f"unknown net {net!r}") from None
+            raise NetlistError(f"unknown cell {cell!r}") from None
+        if pin in CELL_KINDS[c.kind].outputs:
+            n.drivers.append((c.name, pin))
+            return "drive"
+        n.sinks.append((c.name, pin))
+        return "sink"
 
 
 def check_wellformed(ir: NetlistIR) -> list[str]:
@@ -366,18 +371,13 @@ def parse_netlist(path) -> NetlistIR:
     a time.  A `conn` must follow the `port`/`net` and `cell` it names, and
     its role must be the one the cell's kind gives the pin.
 
-    Every check of add_port/add_net/add_cell/connect is made, with the same
-    message prefixed by `path:lineno`; the cell and conn lines, nearly all
-    of a file, make them inline.
+    Every line is built by add_port/add_net/add_cell/connect, so it gets
+    their checks and messages, prefixed by `path:lineno`.
     """
     ir = NetlistIR("netlist")
-    cells, nets = ir.cells, ir.nets
-    name_ok = _NAME_RE.match
+    add_cell, connect = ir.add_cell, ir.connect
     params_of = {}  # "key=value" token -> (key, value), converted once
-    # a conn's (cell, pin) holds the cell line's own name and one string
-    # per distinct pin, so the parsed IR is about the size of a generated one
-    cell_of = {}  # cell name -> (that name, the pins its kind drives)
-    pins = {}
+    pins = {}  # one string per distinct pin, as a generated IR has
     with open(path) as fh:
         try:
             for lineno, line in enumerate(fh, 1):
@@ -389,30 +389,12 @@ def parse_netlist(path) -> NetlistIR:
                     if head == "conn":
                         cell, _, pin = toks[2].rpartition(".")
                         role = toks[3]
-                        try:
-                            net = nets[toks[1]]
-                            cell, outputs = cell_of[cell]
-                        except KeyError:
-                            if toks[1] not in nets:
-                                raise NetlistError(f"unknown net {toks[1]!r}") from None
-                            raise NetlistError(f"unknown cell {cell!r}") from None
-                        if pin in outputs:
-                            ends, want = net.drivers, "drive"
-                        else:
-                            ends, want = net.sinks, "sink"
+                        pin = pins.setdefault(pin, pin)
+                        want = connect(toks[1], cell, pin)
                         if role != want:
-                            raise NetlistError(f"{cell}.{pin} of a {cells[cell].kind} "
+                            raise NetlistError(f"{cell}.{pin} of a {ir.cells[cell].kind} "
                                                f"takes role {want!r}, not {role!r}")
-                        ends.append((cell, pins.setdefault(pin, pin)))
                     elif head == "cell":
-                        name, kind = toks[1], toks[2]
-                        if not name_ok(name):
-                            raise NetlistError(f"bad cell name {name!r}")
-                        entry = CELL_KINDS.get(kind)
-                        if entry is None:
-                            raise NetlistError(f"cell {name}: unknown kind {kind!r}")
-                        if name in cells:
-                            raise NetlistError(f"duplicate cell {name!r}")
                         params = {}
                         for tok in toks[3:]:
                             kv = params_of.get(tok)
@@ -420,8 +402,7 @@ def parse_netlist(path) -> NetlistIR:
                                 k, _, v = tok.partition("=")
                                 kv = params_of[tok] = (k, _parse_value(v))
                             params[kv[0]] = kv[1]
-                        cells[name] = Cell(name, kind, params)
-                        cell_of[name] = name, entry.outputs
+                        add_cell(toks[1], toks[2], **params)
                     elif head == "net":
                         ir.add_net(toks[1], int(toks[2]))
                     elif head == "port":

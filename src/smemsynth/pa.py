@@ -472,7 +472,7 @@ def _graft(ir: netlist.NetlistIR, sub: netlist.NetlistIR, prefix: str,
         return port_map[net] if net in port_map else f"{prefix}/{net}"
 
     for cell in sub.cells.values():
-        ir.add_cell(f"{prefix}/{cell.name}", cell.kind, **dict(cell.params))
+        ir.add_cell(f"{prefix}/{cell.name}", cell.kind, **cell.params)
     for net in sub.nets.values():
         if net.name not in port_map:
             ir.add_net(f"{prefix}/{net.name}", net.width)

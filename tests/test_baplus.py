@@ -30,7 +30,7 @@ def test_32x8_characterization_frozen():
     assert m.e_read_fj == pytest.approx(0.5 + 1.0 * 8 + 0.4 * 32 * 0.5)  # 14.9
     assert m.e_write_fj == pytest.approx(0.6 + 1.1 * 8 + 0.4 * 32 * 0.5)  # 15.8
     assert m.p_leak_nw == pytest.approx(0.01 * 32 * 8)                    # 2.56
-    assert m.capacity_bits == 256
+    assert m.B * m.W == 256
 
 
 def test_geometry_frozen():
@@ -47,7 +47,7 @@ def test_same_capacity_tradeoff():
     tech = TechParams()
     squat = generate_variant(32, 16, tech)
     tall = generate_variant(64, 8, tech)
-    assert squat.capacity_bits == tall.capacity_bits == 512
+    assert squat.B * squat.W == tall.B * tall.W == 512
     assert squat.t_access_ps < tall.t_access_ps
     assert squat.area_um2(tech) < tall.area_um2(tech)
     assert tall.e_read_fj < squat.e_read_fj
@@ -83,7 +83,8 @@ def test_default_library():
     lib = default_library(TechParams())
     assert len(lib) == 16
     assert "ba_32x8" in lib
-    assert lib["ba_64x64"].capacity_bits == 4096
+    big = lib["ba_64x64"]
+    assert big.B * big.W == 4096
     with pytest.raises(KeyError):
         lib["ba_3x3"]
     assert "ba_3x3" not in lib

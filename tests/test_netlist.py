@@ -258,6 +258,18 @@ def _traced(fn, *args):
     return result, peak - before, now - before
 
 
+def test_endpoints_hold_the_cells_own_names(tmp_path):
+    """connect stores the cell's own name object, and the parser one string
+    per distinct pin: no endpoint, driver or sink, copies a name."""
+    path = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib()), path)
+    ir = parse_netlist(path)
+    for ends in ("drivers", "sinks"):
+        pairs = [e for n in ir.nets.values() for e in getattr(n, ends)]
+        assert all(cell is ir.cells[cell].name for cell, _ in pairs)
+        assert len({id(pin) for _, pin in pairs}) == len({pin for _, pin in pairs})
+
+
 def test_netlist_text_path_holds_the_design_once(tmp_path):
     """On a 3,000-cell SRAM (1 MB of text), emit_netlist holds one chunk
     of text at a time, not the 4 MiB of the whole text's lines; the parsed
@@ -416,6 +428,13 @@ _BAD_LINES = [
     # ... and ahead of the cell it names
     ("conn-before-cell", "port we in 1", "conn clk sel_reg.clk sink",
      "unknown cell 'sel_reg'"),
+    # two faults on one line: the one checked first is reported
+    ("unknown-net-no-role", "conn raddr dec.raddr sink", "conn r_addr dec.raddr",
+     "list index out of range"),
+    ("bad-cell-name-unknown-kind", "cell sel_reg ", "cell sel-reg flipflop",
+     "bad cell name 'sel-reg'"),
+    ("unknown-cell-wrong-role", "conn raddr dec.raddr sink",
+     "conn raddr decoder.raddr drive", "unknown cell 'decoder'"),
 ]
 
 
@@ -457,23 +476,55 @@ def test_sim_rejects_bad_netlist(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith(f"smemsynth sim: {path}:{lineno}: ")
 
 
-# the same mistakes made through the API, for the cases the parser checks
-# inline: both must say the same thing
+# the same mistakes made through the API, for every case a NetlistIR method
+# raises: a parsed line is built by that method, so both say the same thing
 _API_MISTAKES = {
+    "net-width-0": lambda ir: ir.add_net("r_row", 0),
+    "port-width-0": lambda ir: ir.add_port("re", "in", 0),
+    "port-bad-direction": lambda ir: ir.add_port("rdata", "inout", 8),
+    "bad-port-name": lambda ir: ir.add_port("2re", "in", 1),
+    "bad-net-name": lambda ir: ir.add_net("r_row/", 32),
     "bad-cell-name": lambda ir: ir.add_cell("sel-reg", "output_reg"),
     "unknown-kind": lambda ir: ir.add_cell("sel_reg", "flipflop"),
+    **{f"dropped-kind-{k}": (lambda ir, k=k: ir.add_cell("sel_reg", k))
+       for k in ("and", "or", "inv")},
     "duplicate-cell": lambda ir: ir.add_cell("bank_0_0/wlg_0", "tristate_driver"),
+    "duplicate-net": lambda ir: ir.add_net("r_ba", 2),
+    "net-shadows-port": lambda ir: ir.add_net("raddr", 32),
     "conn-unknown-net": lambda ir: ir.connect("r_addr", "dec", "raddr"),
     "conn-unknown-cell": lambda ir: ir.connect("raddr", "decoder", "raddr"),
+    "conn-no-pin": lambda ir: ir.connect("raddr", "", "dec"),
+    "conn-before-net": lambda ir: ir.connect("r_msel_q", "sel_reg", "q"),
+    "conn-before-cell": lambda ir: ir.connect("clk", "sel_reg", "clk"),
+    "bad-cell-name-unknown-kind": lambda ir: ir.add_cell("sel-reg", "flipflop"),
+    # connect takes no role: its fault is the cell alone
+    "unknown-cell-wrong-role": lambda ir: ir.connect("raddr", "decoder", "raddr"),
 }
+
+# the rest, a missing or non-integer token, a role or a directive, can only
+# be written in the text
+_PARSER_ONLY = {"port-missing-token", "cell-missing-token", "net-missing-token",
+                "conn-missing-token", "net-width-not-int", "port-width-not-int",
+                "conn-bad-role", "conn-wrong-role", "conn-output-as-sink",
+                "unknown-directive", "unknown-net-no-role"}
+
+
+def test_every_bad_line_is_an_api_mistake_or_text_only():
+    assert sorted(c[0] for c in _BAD_LINES) == sorted(set(_API_MISTAKES) | _PARSER_ONLY)
+    assert not set(_API_MISTAKES) & _PARSER_ONLY
 
 
 @pytest.mark.parametrize("case", sorted(_API_MISTAKES))
-def test_parser_and_api_agree_on_messages(case):
-    ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+def test_parser_and_api_agree_on_messages(tmp_path, case):
+    """The mistake, made through the API on the IR the parser holds when it
+    reaches the broken line, raises that line's message."""
+    _, old, new, msg = next(c for c in _BAD_LINES if c[0] == case)
+    path, lineno = _write_bad(tmp_path, old, new)
+    head = tmp_path / "head.nl"
+    head.write_text("".join(f"{ln}\n" for ln in path.read_text().splitlines()[:lineno - 1]))
     with pytest.raises(NetlistError) as exc:
-        _API_MISTAKES[case](ir)
-    assert str(exc.value) == next(c[3] for c in _BAD_LINES if c[0] == case)
+        _API_MISTAKES[case](parse_netlist(head))
+    assert str(exc.value) == msg
 
 
 def test_parse_netlist_skips_comments_and_blanks(tmp_path):

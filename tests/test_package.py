@@ -1,7 +1,8 @@
 """Packaging guards: the library imports nothing outside the standard
 library, a model that takes a library reads its technology there, address
-widths come from one map, the simulator prices energy in one place and
-leaves pixel placement to pa, and src/ holds no test-only code."""
+widths come from one map, netlists have one builder, the simulator prices
+energy in one place and leaves pixel placement to pa, and src/ holds no
+test-only code."""
 
 import ast
 import re
@@ -44,28 +45,34 @@ def test_no_tech_beside_lib():
     assert both == []
 
 
-def _uses(names):
-    """(file:line, owner, name) for each use of one of `names` in
-    src/smemsynth/*.py, as an attribute, a plain name or a keyword.  The
+def _owned_nodes():
+    """(file name, owner, node) for every node of src/smemsynth/*.py.  The
     owner is the dotted path of the enclosing classes and functions, or
     for module-level code the name it assigns."""
-    found = []
-
-    def visit(node, path, owner):
+    def visit(node, owner):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{owner}.{node.name}" if owner else node.name
         elif not owner and isinstance(node, (ast.Assign, ast.AnnAssign)):
             target = node.targets[0] if isinstance(node, ast.Assign) else node.target
             owner = getattr(target, "id", "")
+        yield owner, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in visit(ast.parse(path.read_text(), str(path)), ""):
+            yield path.name, owner, node
+
+
+def _uses(names):
+    """(file:line, owner, name) for each use of one of `names` in
+    src/smemsynth/*.py, as an attribute, a plain name or a keyword."""
+    found = []
+    for fname, owner, node in _owned_nodes():
         name = getattr(node, "attr", None) or getattr(node, "id", None) \
             or (node.arg if isinstance(node, ast.keyword) else None)
         if name in names:
-            found.append((f"{path.name}:{node.lineno}", owner, name))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, owner)
-
-    for path in sorted(SRC.glob("*.py")):
-        visit(ast.parse(path.read_text(), str(path)), path, "")
+            found.append((f"{fname}:{node.lineno}", owner, name))
     return found
 
 
@@ -86,6 +93,36 @@ def test_address_widths_come_from_the_address_map():
     """Only explorer.AddressMap takes the log2 of a size: how an SRAM address
     splits, and how wide its ports and decode tree are, has one definition."""
     assert {owner for _, owner, _ in _uses({"ilog2"})} == {"AddressMap.of"}
+
+
+def test_netlists_are_built_only_by_netlist_ir():
+    """Only NetlistIR.add_cell makes a Cell, only NetlistIR.add_net makes a
+    Net, and only NetlistIR.connect adds to a net's drivers or sinks, by
+    name or through a name bound to them: generated, grafted and parsed
+    netlists all pass the same checks."""
+    def reads_ends(node):
+        return any(isinstance(n, ast.Attribute) and n.attr in ("drivers", "sinks")
+                   for n in ast.walk(node))
+    nodes = list(_owned_nodes())
+    aliases = {(owner, t.id) for _, owner, n in nodes
+               if isinstance(n, ast.Assign) and reads_ends(n.value)
+               for target in n.targets for t in ast.walk(target)
+               if isinstance(t, ast.Name)}
+    builds = set()
+    for _, owner, n in nodes:
+        if isinstance(n, ast.Call):
+            f = n.func
+            callee = getattr(f, "id", None) or getattr(f, "attr", None)
+            if callee in ("Cell", "Net"):
+                builds.add((owner, callee))
+            elif callee in ("append", "extend", "insert") and (
+                    reads_ends(f.value) or isinstance(f.value, ast.Name)
+                    and (owner, f.value.id) in aliases):
+                builds.add((owner, "ends"))
+        elif isinstance(n, ast.AugAssign) and reads_ends(n.target):
+            builds.add((owner, "ends"))
+    assert builds == {("NetlistIR.add_cell", "Cell"), ("NetlistIR.add_net", "Net"),
+                      ("NetlistIR.connect", "ends")}
 
 
 def test_sim_reads_price_figures_only_in_its_pricing_pass():
@@ -133,18 +170,33 @@ def test_sim_leaves_pixel_placement_to_pa():
             and reads_layout(n, bound)] == []
 
 
+# the README's Library API: names a user calls that no src/ code calls
+_LIBRARY_API = {"traditional_baseline_ppa", "SimTrace.from_file",
+                "SimTrace.read", "SimTrace.idle", "SimTrace.to_file"}
+
+
 def test_every_definition_has_a_caller_in_src():
-    """Every module-level function and class in src/smemsynth/ is named by
-    src/ code other than __init__'s re-exports; test-only helpers live in
-    tests/.  traditional_baseline_ppa is the paper's fixed-architecture
-    baseline, which the acceptance tests read."""
-    defined, named = set(), set()
+    """Every module-level function and class, method and property in
+    src/smemsynth/ is named by src/ code other than __init__'s re-exports,
+    or is in the README's Library API; test-only helpers live in tests/.
+    Dunder methods are called by the language.  A method counts as called
+    when any attribute of its name is read, whatever the object."""
+    defined, named = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        defined |= {n.name for n in tree.body
-                    if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef))}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[node.name] = node.name
+            if isinstance(node, ast.ClassDef):
+                defined |= {f"{node.name}.{m.name}": m.name for m in node.body
+                            if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not re.fullmatch(r"__\w+__", m.name)}
         if path.name != "__init__.py":
             named |= {getattr(n, "id", None) or getattr(n, "attr", None)
                       for n in ast.walk(tree)}
-    assert defined - named == {"traditional_baseline_ppa"}
+    assert {q for q, name in defined.items() if name not in named} == _LIBRARY_API
+    readme = (SRC.parent.parent / "README.md").read_text()
+    api = readme[readme.index("## Library API"):]
+    api = api[:api.index("\n## ")]
+    assert [q for q in sorted(_LIBRARY_API)
+            if not re.search(rf"\b{q.split('.')[-1]}\(", api)] == []
