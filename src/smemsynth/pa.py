@@ -100,8 +100,8 @@ SPEC_KEYS = ("m", "n", "a", "b", "pixel_bits", "boundary")
 # The budget of `smemsynth pa`, which verifies both designs at every window
 # origin: its memory follows the origins and the rdata width, and its time
 # the lanes read over all origins.  On a 2.1 GHz Xeon vCPU, specs at the
-# limits took 3-6 s and peaked at 210 MiB or less (9,9,2,2 with 1-bit
-# pixels, 9,9,0,0 with 1024-bit pixels); 10,10,1,1 took 13 s and 470 MiB.
+# limits took 2.6-5.3 s and peaked at 140 MiB or less (9,9,2,2 with 1-bit
+# pixels, 9,9,0,0 with 1024-bit pixels); 10,10,1,1 took 10 s and 170 MiB.
 MAX_ORIGINS_LOG2 = 18
 MAX_RDATA_BITS = 1 << 10
 MAX_LANE_READS = 1 << 22
@@ -155,38 +155,41 @@ def lane_shifts(spec: PAWindowSpec) -> list:
              for ry in range(by)] for rx in range(bx)]
 
 
-def _axis_plans(cells: list, clamp: bool) -> list:
-    """Per-coordinate plans along an axis whose pixel c is in cells[c].
+def axis_plans(spec: PAWindowSpec):
+    """(xs, ys): the access plan of every window corner on the surface.
 
-    Entry [c] is (c0, r, rows): the effective coordinate (clamped so the
-    window stays on the surface, else c itself), the rotation (the bank of
-    pixel c0, by storage_map's cells[c0] = (bank, row)) and the row issued
-    to each bank.  Banks that precede the rotation point take the next row
-    (carry), wrapping at the edge of the bank.
+    xs[x] = (x0, rx, rows) and ys[y] = (y0, ry, cols).  x0 is the
+    effective corner (clamped so the window stays on the surface, else x
+    itself), rx the rotation (the bank of pixel x0, by storage_map) and
+    rows[p] the row issued to the banks with x-index p; likewise along y.
+    Banks that precede the rotation point take the next row (carry),
+    wrapping at the edge of the bank.  A plan's rows depend only on x and
+    its columns only on y, so each axis is tabulated once per spec.
     """
-    side, banks = len(cells), 1 + max(bank for bank, _ in cells)
-    plans = []
-    for c in range(side):
-        c0 = min(c, side - banks) if clamp else c
-        r, base = cells[c0]
-        plans.append((c0, r, tuple((base + (p < r)) % (side // banks)
-                                   for p in range(banks))))
-    return plans
+    clamp = spec.boundary == "clamp"
+
+    def axis(cells, banks):
+        side = len(cells)
+        plans = []
+        for c in range(side):
+            c0 = min(c, side - banks) if clamp else c
+            r, base = cells[c0]
+            plans.append((c0, r, tuple((base + (p < r)) % (side // banks)
+                                       for p in range(banks))))
+        return plans
+    xcells, ycells = storage_map(spec)[:2]
+    return axis(xcells, spec.banks_x), axis(ycells, spec.banks_y)
 
 
 def window_planner(spec: PAWindowSpec):
-    """plan(x, y) -> ((x0, rx, rows), (y0, ry, cols)) for a window corner.
+    """plan(x, y) -> (xs[x], ys[y]) of axis_plans, for any window corner.
 
-    rows[p] is the row address issued to the banks with x-index p, cols[q]
-    the column address for y-index q; (rx, ry) is the rotation.  A corner
-    off the surface wraps toroidally, or clamps when the spec clamps.  A
-    plan's rows depend only on x and its columns only on y, so both axes
-    are tabulated once per spec.
+    A corner off the surface wraps toroidally, or clamps when the spec
+    clamps, onto the corner whose plans it takes.
     """
-    clamp = spec.boundary == "clamp"
-    xs, ys = (_axis_plans(cells, clamp) for cells in storage_map(spec)[:2])
+    xs, ys = axis_plans(spec)
     xm, ym = spec.image_w - 1, spec.image_h - 1
-    if not clamp:
+    if spec.boundary != "clamp":
         return lambda x, y: (xs[x & xm], ys[y & ym])
 
     def plan(x, y):
@@ -216,7 +219,7 @@ def window_cover(spec: PAWindowSpec):
 
 
 def check_plans(spec: PAWindowSpec) -> dict:
-    """Check window_planner against window_cover and storage_map.
+    """Check axis_plans against window_cover and storage_map.
 
     For every corner on the surface, the plan must start at the covered
     window's first pixel and its bank, and must send each bank the row
@@ -224,28 +227,28 @@ def check_plans(spec: PAWindowSpec) -> dict:
     wrong corner and each wrong address is one mismatch.  Each axis of a
     corner whose pixels share a bank is one conflict.  A sound spec
     reports 0 and 0.
-    """
-    xs, ys = window_cover(spec)
-    plan = window_planner(spec)
 
-    def expect(cover, cells):
-        # per corner: (first pixel, its bank), (bank, address) per pixel,
-        # and whether two pixels share a bank
-        return [((c[0], cells[c[0]][0]), [cells[p] for p in c],
-                 len({cells[p][0] for p in c}) != len(c)) for c in cover]
-    xe, ye = map(expect, (xs, ys), storage_map(spec)[:2])
-    mismatches = 0
-    for x, (x0, xaddrs, _) in enumerate(xe):
-        for y, (y0, yaddrs, _) in enumerate(ye):
-            (px0, rx, rows), (py0, ry, cols) = plan(x, y)
-            mismatches += (((px0, rx) != x0 or (py0, ry) != y0)
-                           + sum(rows[p] != row for p, row in xaddrs)
-                           + sum(cols[q] != col for q, col in yaddrs))
-    conflicts = (len(ye) * sum(e[2] for e in xe)
-                 + len(xe) * sum(e[2] for e in ye))
+    A corner's plan is the pair of its axes' entries, so each entry is
+    checked once and the counts over all W x H corners follow: a corner
+    is wrong when either axis starts wrong, and each wrong address on an
+    axis recurs once per corner along the other.
+    """
+    def check(cover, cells, plans):
+        # (entries that start wrong, wrong addresses, entries with a conflict)
+        starts = addrs = conflicts = 0
+        for c, (c0, r, issued) in zip(cover, plans, strict=True):
+            starts += (c0, r) != (c[0], cells[c[0]][0])
+            addrs += sum(issued[bank] != addr
+                         for bank, addr in (cells[p] for p in c))
+            conflicts += len({cells[p][0] for p in c}) != len(c)
+        return starts, addrs, conflicts
+    (sx, ax, cx), (sy, ay, cy) = map(check, window_cover(spec),
+                                     storage_map(spec)[:2], axis_plans(spec))
+    W, H = spec.image_w, spec.image_h
     return {"m": spec.m, "n": spec.n, "a": spec.a, "b": spec.b,
-            "boundary": spec.boundary, "origins": len(xe) * len(ye),
-            "mismatches": mismatches, "conflicts": conflicts}
+            "boundary": spec.boundary, "origins": W * H,
+            "mismatches": sx * H + sy * W - sx * sy + ax * H + ay * W,
+            "conflicts": cx * H + cy * W}
 
 
 # -- analytic PPA comparison ------------------------------------------------

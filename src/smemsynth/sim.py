@@ -21,7 +21,8 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate
+from functools import partial
+from itertools import accumulate, islice
 
 from . import explorer, netlist, pa
 from .baplus import Library, is_pow2
@@ -598,8 +599,10 @@ def verify_pa(spec: pa.PAWindowSpec, ir: netlist.NetlistIR, seed: int = 0) -> di
     rng = random.Random(seed * 1000003 + spec.m * 17 + spec.n * 13
                         + spec.a * 5 + spec.b)
     P = spec.pixel_bits
-    img = [[rng.randrange(1 << P) for _y in range(spec.image_h)]
-           for _x in range(spec.image_w)]
+    # rng.randrange(1 << P) per pixel, drawn as randrange draws it: P + 1
+    # random bits, drawn again while they reach 2^P
+    pixels = filter((1 << P).__gt__, iter(partial(rng.getrandbits, P + 1), -1))
+    img = [list(islice(pixels, spec.image_h)) for _x in range(spec.image_w)]
     # every pixel written, then a window read at every origin, one op per
     # cycle, made as the engine reads them
     def ops():

@@ -172,18 +172,13 @@ def test_pa_checks_the_plans_once(tmp_path, monkeypatch):
 
 
 def test_pa_fails_a_plan_without_carry(tmp_path, monkeypatch):
-    planner = pa.window_planner
+    plans = pa.axis_plans
 
     def no_carry(spec):
-        plan = planner(spec)
-
-        def carry_dropped(x, y):
-            # every bank gets the address of the bank holding the first pixel
-            (x0, rx, rows), (y0, ry, cols) = plan(x, y)
-            return ((x0, rx, (rows[rx],) * len(rows)),
-                    (y0, ry, (cols[ry],) * len(cols)))
-        return carry_dropped
-    monkeypatch.setattr(pa, "window_planner", no_carry)
+        # every bank gets the address of the bank holding the first pixel
+        return [[(c0, r, (addrs[r],) * len(addrs)) for c0, r, addrs in table]
+                for table in plans(spec)]
+    monkeypatch.setattr(pa, "axis_plans", no_carry)
     assert main(["pa", "--spec", "4,4,1,1", "--out", str(tmp_path)]) == 1
     spec = pa.PAWindowSpec(4, 4, 1, 1)
     plan_mismatches = pa.check_plans(spec)["mismatches"]

@@ -518,6 +518,56 @@ def test_verify_pa_streams_its_trace(monkeypatch):
     assert peak < 1 << 20, peak
 
 
+@pytest.mark.parametrize("pixel_bits", [1, 8, 16])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_verify_pa_image_is_pinned(monkeypatch, seed, pixel_bits):
+    """verify_pa writes pixel (x, y), x-major, with the next draw of
+    random.Random(seed * 1000003 + m*17 + n*13 + a*5 + b).randrange(2^P)."""
+    spec = PAWindowSpec(4, 3, 1, 1, pixel_bits=pixel_bits)
+    writes = []
+
+    def capturing(ir, trace):
+        writes.extend(op for op in trace if op[1] == "W")
+        return simulate(ir, trace)
+    monkeypatch.setattr("smemsynth.sim.simulate", capturing)
+    rep = verify_pa(spec, generate_pa(spec, "sm"), seed=seed)
+    rng = random.Random(seed * 1000003 + 4 * 17 + 3 * 13 + 1 * 5 + 1)
+    want = [(x * 8 + y, (x << 3) | y, rng.randrange(1 << pixel_bits))
+            for x in range(16) for y in range(8)]
+    assert [(cycle, addr, v) for cycle, _, addr, v in writes] == want
+    assert rep["mismatches"] == 0
+
+
+@pytest.mark.parametrize("boundary", ["wrap", "clamp"])
+@pytest.mark.parametrize("pixel_bits", [1, 4, 16])
+def test_pa_pixel_widths_match_reference(pixel_bits, boundary):
+    """Pixels of other widths than 8 land in their slots, and verify_pa
+    reads every window right.  A bank macro is a power of two wide, so
+    those are the widths a design can have."""
+    rng = random.Random(pixel_bits)
+    for m, n, a, b in [(4, 3, 1, 1), (3, 4, 2, 0), (3, 3, 1, 2)]:
+        spec = PAWindowSpec(m, n, a, b, pixel_bits=pixel_bits,
+                            boundary=boundary)
+        image = [[rng.getrandbits(pixel_bits) for _ in range(spec.image_h)]
+                 for _ in range(spec.image_w)]
+        tr = SimTrace()
+        for px in range(spec.image_w):
+            for py in range(spec.image_h):
+                tr.write((px << n) | py, image[px][py])
+        origins = [(rng.randrange(-4, spec.image_w + 4),
+                    rng.randrange(-4, spec.image_h + 4)) for _ in range(40)]
+        for ox, oy in origins:
+            tr.window(ox, oy)
+        base = spec.image_w * spec.image_h
+        want = [(base + i + 1, pa_reference(spec, image, ox, oy))
+                for i, (ox, oy) in enumerate(origins)]
+        for mode in ("sm", "tm"):
+            ir = generate_pa(spec, mode)
+            assert simulate(ir, tr).outputs == want, (spec, mode)
+            rep = verify_pa(spec, ir)
+            assert (rep["mismatches"], rep["warnings"]) == (0, 0), (spec, mode)
+
+
 def test_verify_pa_checks_meta():
     ir = generate_pa(PAWindowSpec(4, 4, 1, 1), "sm")
     with pytest.raises(SimError):
