@@ -283,14 +283,14 @@ def cmd_pa(args) -> int:
     bad = 0
     lines = [f"window m={spec.m} n={spec.n} a={spec.a} b={spec.b} "
              f"pixel_bits={spec.pixel_bits} boundary={spec.boundary}"]
-    for mode in ("sm", "tm"):
-        rep = sim.verify_pa(spec, irs[mode], seed=args.seed)
-        mismatches = rep["mismatches"] + plans["mismatches"]
+    rep = sim.verify_pa(spec, irs, seed=args.seed)
+    for mode, reads in rep["designs"].items():
+        mismatches = reads["mismatches"] + plans["mismatches"]
         bad += mismatches + plans["conflicts"]
         lines.append(f"{mode} origins={rep['origins']} "
                      f"mismatches={mismatches} "
                      f"conflicts={plans['conflicts']} "
-                     f"warnings={rep['warnings']}")
+                     f"warnings={reads['warnings']}")
     with open(out / "pa_verify.txt", "w") as fh:
         fh.write("\n".join(lines) + "\n")
     for line in lines[1:]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import explorer, netlist
-from .baplus import Library, TechParams, generate_variant, is_int
+from .baplus import Library, TechParams, generate_variant, is_int, is_pow2
 
 BOUNDARY_MODES = ("wrap", "clamp")
 
@@ -51,8 +51,9 @@ class PAWindowSpec:
             raise PAError(f"need 0 <= b <= n, got b={self.b}, n={self.n}")
         if self.m < 1 or self.n < 1:
             raise PAError("image must be at least 2x2")
-        if self.pixel_bits < 1:
-            raise PAError("pixel_bits must be positive")
+        if not is_pow2(self.pixel_bits):
+            # a bank macro is a power of two wide
+            raise PAError(f"pixel_bits must be a power of two, got {self.pixel_bits}")
         if self.boundary not in BOUNDARY_MODES:
             raise PAError(f"boundary must be one of {BOUNDARY_MODES}")
 
@@ -100,8 +101,8 @@ SPEC_KEYS = ("m", "n", "a", "b", "pixel_bits", "boundary")
 # The budget of `smemsynth pa`, which verifies both designs at every window
 # origin: its memory follows the origins and the rdata width, and its time
 # the lanes read over all origins.  On a 2.1 GHz Xeon vCPU, specs at the
-# limits took 2.6-5.3 s and peaked at 140 MiB or less (9,9,2,2 with 1-bit
-# pixels, 9,9,0,0 with 1024-bit pixels); 10,10,1,1 took 10 s and 170 MiB.
+# limits took 1.4-3.7 s and peaked at 70 MiB or less (9,9,2,2 with 1-bit
+# pixels, 9,9,0,0 with 1024-bit pixels); 10,10,1,1 took 5.5 s and 74 MiB.
 MAX_ORIGINS_LOG2 = 18
 MAX_RDATA_BITS = 1 << 10
 MAX_LANE_READS = 1 << 22

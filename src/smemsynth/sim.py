@@ -22,7 +22,8 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice, repeat
+from operator import lshift, or_
 
 from . import explorer, netlist, pa
 from .baplus import Library, is_pow2
@@ -306,7 +307,7 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 # -- 1R-1W engine -----------------------------------------------------------
 
-def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
+def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
     meta = ir.meta
     _check_figures(meta, "netlist meta", *"RCKMBW", "e_wire_op_fj",
                    "p_leak_nw", "t_cycle_ps")
@@ -331,7 +332,6 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
 
     mem: dict[int, int] = {}   # written words only: memory follows the trace
     poison = (1 << bits) - 1
-    outputs = []
     warnings = []
     addr_reads: dict[int, int] = {}
     addr_writes: dict[int, int] = {}
@@ -345,7 +345,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
             if v is None:
                 v = poison
                 warnings.append((cycle, a))
-            outputs.append((cycle + 1, v))
+            emit((cycle + 1, v))
             addr_reads[a] = addr_reads.get(a, 0) + 1
         elif kind == "W":
             if not 0 <= a < words:
@@ -357,7 +357,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
         elif kind == "WIN":
             raise SimError("window reads apply to parallel-access designs only")
 
-    reads = len(outputs)
+    reads = sum(addr_reads.values())
     ops = reads + sum(addr_writes.values())
     act = {"__wire__": ops, "dec": ops}
     if M > 1:
@@ -376,7 +376,7 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict):
                 act[f"{bank}/ba_{k}{suffix}"] = act.get(f"{bank}/ba_{k}{suffix}", 0) + n
                 if suffix == ":read":
                     act[f"{bank}/tri_{k}"] = act.get(f"{bank}/tri_{k}", 0) + n
-    return outputs, act, Warnings(warnings, _read_warning, len(warnings)), cycle + 1
+    return act, Warnings(warnings, _read_warning, len(warnings)), cycle + 1
 
 
 def _read_warning(record, prefix) -> str:
@@ -405,7 +405,7 @@ def _pa_common(ir: netlist.NetlistIR, by_kind: dict):
     return spec
 
 
-def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
+def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
     spec = _pa_common(ir, by_kind)
     incs = by_kind["pa_increment"]
     if mode == "sm":
@@ -434,7 +434,7 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
     labels = {bi: f"{p},{q}" for p, banks in enumerate(bank)
               for q, bi in enumerate(banks)}
     mem = [[None] * spec.bank_words for _ in range(spec.lanes)]
-    outputs = []
+    reads = 0
     # (cycle, x, y, the labels of the banks whose lane is uninitialized)
     warnings = []
     unset_lanes = 0
@@ -455,7 +455,8 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
                         v = pmask
                         unset.append(labels[bi])
                     out |= v << shifts[bi]
-            outputs.append((cycle + 1, out))
+            emit((cycle + 1, out))
+            reads += 1
             if unset:
                 warnings.append((cycle, x, y, unset))
                 unset_lanes += len(unset)
@@ -472,7 +473,6 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
         elif kind == "R":
             raise SimError("single-address reads apply to 1R-1W designs only")
 
-    reads = len(outputs)
     ops = reads + sum(bank_writes)
     act = {"__wire__": ops, "align": reads}
     if spec.lanes > 1:
@@ -504,24 +504,33 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, mode: str):
         tail = f") in window at ({x},{y})\n"
         return head + (tail + head).join(unset) + tail
 
-    return outputs, act, Warnings(warnings, lanes, unset_lanes), cycle + 1
+    return act, Warnings(warnings, lanes, unset_lanes), cycle + 1
 
 
-def simulate(ir: netlist.NetlistIR, trace: SimTrace | TraceFile) -> SimResult:
-    """Check `ir`'s structure, then run the ops of `trace` on it in one pass.
+def _run(ir: netlist.NetlistIR, trace, emit):
+    """Check `ir`'s structure, then run the ops of `trace` on it in one
+    pass, handing each read's (cycle, value) to `emit` as it is made.
 
-    The engines read each op once, in order, so a TraceFile streams from
-    its file: memory follows the outputs and the warnings' records, not
-    the trace.
+    Returns (activity, warnings, cycles).  The engines read each op once,
+    in order, so a TraceFile streams from its file.
     """
     design = ir.meta.get("design")
     if design not in ("sram_1r1w", "pa_sm", "pa_tm"):
         raise SimError(f"no engine for design {design!r}")
     by_kind = _check_cells(ir)
     if design == "sram_1r1w":
-        outputs, act, warnings, cycles = _sim_sram(ir, trace, by_kind)
-    else:
-        outputs, act, warnings, cycles = _sim_pa(ir, trace, by_kind, design[3:])
+        return _sim_sram(ir, trace, by_kind, emit)
+    return _sim_pa(ir, trace, by_kind, emit, design[3:])
+
+
+def simulate(ir: netlist.NetlistIR, trace: SimTrace | TraceFile) -> SimResult:
+    """Check `ir`'s structure, then run the ops of `trace` on it in one pass.
+
+    Memory follows the outputs and the warnings' records, not the trace:
+    a TraceFile streams from its file.
+    """
+    outputs = []
+    act, warnings, cycles = _run(ir, trace, outputs.append)
     return SimResult(outputs, act, _price(ir, act, cycles), cycles, warnings, ir)
 
 
@@ -582,57 +591,92 @@ class _Ops:
         return self._count
 
 
-def verify_pa(spec: pa.PAWindowSpec, ir: netlist.NetlistIR, seed: int = 0) -> dict:
-    """Load a pseudorandom image into the netlist, read a window at every
-    corner on the surface, and compare each read with pa.window_cover.
+def _or_runs(runs: list, width: int):
+    """The element-wise OR of the int sequences `runs`, the d-th shifted
+    d * width bits up."""
+    out = runs[0]
+    for d in range(1, len(runs)):
+        out = map(or_, out, map(lshift, runs[d], repeat(d * width)))
+    return out
+
+
+def _expected_windows(img: list, cover, pixel_bits: int) -> list:
+    """The rdata of a window read at every corner, x-major: the window
+    at corner (x, y) holds pixel (xs[x][dx], ys[y][dy]) of `img`, a list
+    of columns, in slot dx * len(ys[y]) + dy, for the (xs, ys) of
+    pa.window_cover.
+
+    Each column's pixels are packed once under every y cover, into runs
+    of len(ys[y]) slots; each corner then ORs the runs of its columns.  A
+    column's runs are dropped after the last corner that reads them.
+    """
+    xs, ys = cover
+    slots = list(zip(*ys))          # slots[dy][y] = ys[y][dy]
+    run = len(slots) * pixel_bits
+    last = {px: x for x, xcov in enumerate(xs) for px in xcov}
+    packed = {}
+    table = []
+    for x, xcov in enumerate(xs):
+        runs = []
+        for px in xcov:
+            if px not in packed:
+                get = img[px].__getitem__
+                packed[px] = list(_or_runs([map(get, s) for s in slots], pixel_bits))
+            runs.append(packed[px] if last[px] != x else packed.pop(px))
+        table.extend(_or_runs(runs, run))
+    return table
+
+
+def verify_pa(spec: pa.PAWindowSpec, irs: dict, seed: int = 0) -> dict:
+    """Load one pseudorandom image into each netlist of `irs` (name ->
+    netlist of `spec`), read a window at every corner on the surface, and
+    compare each read, as the engine makes it, with pa.window_cover.
 
     A read that differs from the covered pixels, or arrives on the wrong
-    cycle, is a mismatch; a clean netlist reports 0.  The access plans are
-    pa.check_plans' to check, once per spec.
+    cycle, is a mismatch.  The report holds the spec, `origins` (the
+    corners each netlist reads) and, under `designs`, each name's
+    `mismatches` and `warnings`; a clean netlist reports 0 and 0.  The
+    access plans are pa.check_plans' to check, once per spec.
     """
     spec.validate()
-    if ir.meta.get("design") not in ("pa_sm", "pa_tm"):
-        raise SimError("verify_pa needs a parallel-access netlist")
-    for k in pa.SPEC_KEYS:
-        if ir.meta.get(k) != getattr(spec, k):
-            raise SimError(f"netlist {k}={ir.meta.get(k)!r} does not match spec")
+    for ir in irs.values():
+        if ir.meta.get("design") not in ("pa_sm", "pa_tm"):
+            raise SimError("verify_pa needs a parallel-access netlist")
+        for k in pa.SPEC_KEYS:
+            if ir.meta.get(k) != getattr(spec, k):
+                raise SimError(f"netlist {k}={ir.meta.get(k)!r} does not match spec")
     rng = random.Random(seed * 1000003 + spec.m * 17 + spec.n * 13
                         + spec.a * 5 + spec.b)
     P = spec.pixel_bits
+    W, H = spec.image_w, spec.image_h
     # rng.randrange(1 << P) per pixel, drawn as randrange draws it: P + 1
     # random bits, drawn again while they reach 2^P
     pixels = filter((1 << P).__gt__, iter(partial(rng.getrandbits, P + 1), -1))
-    img = [list(islice(pixels, spec.image_h)) for _x in range(spec.image_w)]
+    img = [list(islice(pixels, H)) for _x in range(W)]
     # every pixel written, then a window read at every origin, one op per
     # cycle, made as the engine reads them
     def ops():
         cycle = 0
-        for x in range(spec.image_w):
+        for x in range(W):
             column = img[x]
-            for y in range(spec.image_h):
+            for y in range(H):
                 yield cycle, "W", (x << spec.n) | y, column[y]
                 cycle += 1
-        for x in range(spec.image_w):
-            for y in range(spec.image_h):
+        for x in range(W):
+            for y in range(H):
                 yield cycle, "WIN", x, y
                 cycle += 1
-    result = simulate(ir, _Ops(ops, 2 * spec.image_w * spec.image_h))
-    xs, ys = pa.window_cover(spec)
-    reads = iter(result.outputs)
-    cycle = spec.image_w * spec.image_h
-    mismatches = 0
-    for xcov in xs:
-        for ycov in ys:
-            expect = 0
-            slot = 0
-            for px in xcov:
-                column = img[px]
-                for py in ycov:
-                    expect |= column[py] << slot
-                    slot += P
-            cycle += 1
-            if next(reads) != (cycle, expect):
-                mismatches += 1
+    trace = _Ops(ops, 2 * W * H)
+    expected = _expected_windows(img, pa.window_cover(spec), P)
+    designs = {}
+    for name, ir in irs.items():
+        misses = count()
+
+        def check(out, want=zip(count(W * H + 1), expected).__next__,
+                  miss=misses.__next__):
+            if out != want():
+                miss()
+        _act, warnings, _cycles = _run(ir, trace, check)
+        designs[name] = {"mismatches": next(misses), "warnings": len(warnings)}
     return {"m": spec.m, "n": spec.n, "a": spec.a, "b": spec.b,
-            "boundary": spec.boundary, "origins": len(xs) * len(ys),
-            "mismatches": mismatches, "warnings": len(result.warnings)}
+            "boundary": spec.boundary, "origins": W * H, "designs": designs}

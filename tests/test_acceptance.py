@@ -58,10 +58,11 @@ def test_criterion_1_pa_correctness():
     with Timer("1 PA conflict-freedom & window correctness", 60):
         for m, n, a, b in pa_sweep():
             spec = PAWindowSpec(m, n, a, b)
-            rep = verify_pa(spec, generate_pa(spec, "sm"))
+            rep = verify_pa(spec, {"sm": generate_pa(spec, "sm")})
             plans = check_plans(spec)
             assert rep["origins"] == spec.image_w * spec.image_h
-            assert rep["mismatches"] + plans["mismatches"] == 0, (m, n, a, b)
+            assert rep["designs"]["sm"]["mismatches"] + plans["mismatches"] == 0, \
+                (m, n, a, b)
             assert plans["conflicts"] == 0, (m, n, a, b)
 
 

@@ -184,11 +184,28 @@ def test_pa_fails_a_plan_without_carry(tmp_path, monkeypatch):
     plan_mismatches = pa.check_plans(spec)["mismatches"]
     lines = _pa_lines(tmp_path)
     assert plan_mismatches > 0 and len(lines) == 2
-    for mode, line in zip(("sm", "tm"), lines):
+    rep = sim.verify_pa(spec, {mode: pa.generate_pa(spec, mode) for mode in ("sm", "tm")})
+    for (mode, reads), line in zip(rep["designs"].items(), lines):
         # the netlists run the same plans, so they read wrong windows too
-        reads = sim.verify_pa(spec, pa.generate_pa(spec, mode))["mismatches"]
-        assert reads > 0
-        assert int(line["mismatches"]) == reads + plan_mismatches
+        assert reads["mismatches"] > 0
+        assert int(line["mismatches"]) == reads["mismatches"] + plan_mismatches
+
+
+@pytest.mark.parametrize("how", ["spec", "flag"])
+def test_pa_rejects_pixel_bits_not_a_power_of_two(tmp_path, capsys, how):
+    """A bank macro is a power of two wide, so pa refuses other pixel
+    widths up front, naming pixel_bits, and writes no file."""
+    if how == "spec":
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"m": 3, "n": 3, "a": 1, "b": 1, "pixel_bits": 5}))
+        argv = ["--spec", str(path)]
+    else:
+        argv = ["--spec", "3,3,1,1", "--pixel-bits", "12"]
+    out = tmp_path / "out"
+    assert main(["pa", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smemsynth pa: ") and "pixel_bits" in err
+    assert not list(out.iterdir())
 
 
 def test_pa_fails_swapped_output_slots(tmp_path, monkeypatch):

@@ -1,15 +1,18 @@
 """Cycle-level simulation: functional oracles, energy accounting, PA sweep."""
 
+import itertools
 import random
 import tracemalloc
 
 import pytest
 
+from smemsynth import pa, sim
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
 from smemsynth.netlist import emit_netlist, generate_sram, parse_netlist
-from smemsynth.pa import PAWindowSpec, check_plans, compare_pa_ppa, generate_pa
+from smemsynth.pa import (PAWindowSpec, check_plans, compare_pa_ppa, generate_pa,
+                          window_cover)
 from smemsynth.sim import (SimError, SimTrace, TraceError, TraceFile, Warnings,
                            energy_report, leak_fj, simulate, verify_pa)
 
@@ -485,37 +488,57 @@ def test_pa_read_during_write_old_data():
 
 def test_verify_pa_frozen():
     spec = PAWindowSpec(5, 5, 1, 1)
-    for mode in ("sm", "tm"):
-        rep = verify_pa(spec, generate_pa(spec, mode))
-        assert rep["origins"] == 1024
-        assert rep["mismatches"] == 0
-        assert rep["warnings"] == 0
+    rep = verify_pa(spec, {mode: generate_pa(spec, mode) for mode in ("sm", "tm")})
+    assert rep["origins"] == 1024
+    assert rep["designs"] == {"sm": {"mismatches": 0, "warnings": 0},
+                              "tm": {"mismatches": 0, "warnings": 0}}
     assert check_plans(spec)["conflicts"] == 0
 
 
 def test_verify_pa_streams_its_trace(monkeypatch):
     """verify_pa makes its 2·W·H ops as the engine reads them: on 6,6,1,1
     its tracemalloc peak is 0.55 MiB, against 1.5 MiB with the ops in a
-    list.  simulate gets a trace whose len() is that op count."""
+    list.  Each design's engine run gets a trace whose len() is that op
+    count."""
     spec = PAWindowSpec(6, 6, 1, 1)
-    ir = generate_pa(spec, "tm")
+    irs = {mode: generate_pa(spec, mode) for mode in ("sm", "tm")}
     counted = []
+    run = sim._run
 
-    def counting(ir, trace):
-        res = simulate(ir, trace)
+    def counting(ir, trace, emit):
+        res = run(ir, trace, emit)
         counted.append(len(trace))
         return res
-    monkeypatch.setattr("smemsynth.sim.simulate", counting)
+    monkeypatch.setattr(sim, "_run", counting)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        rep = verify_pa(spec, ir)
+        rep = verify_pa(spec, irs)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert rep["mismatches"] == 0 and rep["origins"] == 64 * 64
-    assert counted == [2 * 64 * 64]
+    assert rep["origins"] == 64 * 64
+    assert [d["mismatches"] for d in rep["designs"].values()] == [0, 0]
+    assert counted == [2 * 64 * 64] * 2
     assert peak < 1 << 20, peak
+
+
+def test_verify_pa_holds_no_list_of_reads():
+    """verify_pa compares each read as the engine makes it, against one
+    table of expected windows both designs share: sm and tm of 8,8,1,1
+    peak at 3.7 MiB together under tracemalloc, where a list of one
+    design's 65,536 reads alone was 7.9 MiB."""
+    spec = PAWindowSpec(8, 8, 1, 1)
+    irs = {mode: generate_pa(spec, mode) for mode in ("sm", "tm")}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = verify_pa(spec, irs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert [d["mismatches"] for d in rep["designs"].values()] == [0, 0]
+    assert peak < 5 << 20, peak
 
 
 @pytest.mark.parametrize("pixel_bits", [1, 8, 16])
@@ -526,16 +549,18 @@ def test_verify_pa_image_is_pinned(monkeypatch, seed, pixel_bits):
     spec = PAWindowSpec(4, 3, 1, 1, pixel_bits=pixel_bits)
     writes = []
 
-    def capturing(ir, trace):
+    run = sim._run
+
+    def capturing(ir, trace, emit):
         writes.extend(op for op in trace if op[1] == "W")
-        return simulate(ir, trace)
-    monkeypatch.setattr("smemsynth.sim.simulate", capturing)
-    rep = verify_pa(spec, generate_pa(spec, "sm"), seed=seed)
+        return run(ir, trace, emit)
+    monkeypatch.setattr(sim, "_run", capturing)
+    rep = verify_pa(spec, {"sm": generate_pa(spec, "sm")}, seed=seed)
     rng = random.Random(seed * 1000003 + 4 * 17 + 3 * 13 + 1 * 5 + 1)
     want = [(x * 8 + y, (x << 3) | y, rng.randrange(1 << pixel_bits))
             for x in range(16) for y in range(8)]
     assert [(cycle, addr, v) for cycle, _, addr, v in writes] == want
-    assert rep["mismatches"] == 0
+    assert rep["designs"]["sm"]["mismatches"] == 0
 
 
 @pytest.mark.parametrize("boundary", ["wrap", "clamp"])
@@ -561,17 +586,152 @@ def test_pa_pixel_widths_match_reference(pixel_bits, boundary):
         base = spec.image_w * spec.image_h
         want = [(base + i + 1, pa_reference(spec, image, ox, oy))
                 for i, (ox, oy) in enumerate(origins)]
-        for mode in ("sm", "tm"):
-            ir = generate_pa(spec, mode)
+        irs = {mode: generate_pa(spec, mode) for mode in ("sm", "tm")}
+        for mode, ir in irs.items():
             assert simulate(ir, tr).outputs == want, (spec, mode)
-            rep = verify_pa(spec, ir)
-            assert (rep["mismatches"], rep["warnings"]) == (0, 0), (spec, mode)
+        assert verify_pa(spec, irs)["designs"] == {
+            mode: {"mismatches": 0, "warnings": 0} for mode in irs}, spec
 
 
 def test_verify_pa_checks_meta():
     ir = generate_pa(PAWindowSpec(4, 4, 1, 1), "sm")
     with pytest.raises(SimError):
-        verify_pa(PAWindowSpec(5, 4, 1, 1), ir)
+        verify_pa(PAWindowSpec(5, 4, 1, 1), {"sm": ir})
+    with pytest.raises(SimError):
+        verify_pa(PAWindowSpec(5, 4, 1, 1),
+                  {"sm": generate_pa(PAWindowSpec(5, 4, 1, 1), "sm"), "tm": ir})
+
+
+def cover_order_windows(img, cover, pixel_bits):
+    """The window read at every corner, x-major, built one pixel at a time
+    in cover order: slot dx * len(ycov) + dy holds img[xcov[dx]][ycov[dy]]."""
+    xs, ys = cover
+    table = []
+    for xcov in xs:
+        for ycov in ys:
+            expect = 0
+            slot = 0
+            for px in xcov:
+                column = img[px]
+                for py in ycov:
+                    expect |= column[py] << slot
+                    slot += pixel_bits
+            table.append(expect)
+    return table
+
+
+def reference_verify(spec, ir, seed=0):
+    """(mismatches, warnings) of verify_pa for one netlist, from the whole
+    list of simulate's outputs against cover_order_windows of verify_pa's
+    image (pinned by test_verify_pa_image_is_pinned)."""
+    rng = random.Random(seed * 1000003 + spec.m * 17 + spec.n * 13
+                        + spec.a * 5 + spec.b)
+    W, H = spec.image_w, spec.image_h
+    img = [[rng.randrange(1 << spec.pixel_bits) for _y in range(H)]
+           for _x in range(W)]
+    tr = SimTrace()
+    for x in range(W):
+        for y in range(H):
+            tr.write((x << spec.n) | y, img[x][y])
+    for x in range(W):
+        for y in range(H):
+            tr.window(x, y)
+    res = simulate(ir, tr)
+    want = cover_order_windows(img, window_cover(spec), spec.pixel_bits)
+    mismatches = sum(got != (W * H + i + 1, v)
+                     for i, (got, v) in enumerate(zip(res.outputs, want, strict=True)))
+    return mismatches, len(res.warnings)
+
+
+# wrap and clamp, a = 0 and b = 0, and 1- and 64-bit pixels
+ORACLE_SPECS = [PAWindowSpec(*s, pixel_bits=p, boundary=bd) for s, p, bd in [
+    ((4, 3, 1, 1), 8, "wrap"), ((4, 3, 1, 1), 8, "clamp"),
+    ((3, 4, 0, 2), 1, "wrap"), ((4, 3, 2, 0), 64, "clamp"),
+    ((3, 3, 0, 0), 64, "wrap"), ((4, 4, 2, 1), 1, "clamp"),
+    ((3, 4, 1, 2), 64, "wrap"),
+]]
+
+
+def _spec_id(v):
+    if isinstance(v, PAWindowSpec):
+        return f"{v.m},{v.n},{v.a},{v.b}-{v.pixel_bits}b-{v.boundary}"
+    return str(v)
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=_spec_id)
+def test_expected_windows_match_cover_order(spec):
+    """The per-axis table of expected windows is the pixel-at-a-time loop
+    over pa.window_cover."""
+    rng = random.Random(str(spec))
+    img = [[rng.getrandbits(spec.pixel_bits) for _y in range(spec.image_h)]
+           for _x in range(spec.image_w)]
+    cover = window_cover(spec)
+    assert sim._expected_windows(img, cover, spec.pixel_bits) \
+        == cover_order_windows(img, cover, spec.pixel_bits)
+
+
+def _swap_banks_0_and_1(lane_shifts):
+    def swapped(spec):
+        shifts = lane_shifts(spec)
+        for t in (t for per_rx in shifts for t in per_rx):
+            t[0], t[1] = t[1], t[0]
+        return shifts
+    return swapped
+
+
+def _no_carry_on(axis_plans, axis):
+    def plans(spec):
+        # the banks of one axis all get the address of its first pixel's bank
+        tables = list(axis_plans(spec))
+        tables[axis] = [(c0, r, (addrs[r],) * len(addrs))
+                        for c0, r, addrs in tables[axis]]
+        return tables
+    return plans
+
+
+# each fault on the specs it can break: banks 0 and 1 need two lanes, and
+# a carry needs two banks along its axis
+FAULTS = [(spec, fault) for spec in ORACLE_SPECS
+          for fault, breaks in (("lanes", spec.lanes > 1), ("carry_x", spec.a > 0),
+                                ("carry_y", spec.b > 0)) if breaks]
+
+
+@pytest.mark.parametrize("spec, fault", FAULTS, ids=_spec_id)
+def test_verify_pa_counts_as_the_reference(monkeypatch, spec, fault):
+    """Under a partial fault, each design's mismatches and warnings are
+    those of the reference: simulate's outputs against the pixel-at-a-time
+    windows.  The faults are banks 0 and 1 trading output slots, and the
+    carry dropped on one axis of the plans."""
+    if fault == "lanes":
+        monkeypatch.setattr(pa, "lane_shifts", _swap_banks_0_and_1(pa.lane_shifts))
+    else:
+        axis = "xy".index(fault[-1])
+        monkeypatch.setattr(pa, "axis_plans", _no_carry_on(pa.axis_plans, axis))
+    irs = {mode: generate_pa(spec, mode) for mode in ("sm", "tm")}
+    rep = verify_pa(spec, irs, seed=3)
+    want = {mode: reference_verify(spec, ir, seed=3) for mode, ir in irs.items()}
+    assert all(mismatches for mismatches, _ in want.values()), want
+    assert {mode: (d["mismatches"], d["warnings"])
+            for mode, d in rep["designs"].items()} == want
+
+
+def test_verify_pa_counts_a_late_read(monkeypatch):
+    """A read with the right value on the wrong cycle is a mismatch, and
+    counts for its own design only."""
+    spec = PAWindowSpec(4, 4, 1, 1)
+    sim_pa = sim._sim_pa
+
+    def late_in_sm(ir, trace, by_kind, emit, mode):
+        if mode == "sm":
+            # every third read arrives a cycle late
+            def late(out, n=itertools.count().__next__):
+                emit((out[0] + 1, out[1]) if n() % 3 == 0 else out)
+            return sim_pa(ir, trace, by_kind, late, mode)
+        return sim_pa(ir, trace, by_kind, emit, mode)
+    monkeypatch.setattr(sim, "_sim_pa", late_in_sm)
+    rep = verify_pa(spec, {mode: generate_pa(spec, mode) for mode in ("sm", "tm")})
+    assert rep["designs"] == {"sm": {"mismatches": 86, "warnings": 0},
+                              "tm": {"mismatches": 0, "warnings": 0}}
 
 
 def test_unknown_design_rejected():
@@ -614,6 +774,7 @@ def _edit_meta(src, dst, key, value):
     ("sram", "e_wire_op_fj", "-1"), ("sram", "R", None), ("sram", "K", "3"),
     ("sram", "W", "inf"), ("pa_sm", "m", None), ("pa_sm", "boundary", None),
     ("pa_tm", "t_cycle_ps", "inf"), ("pa_tm", "a", "-1"),
+    ("pa_sm", "pixel_bits", "12"),
 ])
 def test_sim_rejects_malformed_meta(tmp_path, capsys, design, key, value):
     """Every meta figure an engine reads must exist and be a finite number
