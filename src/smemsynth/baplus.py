@@ -136,9 +136,41 @@ class TechParams:
             if v < 0:
                 raise LibraryError(f"tech parameter {f.name} must be >= 0, got {v}")
 
+    # A formula over the coefficients that more than one model uses is
+    # written once, here.
+    def pitches_nm(self, n) -> int:
+        """`n` poly pitches in whole nanometres, as the realized floorplan
+        places them, so an estimate equals the realized bounding box."""
+        return round(n * self.poly_pitch_nm)
+
+    def tracks_nm(self, n) -> int:
+        """`n` routing tracks in whole nanometres."""
+        return round(n * self.track_pitch_nm)
+
+    def gutter_nm(self) -> int:
+        """The gap between two adjacent macros in a row."""
+        return self.pitches_nm(self.gutter_pitches)
+
+    def t_dec_ps(self, bits) -> float:
+        """Delay of a decode of `bits` address bits."""
+        return self.d0_ps + self.d1_ps * bits
+
+    def t_mux_ps(self, bits) -> float:
+        """Delay of a 2^`bits`-way mux or alignment network."""
+        return self.m0_ps + self.m1_ps * bits
+
     def e_dec_fj(self, bits) -> float:
         """Energy of one decode of `bits` address bits."""
         return self.e_dec0_fj + self.e_dec1_fj * bits
+
+    def e_wire_fj(self, w_nm, h_nm) -> float:
+        """Output wiring energy of one access to a w_nm x h_nm die."""
+        return self.e_wire_per_um_fj * ((w_nm + h_nm) / 1e3)
+
+    def placed_logic_area(self, area) -> float:
+        """Die area that synthesized logic of `area` takes when placed at
+        the target utilization, in the unit of `area`."""
+        return area / self.utilization
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -202,10 +234,10 @@ class BAPlusMacro:
             raise ValueError(f"{self.name}: leakage must be positive")
 
     def width_nm(self, tech: TechParams) -> int:
-        return round(self.width_pitches * tech.poly_pitch_nm)
+        return tech.pitches_nm(self.width_pitches)
 
     def height_nm(self, tech: TechParams) -> int:
-        return round(self.height_tracks * tech.track_pitch_nm)
+        return tech.tracks_nm(self.height_tracks)
 
     def area_um2(self, tech: TechParams) -> float:
         return self.width_nm(tech) * self.height_nm(tech) / 1e6
@@ -292,19 +324,8 @@ def save_library(lib, path) -> None:
         raise LibraryError("refusing to save an empty library")
     doc = {
         "tech": lib.tech.to_dict(),
-        "macros": [
-            {
-                "name": m.name, "B": m.B, "W": m.W,
-                "height_tracks": m.height_tracks,
-                "width_pitches": m.width_pitches,
-                "t_access_ps": m.t_access_ps,
-                "e_read_fj": m.e_read_fj,
-                "e_write_fj": m.e_write_fj,
-                "p_leak_nw": m.p_leak_nw,
-                "pins": [list(p) for p in m.pins],
-            }
-            for m in lib.macros
-        ],
+        "macros": [{k: getattr(m, k) for k in MACRO_KEYS[:-1]}
+                   | {"pins": [list(p) for p in m.pins]} for m in lib.macros],
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)

@@ -214,9 +214,8 @@ def enumerate_configs(spec: UserSpec, lib: Library,
                 cfg = MemoryConfig(macro.name, r, c, k, m_mux)
                 if spec.aspect_ratio_target is not None:
                     w, h = floorplan.estimate_dimensions(cfg, lib)
-                    ar = h / w
-                    if abs(ar - spec.aspect_ratio_target) > \
-                            spec.aspect_ratio_tol * spec.aspect_ratio_target:
+                    if floorplan.misses_aspect_ratio(
+                            h / w, spec.aspect_ratio_target, spec.aspect_ratio_tol):
                         continue
                 out.append(cfg)
     out.sort(key=MemoryConfig.key)
@@ -237,18 +236,17 @@ def evaluate_ppa(cfg: MemoryConfig, lib: Library) -> PPAEstimate:
     macro = lib[cfg.variant]
     amap = cfg.address_map(lib)
 
-    t = tech.d0_ps + tech.d1_ps * amap.width + macro.t_access_ps
+    t = tech.t_dec_ps(amap.width) + macro.t_access_ps
     if cfg.R * cfg.K > 1:
         t += tech.g0_ps + tech.g1_ps * cfg.K
     if cfg.M > 1:
-        t += tech.m0_ps + tech.m1_ps * amap.lM
+        t += tech.t_mux_ps(amap.lM)
 
     w_nm, h_nm = floorplan.estimate_dimensions(cfg, lib)
     area = w_nm * h_nm / 1e6
-    semiperim_um = (w_nm + h_nm) / 1e3
 
     e_op = (tech.e_dec_fj(amap.width) + cfg.C * macro.e_read_fj
-            + tech.e_wire_per_um_fj * semiperim_um)
+            + tech.e_wire_fj(w_nm, h_nm))
     p_leak = cfg.R * cfg.C * cfg.K * macro.p_leak_nw + tech.p_leak_periph_nw
     return PPAEstimate(area, t, e_op, p_leak).check_finite(ConfigError, cfg)
 

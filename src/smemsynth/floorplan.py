@@ -52,10 +52,10 @@ def _grid_dims(cfg, lib: Library):
     m = lib[cfg.variant]
     macro_w = m.width_nm(tech)
     macro_h = m.height_nm(tech)
-    gutter = round(tech.gutter_pitches * tech.poly_pitch_nm)
-    periph_w = round(tech.periph_w_pitches * tech.poly_pitch_nm)
-    bank_ph = round(tech.bank_periph_h_tracks * tech.track_pitch_nm)
-    global_ph = round(tech.global_periph_h_tracks * tech.track_pitch_nm)
+    gutter = tech.gutter_nm()
+    periph_w = tech.pitches_nm(tech.periph_w_pitches)
+    bank_ph = tech.tracks_nm(tech.bank_periph_h_tracks)
+    global_ph = tech.tracks_nm(tech.global_periph_h_tracks)
     return macro_w, macro_h, gutter, periph_w, bank_ph, global_ph
 
 
@@ -88,7 +88,8 @@ def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
     extra_h = 0
     if logic_area_um2 > 0:
         # inflate by utilization, spread across the die width
-        extra_h = -(-round(logic_area_um2 * 1e6 / tech.utilization) // die_w)
+        placed_nm2 = round(tech.placed_logic_area(logic_area_um2 * 1e6))
+        extra_h = -(-placed_nm2 // die_w)
     bottom_h = global_ph + extra_h
     die_h += extra_h
 
@@ -107,8 +108,8 @@ def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
             rects.append(Rect(f"bank_{r}_{c}/ctrl", "periph_region",
                               x0, y0 + cfg.K * macro_h, macro_w, bank_ph))
 
-    rail_pitch = round(tech.rail_pitch_tracks * tech.track_pitch_nm)
-    rail_h = max(1, round(tech.track_pitch_nm) // 2)
+    rail_pitch = tech.tracks_nm(tech.rail_pitch_tracks)
+    rail_h = max(1, tech.tracks_nm(1) // 2)
     # every rail-pitch multiple whose full height still fits on the die
     n_rails = (die_h - rail_h) // rail_pitch + 1
     for i in range(n_rails):
@@ -123,8 +124,8 @@ def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
                  + ["clk", "re", "we"]
                  + [f"wdata[{i}]" for i in range(bits)]
                  + [f"rdata[{i}]" for i in range(bits)])
-    pin_w = round(tech.poly_pitch_nm)
-    pin_h = round(tech.track_pitch_nm)
+    pin_w = tech.pitches_nm(1)
+    pin_h = tech.tracks_nm(1)
     step = die_h / (len(pin_names) + 1)
     for i, pn in enumerate(pin_names):
         y = min(die_h - pin_h, max(0, round((i + 1) * step) - pin_h // 2))
@@ -136,8 +137,14 @@ def realize(cfg, lib: Library, logic_area_um2: float = 0.0, *,
 
     fp = Floorplan(die_w, die_h, rects)
     if ar_target is not None:
-        fp.ar_miss = abs(fp.aspect_ratio - ar_target) > ar_tol * ar_target
+        fp.ar_miss = misses_aspect_ratio(fp.aspect_ratio, ar_target, ar_tol)
     return fp
+
+
+def misses_aspect_ratio(ar: float, target: float, tol: float) -> bool:
+    """Whether aspect ratio `ar` lies outside `target` by more than the
+    relative tolerance `tol`."""
+    return abs(ar - target) > tol * target
 
 
 def _overlapping_pairs(solid: list) -> list[tuple[int, int]]:

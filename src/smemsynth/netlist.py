@@ -232,7 +232,7 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
             "R": cfg.R, "C": cfg.C, "K": cfg.K, "M": cfg.M,
             "B": macro.B, "W": macro.W, "words": words, "bits": bits,
             "t_cycle_ps": est.t_cycle_ps, "p_leak_nw": est.p_leak_nw,
-            "e_wire_op_fj": round(tech.e_wire_per_um_fj * (w_nm + h_nm) / 1e3, 6),
+            "e_wire_op_fj": round(tech.e_wire_fj(w_nm, h_nm), 6),
         },
     )
     ir.add_port("clk", "in", 1)

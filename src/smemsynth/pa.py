@@ -262,8 +262,7 @@ def _bank_macro(spec: PAWindowSpec, tech: TechParams):
 
 def _storage_dims_nm(spec: PAWindowSpec, tech: TechParams):
     macro = _bank_macro(spec, tech)
-    gutter = round(tech.gutter_pitches * tech.poly_pitch_nm)
-    w = spec.lanes * (macro.width_nm(tech) + gutter)
+    w = spec.lanes * (macro.width_nm(tech) + tech.gutter_nm())
     h = macro.height_nm(tech)
     return macro, w, h
 
@@ -293,7 +292,6 @@ def compare_pa_ppa(spec: PAWindowSpec, tech: TechParams | None = None) -> PAComp
     mb = spec.m - spec.a
     nb = spec.n - spec.b
     storage_um2 = (w_nm / 1e3) * (h_nm / 1e3)
-    semiperim_um = (w_nm + h_nm) / 1e3
 
     def dec_area(bits: int) -> float:
         return tech.a_dec0_um2 + tech.a_dec1_um2 * (1 << bits)
@@ -304,21 +302,20 @@ def compare_pa_ppa(spec: PAWindowSpec, tech: TechParams | None = None) -> PAComp
         "sm": dec_area(mb) + dec_area(nb) + banks * inc_um2 + align_um2,
         "tm": banks * dec_area(mb + nb) + banks * inc_um2 + align_um2,
     }
+    align_ps = tech.t_mux_ps(spec.a + spec.b)
     t = {
-        "sm": (tech.d0_ps + tech.d1_ps * (max(mb, nb) + 1) + macro.t_access_ps
-               + tech.m0_ps + tech.m1_ps * (spec.a + spec.b)),
-        "tm": (tech.d0_ps + tech.d1_ps * (mb + nb + 2) + macro.t_access_ps
-               + tech.m0_ps + tech.m1_ps * (spec.a + spec.b)),
+        "sm": tech.t_dec_ps(max(mb, nb) + 1) + macro.t_access_ps + align_ps,
+        "tm": tech.t_dec_ps(mb + nb + 2) + macro.t_access_ps + align_ps,
     }
     shared_e = (banks * macro.e_read_fj + banks * tech.e_inc_fj
-                + tech.e_wire_per_um_fj * semiperim_um)
+                + tech.e_wire_fj(w_nm, h_nm))
     e = {
         "sm": (tech.e_dec_fj(mb) + tech.e_dec_fj(nb)) + shared_e,
         "tm": banks * tech.e_dec_fj(mb + nb) + shared_e,
     }
     out = {}
     for mode in ("sm", "tm"):
-        placed_logic = logic[mode] / tech.utilization
+        placed_logic = tech.placed_logic_area(logic[mode])
         area = storage_um2 + placed_logic
         p_leak = banks * macro.p_leak_nw + tech.p_leak_logic_nw_um2 * placed_logic
         out[mode] = explorer.PPAEstimate(
@@ -374,7 +371,6 @@ def generate_pa(spec: PAWindowSpec, mode: str, tech: TechParams | None = None) -
     tech = tech or TechParams()
     macro, w_nm, h_nm = _storage_dims_nm(spec, tech)
     est = getattr(compare_pa_ppa(spec, tech), mode)
-    wire_fj = tech.e_wire_per_um_fj * (w_nm + h_nm) / 1e3
 
     ir = netlist.NetlistIR(
         f"pa_{mode}_m{spec.m}n{spec.n}a{spec.a}b{spec.b}",
@@ -383,7 +379,7 @@ def generate_pa(spec: PAWindowSpec, mode: str, tech: TechParams | None = None) -
               "boundary": spec.boundary, "lanes": spec.lanes,
               "bank_words": spec.bank_words, "variant": macro.name,
               "t_cycle_ps": est.t_cycle_ps, "p_leak_nw": est.p_leak_nw,
-              "e_wire_op_fj": round(wire_fj, 6)})
+              "e_wire_op_fj": round(tech.e_wire_fj(w_nm, h_nm), 6)})
     _pa_ports(ir, spec)
     add_bank = (_sm_banks if mode == "sm" else _tm_banks)(ir, spec, tech, macro)
     for p in range(spec.banks_x):

@@ -633,7 +633,8 @@ def verify_pa(spec: pa.PAWindowSpec, irs: dict, seed: int = 0) -> dict:
     compare each read, as the engine makes it, with pa.window_cover.
 
     A read that differs from the covered pixels, or arrives on the wrong
-    cycle, is a mismatch.  The report holds the spec, `origins` (the
+    cycle, is a mismatch, and so is a read past the last expected one and
+    an expected read never made.  The report holds the spec, `origins` (the
     corners each netlist reads) and, under `designs`, each name's
     `mismatches` and `warnings`; a clean netlist reports 0 and 0.  The
     access plans are pa.check_plans' to check, once per spec.
@@ -671,12 +672,15 @@ def verify_pa(spec: pa.PAWindowSpec, irs: dict, seed: int = 0) -> dict:
     designs = {}
     for name, ir in irs.items():
         misses = count()
+        table = zip(count(W * H + 1), expected)
 
-        def check(out, want=zip(count(W * H + 1), expected).__next__,
-                  miss=misses.__next__):
-            if out != want():
+        def check(out, want=table, miss=misses.__next__):
+            # a read past the end of the table is a mismatch too
+            if out != next(want, None):
                 miss()
         _act, warnings, _cycles = _run(ir, trace, check)
-        designs[name] = {"mismatches": next(misses), "warnings": len(warnings)}
+        # and so is each expected read the engine never made
+        designs[name] = {"mismatches": next(misses) + sum(1 for _ in table),
+                         "warnings": len(warnings)}
     return {"m": spec.m, "n": spec.n, "a": spec.a, "b": spec.b,
             "boundary": spec.boundary, "origins": W * H, "designs": designs}

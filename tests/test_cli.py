@@ -67,6 +67,19 @@ def test_explore_infeasible_exit_code(tmp_path):
     assert chosen["feasible"] is False and chosen["violation"] > 0
 
 
+def test_explore_over_the_energy_limit_exits_1(tmp_path, capsys):
+    """An --e-max-fj below every config's energy makes explore pick the
+    least violating config and exit 1."""
+    out = tmp_path / "e"
+    assert main(["explore", "--spec", SPEC, "--lib", LIB,
+                 "--e-max-fj", "1", "--out", str(out)]) == 1
+    assert "(INFEASIBLE +" in capsys.readouterr().out
+    chosen = json.loads((out / "chosen.json").read_text())
+    assert chosen["feasible"] is False
+    # the violation is e_op / limit - 1, from the unrounded e_op
+    assert abs(chosen["violation"] - (chosen["ppa"]["e_op_fj"] - 1)) < 1e-3
+
+
 def test_explore_without_a_legal_organization_exits_1(tmp_path, capsys):
     out = tmp_path / "e"
     assert main(["explore", "--spec", "256x8", "--lib", LIB,
@@ -399,6 +412,7 @@ def test_mistyped_config_file_exits_2(tmp_path):
     ({"config": ["ba_32x8", 1, 1, 2, 1]}, "config must be a JSON object"),
     ({"config": "ba_32x8,1,1,2,1"}, "config must be a JSON object"),
     ({"variant": ["ba_32x8"], "R": 1, "C": 1, "K": 2, "M": 1}, "unknown macro variant"),
+    ({"variant": "ba_32x8", "R": 1, "C": 1, "K": 1, "M": 16}, "M=16 does not divide C*W=8"),
 ])
 def test_config_file_read_through_the_spec_helpers(tmp_path, capsys, content, named):
     """synth --config FILE takes a JSON object, or one under `config`, with
@@ -430,7 +444,11 @@ def test_rejected_synth_writes_nothing(tmp_path, capsys, monkeypatch):
     ("40,40,0,0", 400, "a 40,40 image has 2^80 window origins"),
     ({"m": 4, "n": 4, "a": 1, "b": 1, "pixel_bits": 1 << 40}, 1536,
      "rdata is 4398046511104 bits (4 lanes x 1099511627776-bit pixels)"),
-], ids=["origins", "rdata"])
+    # within the origin and rdata limits, but over the lane reads
+    ({"m": 9, "n": 9, "a": 3, "b": 3, "pixel_bits": 1}, 400,
+     "verifying reads 16777216 lanes (64 at each of 262144 origins); "
+     "the budget is 4194304"),
+], ids=["origins", "rdata", "lanes"])
 def test_pa_over_budget_exits_2_and_writes_nothing(tmp_path, spec, cap_mib, named):
     """A spec past pa's budget is rejected before anything of its size is
     built: the run is capped well below what building it would take."""

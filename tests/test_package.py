@@ -1,13 +1,17 @@
 """Packaging guards: the library imports nothing outside the standard
-library, a model that takes a library reads its technology there, address
-widths come from one map, netlists have one builder, the simulator prices
-energy in one place and leaves pixel placement to pa, and src/ holds no
+library, a model that takes a library reads its technology there, each
+formula over a technology coefficient is written once, address widths
+come from one map, netlists have one builder, the simulator prices energy
+in one place and leaves pixel placement to pa, and src/ holds no
 test-only code."""
 
 import ast
+import dataclasses
 import re
 import sys
 from pathlib import Path
+
+from smemsynth.baplus import TechParams
 
 SRC = Path(__file__).parent.parent / "src" / "smemsynth"
 
@@ -77,16 +81,29 @@ def _uses(names):
 
 
 def test_each_price_written_once():
-    """The decode price is written once, in TechParams.e_dec_fj; every
-    other estimate calls it.  The increment price is written once, in the
-    cell-kind table, beside compare_pa_ppa's per-bank total."""
-    allowed = {"e_dec0_fj": {"TechParams", "TechParams.e_dec_fj"},
-               "e_dec1_fj": {"TechParams", "TechParams.e_dec_fj"},
-               "e_inc_fj": {"TechParams", "CELL_KINDS", "compare_pa_ppa"}}
-    uses = _uses(set(allowed))
-    assert {owner for _, owner, name in uses if name == "e_dec0_fj"} \
+    """Every model formula over a technology coefficient is written once.
+    Outside TechParams, each TechParams field is read by at most one owner
+    (function, method or table).  A formula that more than one model
+    needs is a TechParams method, and the coefficients of the decode and
+    mux delays, the wire energy, the whole-nanometre rounding and the
+    gutter are read nowhere else.  The one exception is the increment
+    price: written once, in the cell-kind table, beside compare_pa_ppa's
+    per-bank total."""
+    shared = {"e_inc_fj": {"CELL_KINDS", "compare_pa_ppa"}}
+    only_tech = {"e_dec0_fj", "e_dec1_fj", "d0_ps", "d1_ps", "m0_ps", "m1_ps",
+                 "e_wire_per_um_fj", "poly_pitch_nm", "track_pitch_nm",
+                 "gutter_pitches"}
+    fields = {f.name for f in dataclasses.fields(TechParams)}
+    assert only_tech | set(shared) <= fields
+    owners = {}
+    for _, owner, name in _uses(fields):
+        if owner.split(".")[0] != "TechParams":
+            owners.setdefault(name, set()).add(owner)
+    assert {name: o for name, o in owners.items()
+            if len(o) > 1 and o != shared.get(name)} == {}
+    assert {name: o for name, o in owners.items() if name in only_tech} == {}
+    assert {owner for _, owner, name in _uses({"e_dec0_fj"})} \
         == {"TechParams", "TechParams.e_dec_fj"}
-    assert [u for u in uses if u[1] not in allowed[u[2]]] == []
 
 
 def test_address_widths_come_from_the_address_map():

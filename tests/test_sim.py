@@ -113,6 +113,31 @@ def test_out_of_range_ops_rejected():
         simulate(ir, SimTrace().write(0, 0x100))
 
 
+def test_pa_writes_checked():
+    """A pixel write off the surface, or wider than pixel_bits, is refused."""
+    ir = generate_pa(PAWindowSpec(3, 3, 1, 1), "sm")
+    for addr, pixel in ((8 << 3, "(8,0)"), (-1, "(-1,7)")):
+        with pytest.raises(SimError) as exc:
+            simulate(ir, SimTrace().write(addr, 1))
+        assert str(exc.value) == f"cycle 0: pixel write {pixel} off-surface"
+    with pytest.raises(SimError, match="^cycle 1: write data wider than 8 bits$"):
+        simulate(ir, SimTrace().write(63, 0xFF).write(0, 0x100))
+
+
+@pytest.mark.parametrize("design", ["sram", "sm", "tm"])
+def test_op_for_the_other_design_rejected(design):
+    """A window read on an SRAM, and a single-address read on a window
+    memory, are refused by the engine."""
+    if design == "sram":
+        ir = generate_sram(MemoryConfig("ba_32x8", 1, 1, 1, 1), small_lib())
+        tr, want = SimTrace().window(0, 0), "window reads apply to parallel-access"
+    else:
+        ir = generate_pa(PAWindowSpec(3, 3, 1, 1), design)
+        tr, want = SimTrace().read(0), "single-address reads apply to 1R-1W"
+    with pytest.raises(SimError, match=want):
+        simulate(ir, tr)
+
+
 def test_trace_api_guards():
     tr = SimTrace()
     tr.read(0, cycle=5)
@@ -122,6 +147,8 @@ def test_trace_api_guards():
         tr.write(0, 1, cycle=2)          # stamps must not decrease
     with pytest.raises(TraceError):
         SimTrace().write(0, -1)
+    with pytest.raises(TraceError, match="negative cycle"):
+        SimTrace().read(0, cycle=-1)
 
 
 def test_trace_ports_per_cycle():
@@ -731,6 +758,34 @@ def test_verify_pa_counts_a_late_read(monkeypatch):
     monkeypatch.setattr(sim, "_sim_pa", late_in_sm)
     rep = verify_pa(spec, {mode: generate_pa(spec, mode) for mode in ("sm", "tm")})
     assert rep["designs"] == {"sm": {"mismatches": 86, "warnings": 0},
+                              "tm": {"mismatches": 0, "warnings": 0}}
+
+
+@pytest.mark.parametrize("fault, sm_mismatches", [("tail", 32), ("twice", 127)])
+def test_verify_pa_sees_every_expected_read(monkeypatch, fault, sm_mismatches):
+    """An engine that drops its last reads, or makes each read twice, fails
+    verification for its own design only, and verification still returns:
+    each expected read never made, and each read past the last expected
+    one, is a mismatch."""
+    spec = PAWindowSpec(3, 3, 1, 1)
+    sim_pa = sim._sim_pa
+
+    def faulty_sm(ir, trace, by_kind, emit, mode):
+        if mode == "sm":
+            if fault == "tail":
+                # every read after the 32nd of 64 is lost
+                def faulty(out, n=itertools.count().__next__):
+                    if n() < 32:
+                        emit(out)
+            else:
+                def faulty(out):
+                    emit(out)
+                    emit(out)
+            return sim_pa(ir, trace, by_kind, faulty, mode)
+        return sim_pa(ir, trace, by_kind, emit, mode)
+    monkeypatch.setattr(sim, "_sim_pa", faulty_sm)
+    rep = verify_pa(spec, {mode: generate_pa(spec, mode) for mode in ("sm", "tm")})
+    assert rep["designs"] == {"sm": {"mismatches": sm_mismatches, "warnings": 0},
                               "tm": {"mismatches": 0, "warnings": 0}}
 
 
