@@ -96,6 +96,17 @@ CASES = {
          "--transpose", "--ar-target", "1.0", "--ar-tol", "0.1",
          "--out", "synth"],
     ]),
+    # fractional delay coefficients and a non-default wire energy: the
+    # .nl meta's t_cycle_ps and e_wire_op_fj follow TechParams' float order
+    "tech_fractional": ({"tech.json": json.dumps(
+        {"d0_ps": 50.1, "d1_ps": 12.3, "m0_ps": 20.3, "m1_ps": 10.7,
+         "e_wire_per_um_fj": 0.23})}, [
+        ["pa", "--spec", "5,5,1,1", "--tech", "tech.json", "--out", "pa"],
+        ["synth", "--config", "ba_32x8,2,2,2,2", "--tech", "tech.json",
+         "--out", "synth"],
+        ["explore", "--spec", "4096x32", "--tech", "tech.json",
+         "--out", "explore"],
+    ]),
 }
 
 

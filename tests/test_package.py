@@ -88,7 +88,8 @@ def test_each_price_written_once():
     mux delays, the wire energy, the whole-nanometre rounding and the
     gutter are read nowhere else.  The one exception is the increment
     price: written once, in the cell-kind table, beside compare_pa_ppa's
-    per-bank total."""
+    per-bank total.  The decode prices are read only by TechParams.e_dec_fj
+    and the increment price only by its two owners, inside TechParams too."""
     shared = {"e_inc_fj": {"CELL_KINDS", "compare_pa_ppa"}}
     only_tech = {"e_dec0_fj", "e_dec1_fj", "d0_ps", "d1_ps", "m0_ps", "m1_ps",
                  "e_wire_per_um_fj", "poly_pitch_nm", "track_pitch_nm",
@@ -104,6 +105,10 @@ def test_each_price_written_once():
     assert {name: o for name, o in owners.items() if name in only_tech} == {}
     assert {owner for _, owner, name in _uses({"e_dec0_fj"})} \
         == {"TechParams", "TechParams.e_dec_fj"}
+    allowed = {"e_dec0_fj": {"TechParams", "TechParams.e_dec_fj"},
+               "e_dec1_fj": {"TechParams", "TechParams.e_dec_fj"},
+               "e_inc_fj": {"TechParams", "CELL_KINDS", "compare_pa_ppa"}}
+    assert [u for u in _uses(set(allowed)) if u[1] not in allowed[u[2]]] == []
 
 
 def test_address_widths_come_from_the_address_map():
