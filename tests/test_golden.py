@@ -107,6 +107,24 @@ CASES = {
         ["explore", "--spec", "4096x32", "--tech", "tech.json",
          "--out", "explore"],
     ]),
+    # one malformed file for each JSON input, and a --config file that is
+    # not there: each run exits 2 with one line naming the file
+    "bad_inputs": ({
+        "spec.json": '{"words": 256,, "bits": 8}\n',
+        "pa.json": "[4, 4, 1, 1]\n",
+        "chosen.json": json.dumps({"config": {"variant": "ba_32x8", "R": 1,
+                                              "C": 1, "K": 2, "M": 1, "N": 2}}),
+        "tech.json": json.dumps({"pitch": 48}),
+        "lib.json": json.dumps({"tech": {}}),
+    }, [
+        ["explore", "--spec", "spec.json", "--out", "spec"],
+        ["pa", "--spec", "pa.json", "--out", "pa"],
+        ["synth", "--config", "chosen.json", "--out", "config"],
+        ["synth", "--config", "ba_32x8,1,1,2,1", "--tech", "tech.json",
+         "--out", "tech"],
+        ["explore", "--spec", "256x8", "--lib", "lib.json", "--out", "lib"],
+        ["synth", "--config", "missing.json", "--out", "missing"],
+    ]),
 }
 
 
@@ -132,8 +150,9 @@ def run_case(name: str, work: Path) -> list:
             outdir = Path(argv[argv.index("--out") + 1])
             texts = {"stdout": out.getvalue().encode(),
                      "stderr": err.getvalue().encode()}
-            texts |= {f"file {p.name}": p.read_bytes()
-                      for p in sorted(outdir.iterdir())}
+            # a run refused before it makes --out has no files
+            files = sorted(outdir.iterdir()) if outdir.is_dir() else []
+            texts |= {f"file {p.name}": p.read_bytes() for p in files}
             assert [k for k, v in texts.items() if str(work).encode() in v] == []
             records.append({"argv": " ".join(argv), "exit": code}
                            | {k: _sha(v) for k, v in texts.items()})
