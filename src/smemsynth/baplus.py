@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 
 
 class LibraryError(ValueError):
-    """Malformed library file or inconsistent macro data."""
+    """A malformed input file, named by its path (a library, tech, spec or
+    config file), or inconsistent macro data."""
 
 
 class BoundsError(ValueError):
@@ -176,15 +177,14 @@ class TechParams:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TechParams":
-        if not isinstance(d, dict):
-            raise LibraryError(f"tech must be an object, got {d!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise LibraryError(f"unknown tech key(s): {sorted(unknown)}")
-        t = cls(**d)
-        t.validate()
+    def from_dict(cls, d: dict, where="tech") -> "TechParams":
+        """The checked TechParams of record `d`; a fault is a LibraryError
+        that starts with `where`."""
+        t = cls(**check_record(d, where, cls))
+        try:
+            t.validate()
+        except LibraryError as e:
+            raise LibraryError(f"{where}: {e}") from None
         return t
 
 
@@ -332,53 +332,73 @@ def save_library(lib, path) -> None:
         fh.write("\n")
 
 
-def _read_json(path):
+def undecodable_line(path, err: UnicodeDecodeError) -> str:
+    """`path:lineno: <reason>` for the first line of `path` that `err`'s codec
+    cannot decode.  A text read decodes in chunks, so `err` names neither the
+    line nor its offset; this re-reads the file in binary to find both.
+    bytes.splitlines breaks lines where a text read does (\\n, \\r, \\r\\n).
+    """
+    lineno = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            for raw in chunk.splitlines():
+                lineno += 1
+                try:
+                    raw.decode(err.encoding)
+                except UnicodeDecodeError as e:
+                    return f"{path}:{lineno}: {e}"
+    return f"{path}: {err}"
+
+
+def check_record(rec, where, keys=None, optional=()) -> dict:
+    """`rec` if it is a JSON object holding every one of `keys` not in
+    `optional`, and no other key; any keys when `keys` is None.  `keys` may
+    be a dataclass, whose fields with a default are optional.  A fault is
+    a LibraryError that starts with `where`."""
+    if not isinstance(rec, dict):
+        raise LibraryError(f"{where}: must hold a JSON object")
+    if is_dataclass(keys):
+        optional = [f.name for f in fields(keys) if f.default is not MISSING]
+        keys = [f.name for f in fields(keys)]
+    if keys is not None:
+        for fault, names in (
+                ("unknown", sorted(set(rec) - set(keys))),
+                ("missing", [k for k in keys if k not in rec and k not in optional])):
+            if names:
+                raise LibraryError(f"{where}: {fault} fields: {names}")
+    return rec
+
+
+def read_json(path) -> dict:
+    """The JSON object in file `path`.  A fault is a LibraryError that
+    starts with the path, then `:<line>` where one is known."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as e:
-            raise LibraryError(f"{path}: malformed JSON at line {e.lineno}: {e.msg}") from None
+            raise LibraryError(f"{path}:{e.lineno}: malformed JSON: {e.msg}") from None
         except UnicodeDecodeError as e:
-            raise LibraryError(f"{path}: {e}") from None
+            raise LibraryError(undecodable_line(path, e)) from None
+    return check_record(doc, path)
 
 
 def load_tech(path) -> TechParams:
     """Parse a tech file: one object of TechParams fields, checked."""
-    doc = _read_json(path)
-    try:
-        return TechParams.from_dict(doc)
-    except LibraryError as e:
-        raise LibraryError(f"{path}: {e}") from None
+    return TechParams.from_dict(read_json(path), path)
 
 
 def load_library(path) -> Library:
     """Parse a library file, rejecting unknown keys, missing fields and
     mistyped or non-finite figures."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise LibraryError(f"{path}: top level must be an object")
-    extra = set(doc) - {"tech", "macros"}
-    if extra:
-        raise LibraryError(f"{path}: unknown top-level key(s): {sorted(extra)}")
-    if "macros" not in doc:
-        raise LibraryError(f"{path}: missing 'macros'")
+    doc = check_record(read_json(path), path, ("tech", "macros"), optional=("tech",))
     if not isinstance(doc["macros"], list):
         raise LibraryError(f"{path}: 'macros' must be a list")
-    try:
-        tech = TechParams.from_dict(doc.get("tech", {}))
-    except LibraryError as e:
-        raise LibraryError(f"{path}: tech: {e}") from None
+    tech = TechParams.from_dict(doc.get("tech", {}), f"{path}: tech")
     macros = []
     for i, rec in enumerate(doc["macros"]):
-        if not isinstance(rec, dict):
-            raise LibraryError(f"{path}: macro #{i} is not an object")
-        where = f"macro #{i} ({rec.get('name', '?')})"
-        missing = [k for k in MACRO_KEYS if k not in rec]
-        if missing:
-            raise LibraryError(f"{path}: {where}: missing field {missing[0]!r}")
-        unknown = set(rec) - set(MACRO_KEYS)
-        if unknown:
-            raise LibraryError(f"{path}: {where}: unknown field {sorted(unknown)[0]!r}")
+        where = f"{path}: macro #{i}"
+        check_record(rec, where, MACRO_KEYS)
+        where += f" ({rec['name']})"
         try:
             pins = tuple((str(n), str(s), o) for n, s, o in rec["pins"])
             m = BAPlusMacro(name=str(rec["name"]), pins=pins,
@@ -388,7 +408,7 @@ def load_library(path) -> Library:
             m = replace(m, **{f.name: float(getattr(m, f.name))
                               for f in fields(m) if f.type == "float"})
         except (TypeError, ValueError, OverflowError) as e:
-            raise LibraryError(f"{path}: {where}: {e}") from None
+            raise LibraryError(f"{where}: {e}") from None
         macros.append(m)
     try:
         return Library(macros, tech)

@@ -11,7 +11,6 @@ diff cleanly in CI.
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import re
@@ -19,8 +18,8 @@ import sys
 from pathlib import Path
 
 from . import floorplan, leafcell, pa, sim
-from .baplus import (Library, TechParams, default_library, load_library,
-                     load_tech, save_library)
+from .baplus import (Library, TechParams, check_record, default_library,
+                     load_library, load_tech, read_json, save_library)
 from .explorer import (MemoryConfig, UserSpec, check_aspect_ratio,
                        enumerate_configs, evaluate_ppa, pareto_front,
                        select_best, write_report_csv)
@@ -79,84 +78,66 @@ def _load_lib(args) -> Library:
     return default_library(tech or TechParams())
 
 
-def _spec_file(path, flag: str) -> dict:
-    """The JSON object in the file that `flag` names."""
-    with open(path) as fh:
-        fields = json.load(fh)
-    if not isinstance(fields, dict):
-        raise UsageError(f"{flag} file {path} must hold a JSON object")
-    return fields
+def _spec_fields(value, cls, parse_inline, key=None) -> dict:
+    """The fields of a `cls` that `value` gives: the JSON object in file
+    `value` (or its member `key`, where it has one), key-checked against
+    `cls`, or `parse_inline(value)` for the inline form."""
+    if not os.path.isfile(value):
+        return parse_inline(value)
+    doc = read_json(value)
+    if key in doc:
+        return check_record(doc[key], f"{value}: {key}", cls)
+    return check_record(doc, value, cls)
 
 
-def _make_spec(cls, fields: dict, what: str):
-    """cls(**fields), naming the unknown or missing keys as a usage error."""
-    known = dataclasses.fields(cls)
-    unknown = sorted(set(fields) - {f.name for f in known})
-    if unknown:
-        raise UsageError(f"{what} has unknown fields: {unknown}")
-    missing = [f.name for f in known
-               if f.default is dataclasses.MISSING and f.name not in fields]
-    if missing:
-        raise UsageError(f"{what} is missing fields: {missing}")
-    return cls(**fields)
+def _inline_user_spec(value) -> dict:
+    m = re.fullmatch(r"(\d+)x(\d+)", value)
+    if not m:
+        raise UsageError(f"--spec wants WORDSxBITS or a JSON file, got {value!r}")
+    return {"words": int(m.group(1)), "bits": int(m.group(2))}
 
 
 def _user_spec(args) -> UserSpec:
-    """--spec as `WORDSxBITS` inline or a JSON file with the same fields."""
-    value = args.spec
-    if value and os.path.isfile(value):
-        fields = _spec_file(value, "--spec")
-    elif value:
-        m = re.fullmatch(r"(\d+)x(\d+)", value)
-        if not m:
-            raise UsageError(f"--spec wants WORDSxBITS or a JSON file, got {value!r}")
-        fields = {"words": int(m.group(1)), "bits": int(m.group(2))}
-    else:
-        raise UsageError("--spec is required")
-    if args.ar_target is not None:
-        fields["aspect_ratio_target"] = args.ar_target
-    if args.ar_tol is not None:
-        fields["aspect_ratio_tol"] = args.ar_tol
-    if args.t_max_ps is not None:
-        fields["t_max_ps"] = args.t_max_ps
-    if args.e_max_fj is not None:
-        fields["e_max_fj"] = args.e_max_fj
-    return _make_spec(UserSpec, fields, f"spec file {value}")
+    """--spec as `WORDSxBITS` inline or a JSON file with the same fields;
+    the limit and aspect-ratio flags override the file."""
+    fields = _spec_fields(args.spec, UserSpec, _inline_user_spec)
+    for name, flag in (("aspect_ratio_target", args.ar_target),
+                       ("aspect_ratio_tol", args.ar_tol),
+                       ("t_max_ps", args.t_max_ps), ("e_max_fj", args.e_max_fj)):
+        if flag is not None:
+            fields[name] = flag
+    return UserSpec(**fields)
+
+
+def _inline_pa_spec(value) -> dict:
+    parts = _parse_int_list(value, "--spec")
+    if len(parts) != 4:
+        raise UsageError("--spec wants m,n,a,b or a JSON file")
+    return dict(zip(("m", "n", "a", "b"), parts))
 
 
 def _pa_spec(args) -> pa.PAWindowSpec:
-    """--spec as `m,n,a,b` inline or a JSON file with the full field set."""
-    value = args.spec
-    if value and os.path.isfile(value):
-        fields = _spec_file(value, "--spec")
-    elif value:
-        parts = _parse_int_list(value, "--spec")
-        if len(parts) != 4:
-            raise UsageError("--spec wants m,n,a,b or a JSON file")
-        fields = dict(zip(("m", "n", "a", "b"), parts))
-    else:
-        raise UsageError("--spec is required")
+    """--spec as `m,n,a,b` inline or a JSON file with the full field set;
+    --pixel-bits and --boundary fill only the fields the file lacks."""
+    fields = _spec_fields(args.spec, pa.PAWindowSpec, _inline_pa_spec)
     fields.setdefault("pixel_bits", args.pixel_bits)
     fields.setdefault("boundary", args.boundary)
-    return _make_spec(pa.PAWindowSpec, fields, "pa spec")
+    return pa.PAWindowSpec(**fields)
+
+
+def _inline_config(text) -> dict:
+    parts = text.split(",")
+    if len(parts) != 5:
+        raise UsageError("--config wants VARIANT,R,C,K,M or a chosen.json")
+    try:
+        return {"variant": parts[0], **dict(zip("RCKM", map(int, parts[1:])))}
+    except ValueError:
+        raise UsageError(f"--config factors must be integers: {text!r}")
 
 
 def _memory_config(text, lib: Library) -> MemoryConfig:
     """--config as `VARIANT,R,C,K,M` inline or a chosen.json from explore."""
-    if os.path.isfile(text):
-        fields = _spec_file(text, "--config")
-        fields = fields.get("config", fields)
-        if not isinstance(fields, dict):
-            raise UsageError(f"config file {text}: config must be a JSON object")
-        cfg = _make_spec(MemoryConfig, fields, f"config file {text}")
-    else:
-        parts = text.split(",")
-        if len(parts) != 5:
-            raise UsageError("--config wants VARIANT,R,C,K,M or a chosen.json")
-        try:
-            cfg = MemoryConfig(parts[0], *(int(p) for p in parts[1:]))
-        except ValueError:
-            raise UsageError(f"--config factors must be integers: {text!r}")
+    cfg = MemoryConfig(**_spec_fields(text, MemoryConfig, _inline_config, "config"))
     cfg.validate(lib)
     return cfg
 
@@ -325,7 +306,7 @@ def cmd_sim(args) -> int:
             fh.write(text)
         out_line = f"OUT %d %0{digits}x\n"
         fh.writelines(out_line % cv for cv in res.outputs)
-    if args.lib:
+    if args.lib or args.tech:
         check = sim.energy_report(res, _load_lib(args))
         print(f"energy_report cross-check: {check:.3f} fJ")
     print(f"{len(res.outputs)} outputs over {res.cycles} cycles, "
@@ -464,13 +445,13 @@ def _check_args(args) -> None:
     inputs = getattr(args, "inputs", [])
     if args.command == "sim":
         inputs = [args.netlist, args.trace]
-    for p in (getattr(args, "lib", None), args.tech, *inputs):
+    # --spec and --config may be inline strings or files; only file-looking
+    # ones are checked
+    specs = [v for v in (getattr(args, "spec", None), getattr(args, "config", None))
+             if v and (os.sep in v or v.endswith(".json"))]
+    for p in (getattr(args, "lib", None), args.tech, *inputs, *specs):
         if p is not None and not os.path.isfile(p):
             raise UsageError(f"input file not found: {p}")
-    # --spec may be an inline string or a file; only check file-looking ones
-    spec = getattr(args, "spec", None)
-    if spec and (os.sep in spec or spec.endswith(".json")) and not os.path.isfile(spec):
-        raise UsageError(f"spec file not found: {spec}")
     os.makedirs(args.out, exist_ok=True)
 
 

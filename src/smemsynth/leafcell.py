@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .netlist import undecodable_line
+from .baplus import undecodable_line
 
 RESTRICTION_CLASSES = ("pure_grating_1d", "structured_1d", "compound_2d")
 

@@ -15,7 +15,7 @@ from itertools import islice
 from typing import Callable, NamedTuple
 
 from . import explorer, floorplan
-from .baplus import BAPlusMacro, Library
+from .baplus import BAPlusMacro, Library, undecodable_line
 
 class Kind(NamedTuple):
     """What a cell kind means: the pins it drives (every other pin is an
@@ -348,24 +348,6 @@ def _parse_value(tok: str):
         return tok
 
 
-def undecodable_line(path, err: UnicodeDecodeError) -> str:
-    """`path:lineno: <reason>` for the first line of `path` that `err`'s codec
-    cannot decode.  A text read decodes in chunks, so `err` names neither the
-    line nor its offset; this re-reads the file in binary to find both.
-    bytes.splitlines breaks lines where a text read does (\\n, \\r, \\r\\n).
-    """
-    lineno = 0
-    with open(path, "rb") as fh:
-        for chunk in fh:
-            for raw in chunk.splitlines():
-                lineno += 1
-                try:
-                    raw.decode(err.encoding)
-                except UnicodeDecodeError as e:
-                    return f"{path}:{lineno}: {e}"
-    return f"{path}: {err}"
-
-
 def parse_netlist(path) -> NetlistIR:
     """Read the text written by emit_netlist; one streamed pass, one line at
     a time.  A `conn` must follow the `port`/`net` and `cell` it names, and
@@ -457,10 +439,8 @@ def _ba_module_text(B: int, W: int, name: str) -> list[str]:
 
 
 def _emit_hdl_sram(ir: NetlistIR) -> str:
-    m = ir.meta
-    R, C, K, M = m["R"], m["C"], m["K"], m["M"]
-    B, W, bits = m["B"], m["W"], m["bits"]
-    amap = explorer.AddressMap.of(R, K, B, M)
+    from .sim import sram_geometry
+    (R, C, K, M, B, W), amap, bits = sram_geometry(ir.meta)
     WM = W // M
     ba_mod = f"ba_{B}x{W}"
     L = [f"// generated 1R-1W memory: {ir.name}",

@@ -26,7 +26,7 @@ from itertools import accumulate, count, islice, repeat
 from operator import lshift, or_
 
 from . import explorer, netlist, pa
-from .baplus import Library, is_pow2
+from .baplus import Library, is_pow2, undecodable_line
 
 
 class SimError(ValueError):
@@ -179,7 +179,7 @@ class TraceFile:
                         raise TraceError(f"{path}:{lineno}: {e}") from None
                     cycle += 1
         except UnicodeDecodeError as e:
-            raise TraceError(netlist.undecodable_line(path, e)) from None
+            raise TraceError(undecodable_line(path, e)) from None
         finally:
             self._read = cycle
 
@@ -307,17 +307,23 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 # -- 1R-1W engine -----------------------------------------------------------
 
-def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
-    meta = ir.meta
-    _check_figures(meta, "netlist meta", *"RCKMBW", "e_wire_op_fj",
-                   "p_leak_nw", "t_cycle_ps")
+def sram_geometry(meta: dict) -> tuple:
+    """((R, C, K, M, B, W), AddressMap, bits) of a 1R-1W netlist's meta,
+    each factor checked to be a power of two.  The word width is derived,
+    not read: the cells are checked against these factors, and the meta's
+    own `words` and `bits` could claim any size."""
+    _check_figures(meta, "netlist meta", *"RCKMBW")
     for k in "RCKMBW":
         _require(is_pow2(meta[k]), f"meta {k}={meta[k]} is not a power of two")
-    R, C, K, M, B, W = (meta[k] for k in "RCKMBW")
-    amap = explorer.AddressMap.of(R, K, B, M)
-    # derived, not read: the cells are checked against these factors, and
-    # the meta's own `words` and `bits` could claim any size
-    words, bits = R * K * B * M, C * W // M
+    R, C, K, M, B, W = factors = tuple(meta[k] for k in "RCKMBW")
+    return factors, explorer.AddressMap.of(R, K, B, M), C * W // M
+
+
+def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
+    meta = ir.meta
+    (R, C, K, M, B, W), amap, bits = sram_geometry(meta)
+    _check_figures(meta, "netlist meta", "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
+    words = R * K * B * M
     _check_rdata(ir, bits)
     _check_decoder(ir, "dec", **amap.decoder)
     bas = by_kind["baplus_instance"]

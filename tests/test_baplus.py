@@ -165,10 +165,14 @@ def test_load_library_rejects_mistyped_values(tmp_path, case):
 def test_non_utf8_library_names_its_file(tmp_path):
     path = tmp_path / "bad.json"
     save_library(default_library(TechParams()), path)
-    path.write_bytes(path.read_bytes().replace(b"ba_8x8", b"ba_8\xffx8", 1))
+    data = path.read_bytes().replace(b"ba_8x8", b"ba_8\xffx8", 1)
+    path.write_bytes(data)
+    before = data[:data.index(b"\xff")]
+    line, col = before.count(b"\n") + 1, len(before) - before.rfind(b"\n") - 1
     with pytest.raises(LibraryError) as exc:
         load_library(path)
-    assert str(exc.value).startswith(f"{path}: ") and "0xff" in str(exc.value)
+    assert str(exc.value) == (f"{path}:{line}: 'utf-8' codec can't decode byte 0xff "
+                              f"in position {col}: invalid start byte")
 
 
 def test_int_figures_load_as_float(tmp_path):

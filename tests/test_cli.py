@@ -118,19 +118,68 @@ def test_pa_exits_1_on_a_failed_netlist_check(tmp_path, capsys, monkeypatch):
     assert not list(out.iterdir())
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["synth", "--config", "{}", "--lib", LIB], "--config"),
-    (["explore", "--spec", "{}", "--lib", LIB], "--spec"),
-    (["pa", "--spec", "{}"], "--spec"),
-])
-def test_non_object_file_names_its_flag(tmp_path, capsys, argv, flag):
-    """A JSON file that is not an object is named by the flag it came from."""
-    path = tmp_path / "list.json"
-    path.write_text("[1, 2]\n")
+# each JSON input: the command that reads file {} and a document it
+# accepts, whose last key is required (a tech file requires none)
+_JSON_INPUTS = {
+    "explore --spec": (["explore", "--spec", "{}"], {"words": 256, "bits": 8}),
+    "pa --spec": (["pa", "--spec", "{}"], {"m": 3, "n": 3, "a": 1, "b": 1}),
+    "synth --config": (["synth", "--config", "{}"],
+                       {"variant": "ba_32x8", "R": 1, "C": 1, "K": 2, "M": 1}),
+    "explore --tech": (["explore", "--spec", "256x8", "--tech", "{}"],
+                       {"d0_ps": 50.0}),
+    "synth --lib": (["synth", "--config", "ba_32x8,1,1,2,1", "--lib", "{}"],
+                    {"tech": {}, "macros": []}),
+}
+
+
+def _bad_json(doc: dict, fault: str) -> tuple[bytes, str]:
+    """`doc` as a file with `fault`, and the message that names it, after
+    the file's path."""
+    text = json.dumps(doc, indent=1)
+    last = list(doc)[-1]
+    if fault == "malformed":
+        # the closing brace dropped: the parser stops on the last line
+        return text[:-1].encode(), f":{text.count(chr(10)) + 1}: malformed JSON: "
+    if fault == "not-utf8":
+        return text.replace("\n", "\n\xff", 1).encode("latin-1"), (
+            ":2: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte")
+    if fault == "not-object":
+        return b"[1, 2]\n", ": must hold a JSON object"
+    if fault == "unknown":
+        return json.dumps(doc | {"vendor": "acme"}).encode(), \
+            ": unknown fields: ['vendor']"
+    return json.dumps({k: v for k, v in doc.items() if k != last}).encode(), \
+        f": missing fields: [{last!r}]"
+
+
+@pytest.mark.parametrize("source, fault", [
+    (source, fault) for source in _JSON_INPUTS
+    for fault in ("malformed", "not-utf8", "not-object", "unknown", "missing")
+    if (source, fault) != ("explore --tech", "missing")])
+def test_bad_json_file_names_its_path(tmp_path, capsys, source, fault):
+    """Every JSON input file that is malformed, not UTF-8 or not an object,
+    or has an unknown key or lacks a required one, exits 2 with one line
+    that starts with the file's path, and writes nothing."""
+    argv, doc = _JSON_INPUTS[source]
+    path = tmp_path / "in.json"
+    data, named = _bad_json(doc, fault)
+    path.write_bytes(data)
     argv = [str(path) if a == "{}" else a for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == \
-        f"smemsynth {argv[0]}: {flag} file {path} must hold a JSON object\n"
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"smemsynth {argv[0]}: {path}{named}")
+    assert err.count("\n") == 1 and (fault == "malformed" or err.endswith(named + "\n"))
+    assert not out.exists() or not list(out.iterdir())
+
+
+def test_missing_config_file_is_not_found(tmp_path, capsys):
+    """A --config that looks like a file path but names no file is reported
+    as not found, as --spec, --lib and --tech are."""
+    path = tmp_path / "missing.json"
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"smemsynth synth: input file not found: {path}\n"
 
 
 def test_synth_outputs(tmp_path):
@@ -250,6 +299,27 @@ def test_sim_roundtrip(tmp_path):
     lines = (out / "result.txt").read_text().splitlines()
     assert "OUT 3 c3" in lines
     assert any(ln.startswith("# e_total_fj ") for ln in lines)
+
+
+def test_sim_tech_without_lib_cross_checks_the_built_in_grid(tmp_path, capsys):
+    """`sim --tech FILE` with no --lib reprices the run by the built-in grid
+    under that technology, as explore and synth build it."""
+    s = tmp_path / "s"
+    assert main(["synth", "--config", "ba_32x8,1,1,2,1", "--out", str(s)]) == 0
+    nl = next(s.glob("*.nl"))
+    tr = tmp_path / "ops.tr"
+    tr.write_text("W 5 c3\nIDLE\nR 5\n")
+    tech = tmp_path / "tech.json"
+    tech.write_text(json.dumps({"e_dec0_fj": 40.0}))
+    capsys.readouterr()
+    assert main(["sim", str(nl), str(tr), "--tech", str(tech),
+                 "--out", str(tmp_path / "m")]) == 0
+    res = sim.simulate(smemsynth.parse_netlist(nl), sim.TraceFile(tr))
+    want = sim.energy_report(res, smemsynth.default_library(
+        smemsynth.TechParams(e_dec0_fj=40.0)))
+    assert want > res.e_total_fj + 1
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"energy_report cross-check: {want:.3f} fJ"
 
 
 def test_sim_passes_a_trace_that_counts_its_ops(tmp_path, monkeypatch):
@@ -409,8 +479,11 @@ def test_mistyped_config_file_exits_2(tmp_path):
     ([{"variant": "ba_32x8", "R": 1, "C": 1, "K": 2, "M": 1}], "must hold a JSON object"),
     ({"config": {"variant": "ba_32x8", "R": 1, "C": 1, "K": 2}}, "missing fields: ['M']"),
     ({"variant": "ba_32x8", "R": 1, "C": 1, "K": 2, "M": 1, "N": 2}, "unknown fields: ['N']"),
-    ({"config": ["ba_32x8", 1, 1, 2, 1]}, "config must be a JSON object"),
-    ({"config": "ba_32x8,1,1,2,1"}, "config must be a JSON object"),
+    # the whole line, for a fault the reader reports
+    ({"config": ["ba_32x8", 1, 1, 2, 1]},
+     "smemsynth synth: {path}: config: must hold a JSON object\n"),
+    ({"config": "ba_32x8,1,1,2,1"},
+     "smemsynth synth: {path}: config: must hold a JSON object\n"),
     ({"variant": ["ba_32x8"], "R": 1, "C": 1, "K": 2, "M": 1}, "unknown macro variant"),
     ({"variant": "ba_32x8", "R": 1, "C": 1, "K": 1, "M": 16}, "M=16 does not divide C*W=8"),
 ])
@@ -424,7 +497,7 @@ def test_config_file_read_through_the_spec_helpers(tmp_path, capsys, content, na
                  "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("smemsynth synth: ") and err.count("\n") == 1
-    assert named in err
+    assert named.format(path=config) in err
     assert not list((tmp_path / "s").iterdir())
 
 
@@ -477,12 +550,12 @@ def test_unknown_spec_fields_named(tmp_path, capsys):
     spec.write_text(json.dumps({"words": 256, "bits": 8,
                                 "ar_target": 1.0, "ar_tol": 0.1}))
     assert main(["explore", "--spec", str(spec), "--out", str(tmp_path)]) == 2
-    assert capsys.readouterr().err.endswith(
-        "has unknown fields: ['ar_target', 'ar_tol']\n")
+    assert capsys.readouterr().err == \
+        f"smemsynth explore: {spec}: unknown fields: ['ar_target', 'ar_tol']\n"
     spec.write_text(json.dumps({"m": 4, "n": 4, "a": 1, "b": 1, "bits": 8}))
     assert main(["pa", "--spec", str(spec), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == \
-        "smemsynth pa: pa spec has unknown fields: ['bits']\n"
+        f"smemsynth pa: {spec}: unknown fields: ['bits']\n"
 
 
 def test_thread_env_guard(tmp_path, monkeypatch):

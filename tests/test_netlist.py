@@ -14,6 +14,7 @@ from smemsynth.netlist import (_EMIT_CHUNK, CELL_KINDS, Cell, NetlistError, Netl
                                check_wellformed, emit_hdl, emit_netlist,
                                generate_sram, parse_netlist)
 from smemsynth.pa import PAWindowSpec, _graft, generate_pa
+from smemsynth.sim import SimError
 
 
 def cells_of_kind(ir, kind):
@@ -144,6 +145,34 @@ def test_hdl_elaborated_instances(tmp_path):
     assert len(insts) == 8                 # fully unrolled, no parameter games
     emit_hdl(ir, tmp_path / "again.v")
     assert (tmp_path / "again.v").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("R", None, "netlist meta lacks R"),
+    ("K", 3, "netlist structure: meta K=3 is not a power of two"),
+    ("bits", 99, None),
+])
+def test_hdl_reads_the_checked_sram_geometry(tmp_path, key, value, message):
+    """emit_hdl of a parsed SRAM netlist takes its factors from the check
+    the 1R-1W engine makes: a missing or non-power-of-two factor is refused
+    with the engine's message, and the word width is derived from the
+    factors, so a wrong meta `bits` still writes the clean .v."""
+    ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+    emit_hdl(ir, tmp_path / "clean.v")
+    emit_netlist(ir, tmp_path / "m.nl")
+    parsed = parse_netlist(tmp_path / "m.nl")
+    if value is None:
+        del parsed.meta[key]
+    else:
+        parsed.meta[key] = value
+    if message is None:
+        emit_hdl(parsed, tmp_path / "m.v")
+        assert (tmp_path / "m.v").read_bytes() == (tmp_path / "clean.v").read_bytes()
+    else:
+        with pytest.raises(SimError) as exc:
+            emit_hdl(parsed, tmp_path / "m.v")
+        assert str(exc.value) == message
+        assert not (tmp_path / "m.v").exists()
 
 
 def verilog_ports(text):

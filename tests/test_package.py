@@ -1,9 +1,9 @@
 """Packaging guards: the library imports nothing outside the standard
 library, a model that takes a library reads its technology there, each
-formula over a technology coefficient is written once, address widths
-come from one map, netlists have one builder, the simulator prices energy
-in one place and leaves pixel placement to pa, and src/ holds no
-test-only code."""
+formula over a technology coefficient is written once, JSON input files
+have one reader, address widths come from one map, netlists have one
+builder, the simulator prices energy in one place and leaves pixel
+placement to pa, and src/ holds no test-only code."""
 
 import ast
 import dataclasses
@@ -109,6 +109,22 @@ def test_each_price_written_once():
                "e_dec1_fj": {"TechParams", "TechParams.e_dec_fj"},
                "e_inc_fj": {"TechParams", "CELL_KINDS", "compare_pa_ppa"}}
     assert [u for u in _uses(set(allowed)) if u[1] not in allowed[u[2]]] == []
+
+
+def test_input_files_have_one_reader():
+    """Every JSON input (library, tech, spec and config files) is parsed by
+    the one json.load call in src/smemsynth/, in baplus.read_json, and
+    undecodable_line, which names the line of a byte the codec refuses, is
+    defined once, in baplus: a bad file is reported the same way whatever
+    it holds."""
+    nodes = list(_owned_nodes())
+    loads = [(fname, owner) for fname, owner, n in nodes
+             if isinstance(n, ast.Attribute) and n.attr in ("load", "loads")
+             and getattr(n.value, "id", None) == "json"]
+    assert loads == [("baplus.py", "read_json")]
+    assert [(fname, owner) for fname, owner, n in nodes
+            if isinstance(n, ast.FunctionDef) and n.name == "undecodable_line"] \
+        == [("baplus.py", "undecodable_line")]
 
 
 def test_address_widths_come_from_the_address_map():
