@@ -53,7 +53,7 @@ CELL_KINDS = {
     "pa_align": Kind(frozenset({"out"}), _free),
 }
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(/[A-Za-z_][A-Za-z0-9_]*)*$")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(/[A-Za-z_][A-Za-z0-9_]*)*")
 
 
 class NetlistError(ValueError):
@@ -92,7 +92,7 @@ class NetlistIR:
         return net
 
     def add_net(self, name: str, width: int) -> Net:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise NetlistError(f"bad net name {name!r}")
         if name in self.nets:
             raise NetlistError(f"duplicate net {name!r}")
@@ -103,7 +103,7 @@ class NetlistIR:
         return n
 
     def add_cell(self, name: str, kind: str, /, **params) -> Cell:
-        if not _NAME_RE.match(name):
+        if not _NAME_RE.fullmatch(name):
             raise NetlistError(f"bad cell name {name!r}")
         if kind not in CELL_KINDS:
             raise NetlistError(f"cell {name}: unknown kind {kind!r}")

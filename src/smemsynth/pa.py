@@ -182,13 +182,34 @@ def axis_plans(spec: PAWindowSpec):
     return axis(xcells, spec.banks_x), axis(ycells, spec.banks_y)
 
 
-def window_planner(spec: PAWindowSpec):
-    """plan(x, y) -> (xs[x], ys[y]) of axis_plans, for any window corner.
+def word_tables(spec: PAWindowSpec):
+    """(xs, ys, wxs, wys): axis_plans and storage_map in the words of one
+    list that holds bank k from word k * bank_words.  xs[x] = (x0, rx, xo)
+    and ys[y] = (y0, ry, yo): lane k of a window, bank k's, is word xo[k] +
+    yo[k].  Pixel (x, y) is word i + j of bank kx + ky, for wxs[x] = (kx, i)
+    and wys[y] = (ky, j)."""
+    xcells, ycells, bank, row_addr = storage_map(spec)
+    bw, by = spec.bank_words, spec.banks_y
+    # bank[p][q] = bank[p][0] + bank[0][q]: a word is an x part plus a y
+    # part, each made once and shared by the lanes and pixels that add it
+    xw = [[bank[p][0] * bw + addr for addr in row_addr] for p in range(spec.banks_x)]
+    yw = [[bank[0][q] * bw + col for col in range(spec.cols)] for q in range(by)]
+    xplans, yplans = axis_plans(spec)
+    return ([(x0, rx, tuple(w for p, row in enumerate(rows) for w in (xw[p][row],) * by))
+             for x0, rx, rows in xplans],
+            [(y0, ry, tuple(map(list.__getitem__, yw, cols)) * spec.banks_x)
+             for y0, ry, cols in yplans],
+            [(bank[p][0], xw[p][row]) for p, row in xcells],
+            [(bank[0][q], yw[q][col]) for q, col in ycells])
+
+
+def window_planner(spec: PAWindowSpec, xs: list, ys: list):
+    """plan(x, y) -> (xs[x], ys[y]) of per-axis corner tables, as
+    axis_plans or word_tables give them, for any window corner.
 
     A corner off the surface wraps toroidally, or clamps when the spec
     clamps, onto the corner whose plans it takes.
     """
-    xs, ys = axis_plans(spec)
     xm, ym = spec.image_w - 1, spec.image_h - 1
     if spec.boundary != "clamp":
         return lambda x, y: (xs[x & xm], ys[y & ym])

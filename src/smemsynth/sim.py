@@ -166,12 +166,20 @@ class TraceFile:
                             a, b = int(toks[1], 0), int(toks[2], 16)
                             if b < 0:
                                 raise TraceError("write data must be non-negative")
+                            if len(toks) > 3:
+                                raise TraceError(f"extra token {toks[3]!r}")
                             yield cycle, "W", a, b
                         elif op == "R":
+                            if len(toks) > 2:
+                                raise TraceError(f"extra token {toks[2]!r}")
                             yield cycle, "R", int(toks[1], 0), 0
                         elif op == "WIN":
+                            if len(toks) > 3:
+                                raise TraceError(f"extra token {toks[3]!r}")
                             yield cycle, "WIN", int(toks[1], 0), int(toks[2], 0)
                         elif op == "IDLE":
+                            if len(toks) > 1:
+                                raise TraceError(f"extra token {toks[1]!r}")
                             yield cycle, "IDLE", 0, 0
                         else:
                             raise TraceError(f"unknown op {op!r}")
@@ -309,13 +317,14 @@ def leak_fj(meta: dict, cycles: int) -> float:
 
 def sram_geometry(meta: dict) -> tuple:
     """((R, C, K, M, B, W), AddressMap, bits) of a 1R-1W netlist's meta,
-    each factor checked to be a power of two.  The word width is derived,
-    not read: the cells are checked against these factors, and the meta's
-    own `words` and `bits` could claim any size."""
+    each factor a power of two and M leaving a word a bit.  The word width
+    is derived, not read: the cells are checked against these factors, and
+    the meta's own `words` and `bits` could claim any size."""
     _check_figures(meta, "netlist meta", *"RCKMBW")
     for k in "RCKMBW":
         _require(is_pow2(meta[k]), f"meta {k}={meta[k]} is not a power of two")
     R, C, K, M, B, W = factors = tuple(meta[k] for k in "RCKMBW")
+    _require(M <= C * W, f"meta M={M} leaves a word no bits (C*W={C * W})")
     return factors, explorer.AddressMap.of(R, K, B, M), C * W // M
 
 
@@ -433,13 +442,13 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
     P = spec.pixel_bits
     xm, ym = spec.image_w - 1, spec.image_h - 1
     pmask = (1 << P) - 1
-    plan = pa.window_planner(spec)
-    xs, ys, bank, row_addr = pa.storage_map(spec)
+    xs, ys, wxs, wys = pa.word_tables(spec)
+    plan = pa.window_planner(spec, xs, ys)
     lane_shifts = pa.lane_shifts(spec)
-    # bank number -> "p,q", for the warnings
-    labels = {bi: f"{p},{q}" for p, banks in enumerate(bank)
-              for q, bi in enumerate(banks)}
-    mem = [[None] * spec.bank_words for _ in range(spec.lanes)]
+    bank = pa.storage_map(spec)[2]
+    # each bank's "p,q", in bank order, for the warnings
+    labels = [f"{p},{q}" for p, banks in enumerate(bank) for q, _ in enumerate(banks)]
+    mem = [None] * (spec.lanes * spec.bank_words)   # the banks end to end
     reads = 0
     # (cycle, x, y, the labels of the banks whose lane is uninitialized)
     warnings = []
@@ -449,18 +458,15 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
     cycle = -1
     for cycle, kind, xa, yb in trace:
         if kind == "WIN":
-            (x, rx, rows), (y, ry, cols) = plan(xa, yb)
-            shifts = lane_shifts[rx][ry]
+            (x, rx, xo), (y, ry, yo) = plan(xa, yb)
             out = 0
             unset = []
-            for p, banks in enumerate(bank):
-                base = row_addr[rows[p]]
-                for q, bi in enumerate(banks):
-                    v = mem[bi][base + cols[q]]
-                    if v is None:
-                        v = pmask
-                        unset.append(labels[bi])
-                    out |= v << shifts[bi]
+            for i, j, s, label in zip(xo, yo, lane_shifts[rx][ry], labels):
+                v = mem[i + j]
+                if v is None:
+                    v = pmask
+                    unset.append(label)
+                out |= v << s
             emit((cycle + 1, out))
             reads += 1
             if unset:
@@ -472,10 +478,9 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
                 raise SimError(f"cycle {cycle}: pixel write ({x},{y}) off-surface")
             if yb > pmask:
                 raise SimError(f"cycle {cycle}: write data wider than {P} bits")
-            (p, row), (q, col) = xs[x], ys[y]
-            bi = bank[p][q]
-            mem[bi][row_addr[row] + col] = yb
-            bank_writes[bi] += 1
+            (kx, i), (ky, j) = wxs[x], wys[y]
+            mem[i + j] = yb
+            bank_writes[kx + ky] += 1
         elif kind == "R":
             raise SimError("single-address reads apply to 1R-1W designs only")
 

@@ -150,6 +150,7 @@ def test_hdl_elaborated_instances(tmp_path):
 @pytest.mark.parametrize("key, value, message", [
     ("R", None, "netlist meta lacks R"),
     ("K", 3, "netlist structure: meta K=3 is not a power of two"),
+    ("M", 32, "netlist structure: meta M=32 leaves a word no bits (C*W=16)"),
     ("bits", 99, None),
 ])
 def test_hdl_reads_the_checked_sram_geometry(tmp_path, key, value, message):
@@ -702,6 +703,21 @@ def test_port_is_its_net_plus_a_direction():
         ir.add_port("d", "inout", 1)            # checked before the net is added
     assert ir.ports == {"clk": "in", "q": "out"}
     assert list(ir.nets) == ["clk", "q"] and ir.nets["q"].width == 4
+
+
+@pytest.mark.parametrize("name", ["a\n", "a/b\n"])
+def test_names_hold_no_newline(tmp_path, name):
+    """A net or cell name is matched whole: one with a newline, even a
+    trailing one, is refused, so emit_netlist never writes a line that
+    parse_netlist cannot read back."""
+    ir = NetlistIR("n")
+    with pytest.raises(NetlistError) as exc:
+        ir.add_net(name, 1)
+    assert str(exc.value) == f"bad net name {name!r}"
+    with pytest.raises(NetlistError) as exc:
+        ir.add_cell(name, "output_reg")
+    assert str(exc.value) == f"bad cell name {name!r}"
+    assert ir.nets == {} and ir.cells == {}
 
 
 # -- slot wiring ------------------------------------------------------------------

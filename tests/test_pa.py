@@ -82,11 +82,42 @@ def test_storage_map_matches_the_oracle(m, n, a, b):
             assert row_addr[prow] + pcol == bank_addr(spec, row, col)
 
 
+@pytest.mark.parametrize("boundary", ["wrap", "clamp"])
+@pytest.mark.parametrize("m, n, a, b", [
+    (4, 4, 1, 1), (5, 4, 2, 1), (3, 5, 0, 2), (3, 3, 0, 0), (2, 3, 2, 3),
+])
+def test_word_tables_follow_the_plans_and_the_map(m, n, a, b, boundary):
+    """pa.word_tables holds bank k from word k * bank_words of one flat
+    list: lane bank_index(p, q) of every window reads the bank_addr its
+    axis plans send bank (p, q), and every pixel is written at the bank
+    and address map_pixel stores it in.  Each axis's offsets are made
+    once and shared by the lanes that add them."""
+    spec = PAWindowSpec(m, n, a, b, boundary=boundary)
+    xs, ys, wxs, wys = pa.word_tables(spec)
+    xplans, yplans = axis_plans(spec)
+    assert [e[:2] for e in xs] == [e[:2] for e in xplans]
+    assert [e[:2] for e in ys] == [e[:2] for e in yplans]
+    for (_, _, xo), (_, _, rows) in zip(xs, xplans, strict=True):
+        for (_, _, yo), (_, _, cols) in zip(ys, yplans, strict=True):
+            assert [xo[k] + yo[k] for k in range(spec.lanes)] == [
+                bank_index(spec, p, q) * spec.bank_words
+                + bank_addr(spec, rows[p], cols[q])
+                for p in range(spec.banks_x) for q in range(spec.banks_y)]
+    for x, (kx, i) in enumerate(wxs):
+        for y, (ky, j) in enumerate(wys):
+            (bx, by), (row, col) = map_pixel(spec, x, y)
+            bank = bank_index(spec, bx, by)
+            assert (kx + ky, i + j) == (bank, bank * spec.bank_words
+                                      + bank_addr(spec, row, col))
+    offsets = [w for _, _, xo in xs for w in xo] + [w for _, _, yo in ys for w in yo]
+    assert len({id(w) for w in offsets}) <= spec.image_w + spec.image_h
+
+
 def test_window_plan_covers_window_exactly():
     rng = random.Random(1)
     for m, n, a, b in [(5, 5, 1, 1), (5, 4, 2, 1), (4, 4, 2, 2), (3, 5, 1, 0)]:
         spec = PAWindowSpec(m, n, a, b)
-        plan = window_planner(spec)
+        plan = window_planner(spec, *axis_plans(spec))
         for _ in range(50):
             x = rng.randrange(spec.image_w)
             y = rng.randrange(spec.image_h)
@@ -142,7 +173,7 @@ def test_check_plans_counts_wrong_plans(monkeypatch, boundary, axis, wrong,
 def corner_by_corner_mismatches(spec):
     """The plan check one corner at a time, from map_pixel: at every corner
     on the surface, window_planner's plan against the window it covers."""
-    plan = window_planner(spec)
+    plan = window_planner(spec, *pa.axis_plans(spec))
     W, H = spec.image_w, spec.image_h
     clamp = spec.boundary == "clamp"
     count = 0

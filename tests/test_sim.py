@@ -685,6 +685,64 @@ def _spec_id(v):
     return str(v)
 
 
+def window_model(spec, trace):
+    """(outputs, warnings) of a window memory, from pa_reference over the
+    pixels written so far, one op per cycle: an unwritten pixel reads as
+    all ones, and a window warns of the bank (px mod 2^a, py mod 2^b) of
+    each unwritten pixel it covers, in (p, q) order, at its effective
+    corner."""
+    W, H = spec.image_w, spec.image_h
+    bx, by = spec.banks_x, spec.banks_y
+    image = [[(1 << spec.pixel_bits) - 1] * H for _x in range(W)]
+    written = set()
+    outputs, warnings = [], []
+    for cycle, kind, a, b in trace.ops:
+        if kind == "W":
+            px, py = a >> spec.n, a % H
+            image[px][py] = b
+            written.add((px, py))
+            continue
+        outputs.append((cycle + 1, pa_reference(spec, image, a, b)))
+        if spec.boundary == "clamp":
+            x, y = min(max(a, 0), W - bx), min(max(b, 0), H - by)
+        else:
+            x, y = a % W, b % H
+        unset = sorted((px % bx, py % by)
+                       for px in ((x + dx) % W for dx in range(bx))
+                       for py in ((y + dy) % H for dy in range(by))
+                       if (px, py) not in written)
+        warnings += [f"cycle {cycle}: uninitialized lane ({p},{q}) in window "
+                     f"at ({x},{y})" for p, q in unset]
+    return outputs, warnings
+
+
+@pytest.mark.parametrize("spec", [
+    PAWindowSpec(*s, pixel_bits=p, boundary=bd)
+    for s in ((3, 3, 0, 0), (4, 4, 2, 1), (5, 4, 3, 1), (3, 5, 1, 2))
+    for bd in ("wrap", "clamp") for p in (1, 8, 64)], ids=_spec_id)
+def test_window_engine_matches_the_model(spec):
+    """Random pixel writes and window reads, at corners in [-W, 2W) x
+    [-H, 2H) so that some lie off the surface: both designs give the
+    model's outputs and warnings.  A third of the ops write, so most
+    windows are partly written and rotation parts bank order from slot
+    order."""
+    rng = random.Random(_spec_id(spec))
+    W, H = spec.image_w, spec.image_h
+    tr = SimTrace()
+    for _ in range(W * H):
+        if rng.random() < 1 / 3:
+            pixel = (rng.randrange(W) << spec.n) | rng.randrange(H)
+            tr.write(pixel, rng.getrandbits(spec.pixel_bits))
+        else:
+            tr.window(rng.randrange(-W, 2 * W), rng.randrange(-H, 2 * H))
+    outputs, warnings = window_model(spec, tr)
+    assert 0 < len(warnings) < spec.lanes * len(outputs)
+    for mode in ("sm", "tm"):
+        res = simulate(generate_pa(spec, mode), tr)
+        assert res.outputs == outputs, mode
+        assert res.warnings == warnings, mode
+
+
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=_spec_id)
 def test_expected_windows_match_cover_order(spec):
     """The per-axis table of expected windows is the pixel-at-a-time loop
@@ -829,11 +887,12 @@ def _edit_meta(src, dst, key, value):
     ("sram", "e_wire_op_fj", "-1"), ("sram", "R", None), ("sram", "K", "3"),
     ("sram", "W", "inf"), ("pa_sm", "m", None), ("pa_sm", "boundary", None),
     ("pa_tm", "t_cycle_ps", "inf"), ("pa_tm", "a", "-1"),
-    ("pa_sm", "pixel_bits", "12"),
+    ("pa_sm", "pixel_bits", "12"), ("sram", "M", "32"),
 ])
 def test_sim_rejects_malformed_meta(tmp_path, capsys, design, key, value):
     """Every meta figure an engine reads must exist and be a finite number
-    >= 0: sim exits 2 with one line naming the key, never a traceback."""
+    >= 0, and an SRAM's M must leave a word a bit (M <= C*W): sim exits 2
+    with one line naming the key, never a traceback."""
     nl, tr = _synthesized(tmp_path, design)
     bad = tmp_path / "bad.nl"
     _edit_meta(nl, bad, key, value)
@@ -960,6 +1019,10 @@ def test_sim_size_follows_the_cells(tmp_path, capsys):
     ("W 1 -5", "write data must be non-negative"),
     ("R 010", "invalid literal for int() with base 0: '010'"),
     ("WIN 3", "list index out of range"),
+    ("R 1 W 2 aa", "extra token 'W'"),
+    ("W 1 ff 0", "extra token '0'"),
+    ("WIN 3 4 5", "extra token '5'"),
+    ("IDLE junk", "extra token 'junk'"),
 ])
 def test_trace_file_rejects_line(tmp_path, capsys, bad, msg):
     path = tmp_path / "bad.tr"
