@@ -316,10 +316,7 @@ def select_best(points, spec: UserSpec) -> SelectResult | None:
             v = max(v, est.e_op_fj / spec.e_max_fj - 1.0)
         return v
 
-    feasible = [(c, e) for c, e in points if violation(e) <= 0.0]
-    if feasible:
-        c, e = min(feasible, key=lambda p: (p[1].area_um2, p[1].t_cycle_ps, p[0].key()))
-        return SelectResult(c, e)
+    # violation is never below 0.0, so the feasible points, at 0.0, come first
     c, e = min(points, key=lambda p: (violation(p[1]), p[1].area_um2,
                                       p[1].t_cycle_ps, p[0].key()))
     return SelectResult(c, e, violation(e))

@@ -115,10 +115,17 @@ def load_cell(path) -> GridLayout:
                     elif toks[0] == "layer":
                         lay.layer_classes[toks[1]] = toks[2]
                         if len(toks) > 3:
+                            if toks[3] not in ("H", "V"):
+                                raise LayoutError(f"layer {toks[1]} direction "
+                                                  f"{toks[3]!r} is not H or V")
                             lay.layer_dirs[toks[1]] = toks[3]
+                        if len(toks) > 4:
+                            raise LayoutError(f"extra token {toks[4]!r}")
                     elif toks[0] == "shape":
                         lay.shapes.append(Shape(toks[1], toks[2], _num(toks[3]),
                                                 _num(toks[4]), _num(toks[5])))
+                        if len(toks) > 6:
+                            raise LayoutError(f"extra token {toks[6]!r}")
                     else:
                         raise LayoutError(f"unknown directive {toks[0]!r}")
                 except (IndexError, ValueError) as e:
@@ -220,26 +227,19 @@ def _canonical_construct(layout: GridLayout, cx: float, cy: float,
     collapse onto interior ones."""
     xlo, xhi = cx - half, cx + half
     ylo, yhi = cy - half, cy + half
+    # each direction's (across, along) frame: (centre, low, high) of the window
+    frames = {"H": ((cy, ylo, yhi), (cx, xlo, xhi)),
+              "V": ((cx, xlo, xhi), (cy, ylo, yhi))}
     elems = []
     for s in layout.shapes:
         if s.layer not in relevant:
             continue
-        if s.direction == "H":
-            if not ylo <= s.index <= yhi:
-                continue
-            a, b = max(s.start, xlo), min(s.end, xhi)
-            if a >= b:
-                continue
-            elems.append((s.layer, "H", round(2 * (s.index - cy)),
-                          round(2 * (a - cx)), round(2 * (b - cx))))
-        else:
-            if not xlo <= s.index <= xhi:
-                continue
-            a, b = max(s.start, ylo), min(s.end, yhi)
-            if a >= b:
-                continue
-            elems.append((s.layer, "V", round(2 * (s.index - cx)),
-                          round(2 * (a - cy)), round(2 * (b - cy))))
+        (c0, lo0, hi0), (c1, lo1, hi1) = frames[s.direction]
+        a, b = max(s.start, lo1), min(s.end, hi1)
+        if not lo0 <= s.index <= hi0 or a >= b:
+            continue
+        elems.append((s.layer, s.direction, round(2 * (s.index - c0)),
+                      round(2 * (a - c1)), round(2 * (b - c1))))
     vx0, vx1 = max(xlo, 0), min(xhi, layout.width_pitches)
     vy0, vy1 = max(ylo, 0), min(yhi, layout.track_count)
     elems.append(("__cell__", "B", round(2 * (vx0 - cx)), round(2 * (vx1 - cx)),

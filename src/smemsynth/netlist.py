@@ -376,19 +376,27 @@ def parse_netlist(path) -> NetlistIR:
                         if role != want:
                             raise NetlistError(f"{cell}.{pin} of a {ir.cells[cell].kind} "
                                                f"takes role {want!r}, not {role!r}")
+                        if len(toks) > 4:
+                            raise NetlistError(f"extra token {toks[4]!r}")
                     elif head == "cell":
                         params = {}
                         for tok in toks[3:]:
                             kv = params_of.get(tok)
                             if kv is None:
-                                k, _, v = tok.partition("=")
+                                k, eq, v = tok.partition("=")
+                                if not eq:
+                                    raise NetlistError(f"param {tok!r} is not key=value")
                                 kv = params_of[tok] = (k, _parse_value(v))
                             params[kv[0]] = kv[1]
                         add_cell(toks[1], toks[2], **params)
                     elif head == "net":
                         ir.add_net(toks[1], int(toks[2]))
+                        if len(toks) > 3:
+                            raise NetlistError(f"extra token {toks[3]!r}")
                     elif head == "port":
                         ir.add_port(toks[1], toks[2], int(toks[3]))
+                        if len(toks) > 4:
+                            raise NetlistError(f"extra token {toks[4]!r}")
                     elif head[0] == "#":
                         body = line.strip()[1:].strip()
                         if body.startswith("smemsynth netlist "):

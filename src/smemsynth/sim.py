@@ -302,6 +302,17 @@ def _check_cells(ir: netlist.NetlistIR) -> dict:
     return by_kind
 
 
+def _census(by_kind: dict, B: int, W: int, **counts) -> None:
+    """The design's cell inventory: `counts[kind]` cells of each kind in
+    `by_kind` (none of a kind `counts` omits), and every macro B x W."""
+    for kind, cells in by_kind.items():
+        n = counts.get(kind, 0)
+        _require(len(cells) == n, f"expected {n} {kind} cells, found {len(cells)}")
+    for cell in by_kind["baplus_instance"]:
+        _require(cell.params.get("B") == B and cell.params.get("W") == W,
+                 f"{cell.name}: macro geometry mismatch")
+
+
 def _check_rdata(ir: netlist.NetlistIR, bits: int) -> None:
     _require(ir.ports.get("rdata") == "out" and ir.nets["rdata"].width == bits,
              f"rdata must be an out port of {bits} bits")
@@ -329,21 +340,13 @@ def sram_geometry(meta: dict) -> tuple:
 
 
 def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
-    meta = ir.meta
-    (R, C, K, M, B, W), amap, bits = sram_geometry(meta)
-    _check_figures(meta, "netlist meta", "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
+    (R, C, K, M, B, W), amap, bits = sram_geometry(ir.meta)
     words = R * K * B * M
     _check_rdata(ir, bits)
+    slots, mux = R * C * K, int(M > 1)
+    _census(by_kind, B, W, baplus_instance=slots, wordline_gate=slots,
+            tristate_driver=slots, decoder=1, column_mux=mux, output_reg=mux)
     _check_decoder(ir, "dec", **amap.decoder)
-    bas = by_kind["baplus_instance"]
-    _require(len(bas) == R * C * K, f"expected {R*C*K} macros, found {len(bas)}")
-    for cell in bas:
-        _require(cell.params.get("B") == B and cell.params.get("W") == W,
-                 f"{cell.name}: macro geometry mismatch")
-    _require(len(by_kind["wordline_gate"]) == R * C * K,
-             "one wordline gate per macro")
-    _require((M > 1) == ("mux" in ir.cells), "column mux present iff M > 1")
-    _require((M > 1) == ("sel_reg" in ir.cells), "select register iff M > 1")
 
     mem: dict[int, int] = {}   # written words only: memory follows the trace
     poison = (1 << bits) - 1
@@ -401,42 +404,28 @@ def _read_warning(record, prefix) -> str:
 
 # -- parallel-access engines -------------------------------------------------
 
-def _pa_common(ir: netlist.NetlistIR, by_kind: dict):
-    _check_figures(ir.meta, "netlist meta", "m", "n", "a", "b", "pixel_bits",
-                   "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
-    spec = pa._spec_from_meta(ir.meta)
-    _check_rdata(ir, spec.lanes * spec.pixel_bits)
-    bas = by_kind["baplus_instance"]
-    _require(len(bas) == spec.lanes, f"expected {spec.lanes} bank macros")
-    for cell in bas:
-        _require(cell.params.get("B") == spec.bank_words
-                 and cell.params.get("W") == spec.pixel_bits,
-                 f"{cell.name}: bank macro geometry mismatch")
-    align = ir.cells.get("align")
-    _require(align is not None and align.kind == "pa_align", "missing aligner")
-    _require(align.params.get("lanes") == spec.lanes, "aligner lane count mismatch")
-    _require((spec.a + spec.b > 0) == ("rot_reg" in ir.cells),
-             "rotation register iff the window spans multiple banks")
-    return spec
-
-
 def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
-    spec = _pa_common(ir, by_kind)
-    incs = by_kind["pa_increment"]
-    if mode == "sm":
+    _check_figures(ir.meta, "netlist meta", "m", "n", "a", "b", "pixel_bits")
+    spec = pa._spec_from_meta(ir.meta)
+    lanes, sm = spec.lanes, mode == "sm"
+    _check_rdata(ir, lanes * spec.pixel_bits)
+    _census(by_kind, spec.bank_words, spec.pixel_bits, baplus_instance=lanes,
+            wordline_gate=lanes, tristate_driver=lanes, decoder=2 if sm else lanes,
+            pa_increment=2 * lanes if sm else lanes, output_reg=int(lanes > 1),
+            pa_align=1)
+    _require(by_kind["pa_align"][0].params.get("lanes") == lanes,
+             "aligner lane count mismatch")
+    if sm:
         _check_decoder(ir, "xdec", spec.m, spec.m - spec.a)
         _check_decoder(ir, "ydec", spec.n, spec.n - spec.b)
-        _require(len(incs) == 2 * spec.lanes,
-                 "two one-hot increment cells per bank")
     else:
-        _require(len(incs) == spec.lanes, "one translator per bank")
         for p in range(spec.banks_x):
             for q in range(spec.banks_y):
                 _check_decoder(ir, f"bank_{p}_{q}/sram/dec", **spec.bank_map.decoder)
-    for c in incs:
+    for c in by_kind["pa_increment"]:
         # the mode an increment is priced by must be the design's
-        _require((c.params.get("mode") == "translate") == (mode == "tm"),
-                 f"{c.name}: {'expected a' if mode == 'tm' else 'unexpected'} "
+        _require((c.params.get("mode") == "translate") != sm,
+                 f"{c.name}: {'unexpected' if sm else 'expected a'} "
                  "translate-mode cell")
 
     P = spec.pixel_bits
@@ -448,12 +437,12 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
     bank = pa.storage_map(spec)[2]
     # each bank's "p,q", in bank order, for the warnings
     labels = [f"{p},{q}" for p, banks in enumerate(bank) for q, _ in enumerate(banks)]
-    mem = [None] * (spec.lanes * spec.bank_words)   # the banks end to end
+    mem = [None] * (lanes * spec.bank_words)   # the banks end to end
     reads = 0
     # (cycle, x, y, the labels of the banks whose lane is uninitialized)
     warnings = []
     unset_lanes = 0
-    bank_writes = [0] * spec.lanes
+    bank_writes = [0] * lanes
 
     cycle = -1
     for cycle, kind, xa, yb in trace:
@@ -486,12 +475,12 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
 
     ops = reads + sum(bank_writes)
     act = {"__wire__": ops, "align": reads}
-    if spec.lanes > 1:
+    if lanes > 1:
         act["rot_reg"] = reads
     for p, banks in enumerate(bank):
         for q, bi in enumerate(banks):
             name = f"bank_{p}_{q}"
-            if mode == "sm":
+            if sm:
                 act[f"{name}/incx"] = act[f"{name}/incy"] = reads
                 act[f"{name}/wlg"] = reads + bank_writes[bi]
                 act[f"{name}/tri"] = reads
@@ -501,21 +490,21 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
                 act[f"{name}/sram/dec"] = reads + bank_writes[bi]
                 act[f"{name}/sram/bank_0_0/wlg_0"] = reads + bank_writes[bi]
                 act[f"{name}/sram/bank_0_0/tri_0"] = reads
-            ba = f"{name}/ba" if mode == "sm" else f"{name}/sram/bank_0_0/ba_0"
+            ba = f"{name}/ba" if sm else f"{name}/sram/bank_0_0/ba_0"
             act[f"{ba}:read"] = reads
             if bank_writes[bi]:
                 act[f"{ba}:write"] = bank_writes[bi]
-    if mode == "sm":
+    if sm:
         act["xdec"] = act["ydec"] = ops
 
-    def lanes(record, prefix) -> str:
+    def render(record, prefix) -> str:
         # the window's part of the text is formatted once
         cycle, x, y, unset = record
         head = f"{prefix}cycle {cycle}: uninitialized lane ("
         tail = f") in window at ({x},{y})\n"
         return head + (tail + head).join(unset) + tail
 
-    return act, Warnings(warnings, lanes, unset_lanes), cycle + 1
+    return act, Warnings(warnings, render, unset_lanes), cycle + 1
 
 
 def _run(ir: netlist.NetlistIR, trace, emit):
@@ -529,6 +518,7 @@ def _run(ir: netlist.NetlistIR, trace, emit):
     if design not in ("sram_1r1w", "pa_sm", "pa_tm"):
         raise SimError(f"no engine for design {design!r}")
     by_kind = _check_cells(ir)
+    _check_figures(ir.meta, "netlist meta", "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
     if design == "sram_1r1w":
         return _sim_sram(ir, trace, by_kind, emit)
     return _sim_pa(ir, trace, by_kind, emit, design[3:])
@@ -560,7 +550,10 @@ def _price(ir: netlist.NetlistIR, activity: dict, cycles: int,
             total += count * ir.meta["e_wire_op_fj"]
             continue
         name, _, event = key.partition(":")
-        cell = ir.cells[name]
+        cell = ir.cells.get(name)
+        if cell is None:
+            raise SimError("netlist structure: the activity counts cell "
+                           f"{name!r}, which the netlist lacks")
         price = netlist.CELL_KINDS[cell.kind].price
         if event:   # a macro's read or write
             figure = f"e_{event}_fj"

@@ -217,6 +217,58 @@ def test_select_best_feasible_and_not():
         min(e.t_cycle_ps for _, e in pts) / 1.0 - 1.0)
 
 
+def two_search_select(points, spec):
+    """(config, estimate, violation) of select_best as two searches: the
+    least area among the feasible points, else the least violation; ties
+    by t_cycle, then config."""
+    def violation(est):
+        v = 0.0
+        if spec.t_max_ps is not None:
+            v = max(v, est.t_cycle_ps / spec.t_max_ps - 1.0)
+        if spec.e_max_fj is not None:
+            v = max(v, est.e_op_fj / spec.e_max_fj - 1.0)
+        return v
+
+    feasible = [(c, e) for c, e in points if violation(e) <= 0.0]
+    if feasible:
+        c, e = min(feasible, key=lambda p: (p[1].area_um2, p[1].t_cycle_ps, p[0].key()))
+        return c, e, 0.0
+    c, e = min(points, key=lambda p: (violation(p[1]), p[1].area_um2,
+                                      p[1].t_cycle_ps, p[0].key()))
+    return c, e, violation(e)
+
+
+@pytest.mark.parametrize("cloud, t_max, e_max", [
+    ("all_feasible", 400.0, 40.0), ("all_feasible", None, None),
+    ("none_feasible", 50.0, 5.0), ("mixed", 250.0, 25.0), ("mixed", 250.0, None),
+    ("tied", 250.0, 25.0),
+])
+def test_select_best_matches_two_searches(cloud, t_max, e_max):
+    """One search keyed by violation first picks what a search of the
+    feasible points, then of all points, picks.  Figures come from small
+    sets, so areas, cycle times and violations tie often; "tied" clouds
+    share one (area, t_cycle, e_op) triple and only the config decides."""
+    rng = random.Random(cloud)
+    spec = UserSpec(256, 8, t_max_ps=t_max, e_max_fj=e_max)
+    pows = (1, 2, 4, 8)
+    for _ in range(300):
+        keys = {("ba_8x8", *(rng.choice(pows) for _ in range(4)))
+                for _ in range(rng.randint(1, 12))}
+        configs = [MemoryConfig(*k) for k in keys]
+        rng.shuffle(configs)
+
+        def draw():
+            return (rng.choice((1.0, 2.0, 3.0)), rng.choice((100.0, 200.0, 300.0)),
+                    rng.choice((10.0, 20.0, 30.0)))
+        shared = draw()
+        points = [(c, PPAEstimate(*(shared if cloud == "tied" else draw()), 1.0))
+                  for c in configs]
+        sel = select_best(points, spec)
+        assert (sel.config, sel.estimate, sel.violation) == two_search_select(points, spec)
+        if cloud.endswith("feasible"):
+            assert sel.feasible == (cloud == "all_feasible")
+
+
 def test_traditional_baseline_padding():
     lib = default_library(TechParams())
     spec = UserSpec(256, 16)

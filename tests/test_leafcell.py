@@ -172,6 +172,27 @@ def test_load_cell_errors(tmp_path):
         load_cell(p2)
 
 
+@pytest.mark.parametrize("old, new, msg", [
+    ("layer m0 structured_1d H", "layer m0 structured_1d H V", "extra token 'V'"),
+    ("shape poly V 0 0 10", "shape poly V 0 0 10 4", "extra token '4'"),
+    ("layer m0 structured_1d H", "layer m0 structured_1d X",
+     "layer m0 direction 'X' is not H or V"),
+])
+def test_load_cell_rejects_line(tmp_path, capsys, old, new, msg):
+    """A line past its last field, or a layer direction that is neither H
+    nor V, is refused at load with the file and line: leafcell exits 2."""
+    lines = (FIXTURES / "dffq_unidir.cell").read_text().splitlines()
+    lineno = lines.index(old) + 1
+    lines[lineno - 1] = new
+    path = tmp_path / "bad.cell"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LayoutError) as exc:
+        load_cell(path)
+    assert str(exc.value) == f"{path}:{lineno}: {msg}"
+    assert main(["leafcell", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"smemsynth leafcell: {path}:{lineno}: {msg}\n"
+
+
 @pytest.mark.parametrize("lineno", [2, 3001])
 def test_non_utf8_cell_names_its_line(tmp_path, capsys, lineno):
     """The bad byte's own line is named, not the line where the reader's

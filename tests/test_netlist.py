@@ -465,6 +465,14 @@ _BAD_LINES = [
      "bad cell name 'sel-reg'"),
     ("unknown-cell-wrong-role", "conn raddr dec.raddr sink",
      "conn raddr decoder.raddr drive", "unknown cell 'decoder'"),
+    # a line ends at its last field, and every param is key=value
+    ("port-extra-token", "port we in 1", "port we in 1 9", "extra token '9'"),
+    ("net-extra-token", "net r_row 32", "net r_row 32 junk", "extra token 'junk'"),
+    ("conn-extra-token", "conn re dec.re sink", "conn re dec.re sink extra tokens",
+     "extra token 'extra'"),
+    ("cell-bare-param", "cell sel_reg ",
+     "cell sel_reg output_reg role=mux_sel_pipeline stray",
+     "param 'stray' is not key=value"),
 ]
 
 
@@ -536,7 +544,8 @@ _API_MISTAKES = {
 _PARSER_ONLY = {"port-missing-token", "cell-missing-token", "net-missing-token",
                 "conn-missing-token", "net-width-not-int", "port-width-not-int",
                 "conn-bad-role", "conn-wrong-role", "conn-output-as-sink",
-                "unknown-directive", "unknown-net-no-role"}
+                "unknown-directive", "unknown-net-no-role", "port-extra-token",
+                "net-extra-token", "conn-extra-token", "cell-bare-param"}
 
 
 def test_every_bad_line_is_an_api_mistake_or_text_only():

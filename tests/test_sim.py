@@ -10,7 +10,7 @@ from smemsynth import pa, sim
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
-from smemsynth.netlist import emit_netlist, generate_sram, parse_netlist
+from smemsynth.netlist import CELL_KINDS, emit_netlist, generate_sram, parse_netlist
 from smemsynth.pa import (PAWindowSpec, check_plans, compare_pa_ppa, generate_pa,
                           window_cover)
 from smemsynth.sim import (SimError, SimTrace, TraceError, TraceFile, Warnings,
@@ -855,13 +855,19 @@ def test_unknown_design_rejected():
         simulate(ir, SimTrace().idle())
 
 
+def _small_design(design):
+    """The small netlist of `design` that _synthesized writes."""
+    if design == "sram":
+        return generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+    return generate_pa(PAWindowSpec(4, 4, 1, 1), design[3:])
+
+
 def _synthesized(tmp_path, design):
     """(.nl path, trace path) for a small netlist of `design`."""
+    ir = _small_design(design)
     if design == "sram":
-        ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
         ops = "W 0 1\nW 37 a5\nR 37\nR 0\nR 5\n"
     else:
-        ir = generate_pa(PAWindowSpec(4, 4, 1, 1), design[3:])
         ops = "W 0 1\nW 37 a5\nWIN 0 0\nWIN 3 2\n"
     nl, tr = tmp_path / "good.nl", tmp_path / "ops.tr"
     emit_netlist(ir, nl)
@@ -930,6 +936,31 @@ def _drop_net(net):
     return edit
 
 
+def _rename_cell(old, new):
+    """An `edit` that renames cell `old` to `new`, on its line and its conns."""
+    def edit(line):
+        toks = line.split()
+        if toks[:2] == ["cell", old]:
+            toks[1] = new
+        elif toks[0] == "conn" and toks[2].rpartition(".")[0] == old:
+            toks[2] = f"{new}.{toks[2].rpartition('.')[2]}"
+        else:
+            return line
+        return " ".join(toks) + "\n"
+    return edit
+
+
+def _drop_cell(cell):
+    """An `edit` that drops `cell`'s line and the conns of its pins."""
+    def edit(line):
+        toks = line.split()
+        if toks[:2] == ["cell", cell] or (
+                toks[0] == "conn" and toks[2].rpartition(".")[0] == cell):
+            return None
+        return line
+    return edit
+
+
 def _port_width(net, width):
     def edit(line):
         toks = line.split()
@@ -981,6 +1012,22 @@ def _port_width(net, width):
     ("sram", _set_param("dec", "stages", "8"), "dec: decoder width or depth mismatch"),
     ("sram", _set_param("dec", "mux_bits", "0"), "dec: decoder width or depth mismatch"),
     ("sram", _set_param("dec", "in_bits", "7"), "dec: decoder width or depth mismatch"),
+    # every bank macro holds a bank's words of one pixel each
+    ("pa_sm", _set_param("bank_1_1/ba", "B", "8"), "bank_1_1/ba: macro geometry mismatch"),
+    ("pa_tm", _set_param("bank_0_1/sram/bank_0_0/ba_0", "W", "16"),
+     "bank_0_1/sram/bank_0_0/ba_0: macro geometry mismatch"),
+    # the aligner must gather every lane
+    ("pa_sm", _set_param("align", "lanes", "2"), "aligner lane count mismatch"),
+    ("pa_tm", _set_param("align", "lanes", None), "aligner lane count mismatch"),
+    # a renamed cell keeps the census, but the trace drives its old name
+    ("sram", _rename_cell("bank_0_0/tri_0", "bank_0_0/tri_9"),
+     "netlist structure: the activity counts cell 'bank_0_0/tri_0', "
+     "which the netlist lacks"),
+    ("pa_sm", _rename_cell("align", "aligner"),
+     "netlist structure: the activity counts cell 'align', which the netlist lacks"),
+    ("pa_tm", _rename_cell("bank_1_1/sram/bank_0_0/ba_0", "bank_1_1/sram/bank_0_0/ba_1"),
+     "netlist structure: the activity counts cell 'bank_1_1/sram/bank_0_0/ba_0', "
+     "which the netlist lacks"),
 ])
 def test_sim_rejects_malformed_cell(tmp_path, capsys, design, edit, named):
     """Every cell figure an engine reads, on every cell, must exist and be
@@ -1008,6 +1055,79 @@ def test_sim_size_follows_the_cells(tmp_path, capsys):
         assert main(["sim", str(path), str(tr), "--out", str(out)]) == 0
         runs.append((capsys.readouterr().out, (out / "result.txt").read_text()))
     assert runs[0] == runs[1]
+
+
+# -- the cell census ------------------------------------------------------------
+
+# the kinds each of _synthesized's netlists holds
+_HELD = {"sram": ("baplus_instance", "decoder", "wordline_gate", "tristate_driver",
+                  "column_mux", "output_reg"),
+         "pa_sm": ("baplus_instance", "decoder", "wordline_gate", "tristate_driver",
+                   "output_reg", "pa_increment", "pa_align")}
+_HELD["pa_tm"] = _HELD["pa_sm"]
+
+
+@pytest.mark.parametrize("design, kind, delta", [
+    *((d, k, -1) for d, kinds in _HELD.items() for k in kinds),
+    *((d, k, +1) for d in _HELD for k in sorted(CELL_KINDS)),
+])
+def test_sim_counts_every_kind_of_cell(tmp_path, capsys, design, kind, delta):
+    """One cell of a kind the design holds dropped with its conns, or one
+    extra cell of any kind: sim exits 2 with one line naming the kind and
+    both counts, before it reads the trace."""
+    nl, tr = _synthesized(tmp_path, design)
+    held = [c for c in parse_netlist(nl).cells.values() if c.kind == kind]
+    assert bool(held) == (kind in _HELD[design])
+    bad = tmp_path / "bad.nl"
+    if delta < 0:
+        _edit_lines(nl, bad, _drop_cell(held[-1].name))
+    else:
+        # a copy of a generated cell of the kind, under a new name
+        like = next(c for d in _HELD for c in _small_design(d).cells.values()
+                    if c.kind == kind)
+        params = " ".join(f"{k}={v}" for k, v in like.params.items())
+        bad.write_text(nl.read_text() + f"cell extra_cell {kind} {params}\n")
+    tr.write_text("R 1_0\n")    # a malformed trace: the census fails first
+    assert main(["sim", str(bad), str(tr), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"smemsynth sim: netlist structure: expected {len(held)} {kind} cells, "
+        f"found {len(held) + delta}\n")
+
+
+def test_census_holds_for_generated_srams():
+    """Every generated SRAM passes the engine's census and prices the
+    cells its activity counts: M = 1 and M > 1, R and K above 1, and a
+    one-row macro."""
+    lib = Library([generate_variant(32, 8),
+                   generate_variant(1, 8, b_bounds=None)], TechParams())
+    for variant in ("ba_32x8", "ba_1x8"):
+        for R, C, K, M in itertools.product((1, 2, 4), (1, 2, 4), (1, 2, 4),
+                                            (1, 2, 8)):
+            ir = generate_sram(MemoryConfig(variant, R, C, K, M), lib)
+            last = ir.meta["words"] - 1
+            res = simulate(ir, SimTrace().write(last, 1).read(last))
+            assert res.outputs == [(2, 1)]
+
+
+class _Censused(Exception):
+    """Raised where the window engine, its census passed, builds its tables."""
+
+
+def test_census_holds_for_generated_window_memories(monkeypatch):
+    """Every generated window memory passes the engine's census: m, n in
+    1..5, every a <= m and b <= n, wrap and clamp, sm and tm.  The engine
+    checks a netlist's structure before it builds pa.word_tables, so a
+    design whose census holds reaches that call."""
+    def censused(spec):
+        raise _Censused
+    monkeypatch.setattr(pa, "word_tables", censused)
+    for m, n in itertools.product(range(1, 6), repeat=2):
+        for a, b in itertools.product(range(m + 1), range(n + 1)):
+            for boundary in ("wrap", "clamp"):
+                spec = PAWindowSpec(m, n, a, b, boundary=boundary)
+                for mode in ("sm", "tm"):
+                    with pytest.raises(_Censused):
+                        simulate(generate_pa(spec, mode), SimTrace())
 
 
 # -- trace files and evaluation order -------------------------------------------
