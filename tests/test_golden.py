@@ -50,6 +50,40 @@ def _sram_trace(seed: str, words: int, bits: int, n_ops: int = 300) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pa_trace(seed: str, m: int, n: int, pixel_bits: int, n_ops: int = 300) -> str:
+    """Pixel writes to a third of the surface, window reads at corners on
+    and off it, and IDLE; windows over unwritten pixels warn."""
+    rng = random.Random(seed)
+    W, H = 1 << m, 1 << n
+    pool = rng.sample([(x, y) for x in range(W) for y in range(H)], W * H // 3)
+    lines = []
+    for _ in range(n_ops):
+        r = rng.random()
+        if r < 0.4:
+            x, y = rng.choice(pool)
+            lines.append(f"W {(x << n) | y} {rng.getrandbits(pixel_bits):x}")
+        elif r < 0.9:
+            lines.append(f"WIN {rng.randrange(-3, W + 3)} {rng.randrange(-3, H + 3)}")
+        else:
+            lines.append("IDLE")
+    return "\n".join(lines) + "\n"
+
+
+def _pa_sim_case(specs: list):
+    """`pa` of each (spec, boundary), then `sim` of both its netlists on
+    one seeded trace of 8-bit pixels."""
+    inputs, commands = {}, []
+    for spec, boundary in specs:
+        m, n, *_ = map(int, spec.split(","))
+        tag = f"{spec.replace(',', '')}_{boundary}"
+        inputs[f"{tag}.tr"] = _pa_trace(tag, m, n, 8)
+        commands.append(["pa", "--spec", spec, "--boundary", boundary,
+                         "--out", f"pa_{tag}"])
+        commands += [["sim", f"pa_{tag}/pa_{mode}.nl", f"{tag}.tr",
+                      "--out", f"sim_{tag}_{mode}"] for mode in ("sm", "tm")]
+    return inputs, commands
+
+
 def _sram_case(config: str, words: int, bits: int):
     variant, *factors = config.split(",")
     name = "sram_{}_r{}c{}k{}m{}".format(variant, *factors)
@@ -84,6 +118,9 @@ CASES = {
          "--out", f"pa_{spec.replace(',', '')}_{boundary}"]
         for spec in ("3,3,1,1", "4,3,0,1") for boundary in ("wrap", "clamp")
     ]),
+    # sim of both window memories: writes, off-surface corners and
+    # windows over unwritten pixels
+    "pa_sim": _pa_sim_case([("4,3,2,1", "clamp"), ("3,3,1,1", "wrap")]),
     "explore": ({}, [
         ["explore", "--spec", "4096x32", "--ar-target", "1.0",
          "--ar-tol", "0.2", "--out", "explore_ar"],
