@@ -17,7 +17,7 @@ from .netlist import (Cell, Net, NetlistError, NetlistIR, check_wellformed,
                       emit_hdl, emit_netlist, generate_sram, parse_netlist)
 from .pa import (PAComparison, PAError, PAWindowSpec, axis_plans,
                  check_budget, check_plans, compare_pa_ppa, generate_pa,
-                 window_planner, word_tables)
+                 window_planner)
 from .sim import (SimError, SimResult, SimTrace, TraceError, TraceFile,
                   Warnings, energy_report, simulate, verify_pa)
 

@@ -388,6 +388,10 @@ def parse_netlist(path) -> NetlistIR:
                                     raise NetlistError(f"param {tok!r} is not key=value")
                                 kv = params_of[tok] = (k, _parse_value(v))
                             params[kv[0]] = kv[1]
+                        if len(params) < len(toks) - 3:
+                            keys = [params_of[tok][0] for tok in toks[3:]]
+                            twice = next(k for k in keys if keys.count(k) > 1)
+                            raise NetlistError(f"param {twice!r} given twice")
                         add_cell(toks[1], toks[2], **params)
                     elif head == "net":
                         ir.add_net(toks[1], int(toks[2]))
@@ -403,7 +407,9 @@ def parse_netlist(path) -> NetlistIR:
                             ir.name = body.split()[-1]
                         elif body.startswith("meta "):
                             for tok in body[5:].split():
-                                k, _, v = tok.partition("=")
+                                k, eq, v = tok.partition("=")
+                                if not eq:
+                                    raise NetlistError(f"meta {tok!r} is not key=value")
                                 ir.meta[k] = _parse_value(v)
                     else:
                         raise NetlistError(f"unknown directive {head!r}")

@@ -19,6 +19,7 @@ output alignment network so lane data lands at window-relative positions.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from . import explorer, netlist
@@ -182,30 +183,114 @@ def axis_plans(spec: PAWindowSpec):
     return axis(xcells, spec.banks_x), axis(ycells, spec.banks_y)
 
 
-def word_tables(spec: PAWindowSpec):
-    """(xs, ys, wxs, wys): axis_plans and storage_map in the words of one
-    list that holds bank k from word k * bank_words.  xs[x] = (x0, rx, xo)
-    and ys[y] = (y0, ry, yo): lane k of a window, bank k's, is word xo[k] +
-    yo[k].  Pixel (x, y) is word i + j of bank kx + ky, for wxs[x] = (kx, i)
-    and wys[y] = (ky, j)."""
+def window_tables(spec: PAWindowSpec):
+    """(xs, ys, reads, wxs, wys, lanes, blank): axis_plans, storage_map and
+    lane_shifts for a window memory held as bank_words packed words.  Word
+    w holds word w of every bank: bank k's pixel at bits k * pixel_bits,
+    and above all pixels a flag per bank, bank k's set while its pixel is
+    unwritten.  Every word starts as `blank`: all ones, every pixel poison
+    and unwritten.
+
+    A window reads xs[x] = (x0, gx, rws) and ys[y] = (y0, gy, cws): x0 and
+    y0 are its effective corner, rws the rows (as row_addr offsets) and cws
+    the columns that its plans issue, one or two each.  reads[gx + gy] =
+    (bias, groups) aligns it: each (i, j, mask, flags, up) of groups takes
+    the pixels `mask` of word rws[i] + cws[j], whose banks' flags are
+    `flags`, shifted `up` bits up; the window is their OR shifted `bias`
+    bits down, each pixel in its lane_shifts slot.  A group holds the
+    banks of one address pair on one side of the rotation, at most four,
+    when lane_shifts moves them all by one shift, as the sound aligner
+    does; else the banks of one address pair and shift.
+
+    Pixel (x, y) is bank kx + ky at word i + j, for wxs[x] = (kx, i) and
+    wys[y] = (ky, j); lanes[k] = (up, keep, flag) writes it: bank k's pixel
+    goes `up` bits up, `keep` clears it and its flag, `flag` is its flag.
+
+    PAError when an axis plan sends one window's banks more than two
+    addresses: an increment cell gives its bank the base or the next.
+    """
     xcells, ycells, bank, row_addr = storage_map(spec)
-    bw, by = spec.bank_words, spec.banks_y
-    # bank[p][q] = bank[p][0] + bank[0][q]: a word is an x part plus a y
-    # part, each made once and shared by the lanes and pixels that add it
-    xw = [[bank[p][0] * bw + addr for addr in row_addr] for p in range(spec.banks_x)]
-    yw = [[bank[0][q] * bw + col for col in range(spec.cols)] for q in range(by)]
+    P, L = spec.pixel_bits, spec.lanes
+    blank = (1 << L * (P + 1)) - 1
     xplans, yplans = axis_plans(spec)
-    return ([(x0, rx, tuple(w for p, row in enumerate(rows) for w in (xw[p][row],) * by))
-             for x0, rx, rows in xplans],
-            [(y0, ry, tuple(map(list.__getitem__, yw, cols)) * spec.banks_x)
-             for y0, ry, cols in yplans],
-            [(bank[p][0], xw[p][row]) for p, row in xcells],
-            [(bank[0][q], yw[q][col]) for q, col in ycells])
+
+    def axis(name, plans, offsets):
+        # the entries, and each distinct (rotation, address index per bank)
+        entries, patterns = [], {}
+        for c, (c0, r, issued) in enumerate(plans):
+            addrs = tuple(dict.fromkeys(issued))
+            if len(addrs) > 2:
+                raise PAError(f"the {name} plan of corner {c} sends its banks "
+                              f"{len(addrs)} addresses; an increment gives two")
+            g = patterns.setdefault((r, tuple(map(addrs.index, issued))), len(patterns))
+            entries.append((c0, g, tuple(offsets[a] for a in addrs)))
+        return entries, list(patterns)
+    xs, xpatterns = axis("x", xplans, row_addr)
+    ys, ypatterns = axis("y", yplans, range(spec.cols))
+    shifts = lane_shifts(spec)
+    lanes = range(L)
+    base = [k * P for k in lanes]
+    # bank k's pixel bits, its flag, and a 1 in its 32-bit field of a
+    # list of shifts packed into one int
+    masks = [(((1 << P) - 1) << base[k], 1 << L * P + k, 1 << 32 * k) for k in lanes]
+
+    def packed(values):
+        return int.from_bytes(struct.pack(f"<{L}I", *values), "little")
+
+    def total(banks):
+        # the pixel bits, the flags and the packed ones of `banks`
+        return [sum(kind) for kind in zip(*map(masks.__getitem__, banks))]
+
+    def classes(patterns, lines):
+        # per pattern, each class of bank lines that take one address and
+        # lie on one side of the rotation: (address index, first line, total)
+        totals = [total(line) for line in lines]
+        out = []
+        for r, sel in patterns:
+            keys = [(s, line < r) for line, s in enumerate(sel)]
+            out.append([(key[0], keys.index(key), [sum(kind) for kind in zip(
+                *(t for t, at in zip(totals, keys) if at == key))])
+                for key in dict.fromkeys(keys)])
+        return out
+    xparts = classes(xpatterns, bank)
+    yparts = classes(ypatterns, list(zip(*bank)))
+    packed_base = packed(base)
+    reads = []
+    for (rx, xsel), xclasses in zip(xpatterns, xparts):
+        for (ry, ysel), yclasses in zip(ypatterns, yparts):
+            rot = shifts[rx][ry]
+            # each pair of classes' banks, shifted as its first bank is ...
+            groups, ones = [], []
+            for i, p, (xm, xf, xo) in xclasses:
+                for j, q, (ym, yf, yo) in yclasses:
+                    k = bank[p][q]
+                    groups.append((i, j, xm & ym, xf & yf, rot[k] - base[k]))
+                    ones.append(xo & yo)
+            # ... when every bank of it is: shifts and their differences
+            # stay far below 2^32, so the packed sums agree only if each
+            # bank's field does
+            if packed(rot) != packed_base + sum(g[4] * o for g, o in zip(groups, ones)):
+                # else each bank grouped by its address pair and its shift
+                by_key = {}
+                for p, i in enumerate(xsel):
+                    for q, j in enumerate(ysel):
+                        k = bank[p][q]
+                        by_key.setdefault((i, j, rot[k] - base[k]), []).append(k)
+                groups = [(i, j, *total(ks)[:2], up) for (i, j, up), ks in by_key.items()]
+            bias = max(0, -min(g[4] for g in groups))
+            reads.append((bias, tuple((i, j, mask, flags, up + bias)
+                                      for i, j, mask, flags, up in groups)))
+    ny = len(ypatterns)
+    return ([(x0, g * ny, rws) for x0, g, rws in xs], ys, reads,
+            [(bank[p][0], row_addr[row]) for p, row in xcells],
+            [(bank[0][q], col) for q, col in ycells],
+            [(base[k], blank ^ mask ^ flag, flag) for k, (mask, flag, _) in enumerate(masks)],
+            blank)
 
 
 def window_planner(spec: PAWindowSpec, xs: list, ys: list):
     """plan(x, y) -> (xs[x], ys[y]) of per-axis corner tables, as
-    axis_plans or word_tables give them, for any window corner.
+    axis_plans or window_tables give them, for any window corner.
 
     A corner off the surface wraps toroidally, or clamps when the spec
     clamps, onto the corner whose plans it takes.

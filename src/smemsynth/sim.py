@@ -22,7 +22,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import lshift, or_
 
 from . import explorer, netlist, pa
@@ -313,6 +313,18 @@ def _census(by_kind: dict, B: int, W: int, **counts) -> None:
                  f"{cell.name}: macro geometry mismatch")
 
 
+def _cell_names(ir: netlist.NetlistIR, names) -> list:
+    """`names`, the cells an engine's activity will count, as `ir` holds
+    them, so the activity keys share the netlist's strings; SimError names
+    the first that is no cell of `ir`, so a cell renamed within the census
+    fails before the first op."""
+    try:
+        return [ir.cells[name].name for name in names]
+    except KeyError as e:
+        raise SimError("netlist structure: the activity counts cell "
+                       f"{e.args[0]!r}, which the netlist lacks") from None
+
+
 def _check_rdata(ir: netlist.NetlistIR, bits: int) -> None:
     _require(ir.ports.get("rdata") == "out" and ir.nets["rdata"].width == bits,
              f"rdata must be an out port of {bits} bits")
@@ -347,6 +359,12 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
     _census(by_kind, B, W, baplus_instance=slots, wordline_gate=slots,
             tristate_driver=slots, decoder=1, column_mux=mux, output_reg=mux)
     _check_decoder(ir, "dec", **amap.decoder)
+    # each slot's wordline gate, macro and tristate, by (bank row, macro),
+    # named once and checked before the first op
+    _cell_names(ir, ("dec", "mux", "sel_reg") if M > 1 else ("dec",))
+    slot_cells = {(r, k): [_cell_names(ir, (f"bank_{r}_{c}/wlg_{k}", f"bank_{r}_{c}/ba_{k}",
+                                            f"bank_{r}_{c}/tri_{k}")) for c in range(C)]
+                  for r in range(R) for k in range(K)}
 
     mem: dict[int, int] = {}   # written words only: memory follows the trace
     poison = (1 << bits) - 1
@@ -387,13 +405,13 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
         for a, n in addr_map.items():
             r, k, _row, _s = amap.split(a)
             rk_map[r, k] = rk_map.get((r, k), 0) + n
-        for (r, k), n in rk_map.items():
-            for c in range(C):
-                bank = f"bank_{r}_{c}"
-                act[f"{bank}/wlg_{k}"] = act.get(f"{bank}/wlg_{k}", 0) + n
-                act[f"{bank}/ba_{k}{suffix}"] = act.get(f"{bank}/ba_{k}{suffix}", 0) + n
+        for rk, n in rk_map.items():
+            for wlg, ba, tri in slot_cells[rk]:
+                act[wlg] = act.get(wlg, 0) + n
+                ba += suffix
+                act[ba] = act.get(ba, 0) + n
                 if suffix == ":read":
-                    act[f"{bank}/tri_{k}"] = act.get(f"{bank}/tri_{k}", 0) + n
+                    act[tri] = act.get(tri, 0) + n
     return act, Warnings(warnings, _read_warning, len(warnings)), cycle + 1
 
 
@@ -428,48 +446,74 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
                  f"{c.name}: {'unexpected' if sm else 'expected a'} "
                  "translate-mode cell")
 
+    parts = (("incx", "incy", "wlg", "tri", "ba") if sm else
+             ("translate", "sram/dec", "sram/bank_0_0/wlg_0", "sram/bank_0_0/tri_0",
+              "sram/bank_0_0/ba_0"))
+    # each bank's number, the cells of it the activity counts, and its
+    # "p,q" for the warnings; every cell the activity counts is named once
+    # and checked before the first op
+    banks = [(bi, _cell_names(ir, [f"bank_{p}_{q}/{part}" for part in parts]), f"{p},{q}")
+             for p, row in enumerate(pa.storage_map(spec)[2])
+             for q, bi in enumerate(row)]
+    _cell_names(ir, ["align", *(["rot_reg"] if lanes > 1 else []),
+                     *(["xdec", "ydec"] if sm else [])])
+
     P = spec.pixel_bits
-    xm, ym = spec.image_w - 1, spec.image_h - 1
+    n, xm, ym = spec.n, spec.image_w - 1, spec.image_h - 1
     pmask = (1 << P) - 1
-    xs, ys, wxs, wys = pa.word_tables(spec)
+    xs, ys, aligners, wxs, wys, fields, blank = pa.window_tables(spec)
     plan = pa.window_planner(spec, xs, ys)
-    lane_shifts = pa.lane_shifts(spec)
-    bank = pa.storage_map(spec)[2]
-    # each bank's "p,q", in bank order, for the warnings
-    labels = [f"{p},{q}" for p, banks in enumerate(bank) for q, _ in enumerate(banks)]
-    mem = [None] * (lanes * spec.bank_words)   # the banks end to end
+    mem = [blank] * spec.bank_words
+    unwritten = lanes * spec.bank_words   # pixels whose flag is still set
     reads = 0
     # (cycle, x, y, the labels of the banks whose lane is uninitialized)
     warnings = []
     unset_lanes = 0
+    # the flags of a window's uninitialized lanes -> their labels, in bank
+    # order, made once per set of flags
+    named = {}
+    labels = [label for _, _, label in banks]
+    bank_flags = [fields[bi][2] for bi, _, _ in banks]
     bank_writes = [0] * lanes
 
     cycle = -1
     for cycle, kind, xa, yb in trace:
         if kind == "WIN":
-            (x, rx, xo), (y, ry, yo) = plan(xa, yb)
+            (x, gx, rws), (y, gy, cws) = plan(xa, yb)
+            bias, groups = aligners[gx + gy]
             out = 0
-            unset = []
-            for i, j, s, label in zip(xo, yo, lane_shifts[rx][ry], labels):
-                v = mem[i + j]
-                if v is None:
-                    v = pmask
-                    unset.append(label)
-                out |= v << s
-            emit((cycle + 1, out))
+            if unwritten:
+                poisoned = 0
+                for i, j, mask, flags, up in groups:
+                    word = mem[rws[i] + cws[j]]
+                    out |= (word & mask) << up
+                    poisoned |= word & flags
+                if poisoned:
+                    unset = named.get(poisoned)
+                    if unset is None:
+                        unset = named[poisoned] = tuple(
+                            compress(labels, map(poisoned.__and__, bank_flags)))
+                    warnings.append((cycle, x, y, unset))
+                    unset_lanes += len(unset)
+            else:
+                for i, j, mask, _flags, up in groups:
+                    out |= (mem[rws[i] + cws[j]] & mask) << up
+            emit((cycle + 1, out >> bias))
             reads += 1
-            if unset:
-                warnings.append((cycle, x, y, unset))
-                unset_lanes += len(unset)
         elif kind == "W":
-            x, y = xa >> spec.n, xa & ym
+            x, y = xa >> n, xa & ym
             if not (0 <= x <= xm and 0 <= y <= ym):
                 raise SimError(f"cycle {cycle}: pixel write ({x},{y}) off-surface")
             if yb > pmask:
                 raise SimError(f"cycle {cycle}: write data wider than {P} bits")
             (kx, i), (ky, j) = wxs[x], wys[y]
-            mem[i + j] = yb
-            bank_writes[kx + ky] += 1
+            k, w = kx + ky, i + j
+            up, keep, flag = fields[k]
+            word = mem[w]
+            if unwritten and word & flag:
+                unwritten -= 1
+            mem[w] = word & keep | yb << up
+            bank_writes[k] += 1
         elif kind == "R":
             raise SimError("single-address reads apply to 1R-1W designs only")
 
@@ -477,23 +521,19 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
     act = {"__wire__": ops, "align": reads}
     if lanes > 1:
         act["rot_reg"] = reads
-    for p, banks in enumerate(bank):
-        for q, bi in enumerate(banks):
-            name = f"bank_{p}_{q}"
-            if sm:
-                act[f"{name}/incx"] = act[f"{name}/incy"] = reads
-                act[f"{name}/wlg"] = reads + bank_writes[bi]
-                act[f"{name}/tri"] = reads
-            else:
-                act[f"{name}/translate"] = ops
-                # every private tree decodes on reads; writes decode in one bank
-                act[f"{name}/sram/dec"] = reads + bank_writes[bi]
-                act[f"{name}/sram/bank_0_0/wlg_0"] = reads + bank_writes[bi]
-                act[f"{name}/sram/bank_0_0/tri_0"] = reads
-            ba = f"{name}/ba" if sm else f"{name}/sram/bank_0_0/ba_0"
-            act[f"{ba}:read"] = reads
-            if bank_writes[bi]:
-                act[f"{ba}:write"] = bank_writes[bi]
+    for bi, (first, second, wlg, tri, ba), _ in banks:
+        accessed = reads + bank_writes[bi]
+        if sm:
+            act[first] = act[second] = reads
+        else:
+            # every private tree decodes on reads; writes decode in one bank
+            act[first] = ops
+            act[second] = accessed
+        act[wlg] = accessed
+        act[tri] = reads
+        act[f"{ba}:read"] = reads
+        if bank_writes[bi]:
+            act[f"{ba}:write"] = bank_writes[bi]
     if sm:
         act["xdec"] = act["ydec"] = ops
 
@@ -550,10 +590,7 @@ def _price(ir: netlist.NetlistIR, activity: dict, cycles: int,
             total += count * ir.meta["e_wire_op_fj"]
             continue
         name, _, event = key.partition(":")
-        cell = ir.cells.get(name)
-        if cell is None:
-            raise SimError("netlist structure: the activity counts cell "
-                           f"{name!r}, which the netlist lacks")
+        cell = ir.cells[name]   # the engine checked it holds every name
         price = netlist.CELL_KINDS[cell.kind].price
         if event:   # a macro's read or write
             figure = f"e_{event}_fj"

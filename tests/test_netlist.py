@@ -473,6 +473,17 @@ _BAD_LINES = [
     ("cell-bare-param", "cell sel_reg ",
      "cell sel_reg output_reg role=mux_sel_pipeline stray",
      "param 'stray' is not key=value"),
+    # a repeated param would keep its last value, a bare meta token ''
+    ("cell-repeated-param", "cell sel_reg ",
+     "cell sel_reg output_reg role=mux_sel_pipeline e=1 role=x",
+     "param 'role' given twice"),
+    ("cell-same-param-twice", "cell sel_reg ",
+     "cell sel_reg output_reg role=mux_sel_pipeline role=mux_sel_pipeline",
+     "param 'role' given twice"),
+    ("meta-bare-token", "# meta ",
+     "# meta design=sram_1r1w variant=ba_32x8 R=2 C=2 K=2 M=2 B=32 W=8 words "
+     "bits=8 t_cycle_ps=393.0 p_leak_nw=70.48 e_wire_op_fj=2.4192",
+     "meta 'words' is not key=value"),
 ]
 
 
@@ -545,7 +556,8 @@ _PARSER_ONLY = {"port-missing-token", "cell-missing-token", "net-missing-token",
                 "conn-missing-token", "net-width-not-int", "port-width-not-int",
                 "conn-bad-role", "conn-wrong-role", "conn-output-as-sink",
                 "unknown-directive", "unknown-net-no-role", "port-extra-token",
-                "net-extra-token", "conn-extra-token", "cell-bare-param"}
+                "net-extra-token", "conn-extra-token", "cell-bare-param",
+                "cell-repeated-param", "cell-same-param-twice", "meta-bare-token"}
 
 
 def test_every_bad_line_is_an_api_mistake_or_text_only():

@@ -186,7 +186,7 @@ def test_sim_leaves_pixel_placement_to_pa():
     window layout figure (a spec's a, b, rows, cols, banks_x or banks_y,
     or a name bound to one) unless by a constant, as verify_pa's seed
     does: where a pixel is stored and which slot its lane takes come from
-    pa.word_tables, built on pa.storage_map, and pa.lane_shifts."""
+    pa.window_tables, built on pa.storage_map and pa.lane_shifts."""
     layout = {"a", "b", "rows", "cols", "banks_x", "banks_y"}
     path = SRC / "sim.py"
     tree = ast.parse(path.read_text(), str(path))

@@ -717,15 +717,19 @@ def window_model(spec, trace):
 
 
 @pytest.mark.parametrize("spec", [
-    PAWindowSpec(*s, pixel_bits=p, boundary=bd)
-    for s in ((3, 3, 0, 0), (4, 4, 2, 1), (5, 4, 3, 1), (3, 5, 1, 2))
-    for bd in ("wrap", "clamp") for p in (1, 8, 64)], ids=_spec_id)
+    *(PAWindowSpec(*s, pixel_bits=p, boundary=bd)
+      for s in ((3, 3, 0, 0), (4, 4, 2, 1), (5, 4, 3, 1), (3, 5, 1, 2))
+      for bd in ("wrap", "clamp") for p in (1, 8, 64)),
+    PAWindowSpec(5, 5, 5, 5, pixel_bits=1),
+    PAWindowSpec(4, 3, 2, 1, pixel_bits=16, boundary="clamp"),
+    PAWindowSpec(3, 4, 1, 2, pixel_bits=16)], ids=_spec_id)
 def test_window_engine_matches_the_model(spec):
     """Random pixel writes and window reads, at corners in [-W, 2W) x
     [-H, 2H) so that some lie off the surface: both designs give the
     model's outputs and warnings.  A third of the ops write, so most
     windows are partly written and rotation parts bank order from slot
-    order."""
+    order.  One lane, 1,024 lanes of 1-bit pixels and 16-bit pixels are
+    among the specs."""
     rng = random.Random(_spec_id(spec))
     W, H = spec.image_w, spec.image_h
     tr = SimTrace()
@@ -741,6 +745,42 @@ def test_window_engine_matches_the_model(spec):
         res = simulate(generate_pa(spec, mode), tr)
         assert res.outputs == outputs, mode
         assert res.warnings == warnings, mode
+
+
+@pytest.mark.parametrize("spec", [
+    PAWindowSpec(4, 3, 1, 1), PAWindowSpec(3, 4, 2, 1, pixel_bits=4, boundary="clamp"),
+    PAWindowSpec(3, 3, 3, 1, pixel_bits=16), PAWindowSpec(2, 2, 0, 0),
+], ids=_spec_id)
+def test_window_engine_follows_any_aligner(monkeypatch, spec):
+    """With lane_shifts sending the banks to random slots under half the
+    rotations, and to their own under the rest, each window holds the
+    pixel that axis_plans address in each bank (map_pixel inverted; all
+    ones when unwritten) at the slot lane_shifts gives that bank."""
+    rng = random.Random(_spec_id(spec))
+    shifts = [[rng.sample(t, len(t)) if rng.random() < 0.5 else t for t in per_rx]
+              for per_rx in pa.lane_shifts(spec)]
+    monkeypatch.setattr(pa, "lane_shifts", lambda _spec: shifts)
+    W, H, P = spec.image_w, spec.image_h, spec.pixel_bits
+    image = [[(1 << P) - 1] * H for _x in range(W)]
+    tr = SimTrace()
+    for x, y in rng.sample([(x, y) for x in range(W) for y in range(H)], W * H // 2):
+        image[x][y] = rng.getrandbits(P)
+        tr.write((x << spec.n) | y, image[x][y])
+    corners = [(rng.randrange(-W, 2 * W), rng.randrange(-H, 2 * H)) for _ in range(60)]
+    for x, y in corners:
+        tr.window(x, y)
+    plan = pa.window_planner(spec, *pa.axis_plans(spec))
+    want = []
+    for i, (x, y) in enumerate(corners):
+        (_, rx, rows), (_, ry, cols) = plan(x, y)
+        out = 0
+        for p in range(spec.banks_x):
+            for q in range(spec.banks_y):
+                px, py = (rows[p] << spec.a) | p, (cols[q] << spec.b) | q
+                out |= image[px][py] << shifts[rx][ry][p * spec.banks_y + q]
+        want.append((W * H // 2 + i + 1, out))
+    for mode in ("sm", "tm"):
+        assert simulate(generate_pa(spec, mode), tr).outputs == want, mode
 
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=_spec_id)
@@ -1042,6 +1082,27 @@ def test_sim_rejects_malformed_cell(tmp_path, capsys, design, edit, named):
     assert named in err
 
 
+@pytest.mark.parametrize("design, cell", [("sram", "bank_0_0/tri_0"),
+                                          ("pa_sm", "bank_0_1/tri")])
+def test_renamed_cell_fails_before_the_first_op(tmp_path, design, cell):
+    """A cell renamed within the census is refused when the engine names
+    the cells its activity counts, before it reads an op, and verify_pa,
+    which prices nothing, refuses it too."""
+    nl, tr = _synthesized(tmp_path, design)
+    bad = tmp_path / "bad.nl"
+    _edit_lines(nl, bad, _rename_cell(cell, f"{cell}x"))
+    ir = parse_netlist(bad)
+    trace = TraceFile(tr)
+    with pytest.raises(SimError) as exc:
+        simulate(ir, trace)
+    assert str(exc.value) == ("netlist structure: the activity counts cell "
+                              f"'{cell}', which the netlist lacks")
+    assert len(trace) == 0
+    if design != "sram":
+        with pytest.raises(SimError):
+            verify_pa(PAWindowSpec(4, 4, 1, 1), {design: ir})
+
+
 def test_sim_size_follows_the_cells(tmp_path, capsys):
     """The meta's `words` and `bits` are not read: a file claiming 10^12
     words simulates like the file it was edited from, and allocates
@@ -1116,11 +1177,12 @@ class _Censused(Exception):
 def test_census_holds_for_generated_window_memories(monkeypatch):
     """Every generated window memory passes the engine's census: m, n in
     1..5, every a <= m and b <= n, wrap and clamp, sm and tm.  The engine
-    checks a netlist's structure before it builds pa.word_tables, so a
-    design whose census holds reaches that call."""
+    checks a netlist's structure, and names the cells its activity counts,
+    before it builds pa.window_tables, so a design whose census holds and
+    whose cells carry their names reaches that call."""
     def censused(spec):
         raise _Censused
-    monkeypatch.setattr(pa, "word_tables", censused)
+    monkeypatch.setattr(pa, "window_tables", censused)
     for m, n in itertools.product(range(1, 6), repeat=2):
         for a, b in itertools.product(range(m + 1), range(n + 1)):
             for boundary in ("wrap", "clamp"):
