@@ -9,9 +9,10 @@ Semantics (identical for every design):
     warning.
 
 Each design kind gets its own engine that first validates the netlist's
-structure (cell inventory and parameters), then steps the trace while
-counting per-cell activations.  _price alone turns them into energy:
-leakage over the trace duration plus each count times its cell's price.
+structure (cell inventory and parameters), then runs the trace one step
+call per op (read, write or window) while counting per-cell activations.
+_price alone turns them into energy: leakage over the trace duration plus
+each count times its cell's price.
 """
 
 from __future__ import annotations
@@ -132,16 +133,38 @@ class SimTrace:
     def __iter__(self):
         return iter(self.ops)
 
+    def feed(self, read, write, window) -> int:
+        """Call read(cycle, a), write(cycle, a, b) or window(cycle, x, y)
+        for each op, in evaluation order; IDLE makes no call.  Returns the
+        number of cycles."""
+        for cycle, kind, a, b in self.ops:
+            if kind == "R":
+                read(cycle, a)
+            elif kind == "W":
+                write(cycle, a, b)
+            elif kind == "WIN":
+                window(cycle, a, b)
+        return self.n_cycles
+
+
+# A pass of a trace file converts each of its first 4,096 distinct number
+# tokens of at most 40 characters once, then looks them up: a trace
+# touching 4,096 addresses fits, and the memo holds under 1 MiB whatever
+# the trace
+_MEMO_TOKENS = 1 << 12
+_MEMO_CHARS = 40
+
 
 class TraceFile:
-    """The ops of a trace file, parsed as they are iterated.
+    """The ops of a trace file, parsed as they are run.
 
     Each op line is the next cycle: W <addr> <hexdata> | R <addr> |
     WIN <x> <y> | IDLE.  Blank lines and `#` comments take no cycle.
-    Iterating yields (cycle, kind, a, b) ops one line at a time, so no
-    list of ops is built; a malformed line raises TraceError naming
-    `path:lineno` when the pass reaches it.  len() is the number of ops
-    the last pass read.
+    feed() hands each op line, as it is read, to the engine's step for
+    its first token, so no op is built; iterating yields the same ops as
+    (cycle, kind, a, b), a chunk of the file at a time.  A malformed line
+    raises TraceError naming `path:lineno` when the pass reaches it.
+    len() is the number of ops the last pass read.
     """
 
     def __init__(self, path):
@@ -151,41 +174,97 @@ class TraceFile:
     def __len__(self):
         return self._read
 
+    def feed(self, read, write, window) -> int:
+        """Call read(cycle, a), write(cycle, a, b) or window(cycle, x, y)
+        for each op line, in file order; IDLE makes no call.  Returns the
+        number of cycles."""
+        for _ in self._chunks(read, write, window):
+            pass
+        return self._read
+
     def __iter__(self):
+        ops = []
+        add = ops.append
+        for _ in self._chunks(lambda c, a: add((c, "R", a, 0)),
+                              lambda c, a, b: add((c, "W", a, b)),
+                              lambda c, x, y: add((c, "WIN", x, y)),
+                              lambda c: add((c, "IDLE", 0, 0))):
+            yield from ops
+            ops.clear()
+
+    def _chunks(self, read, write, window, idle=None):
+        """The one parser: runs each op line's step, and `idle(cycle)` for
+        IDLE when given, and yields after each chunk of lines.
+
+        An address or window corner is converted by int(tok, 0) once per
+        distinct token, within _MEMO_TOKENS and _MEMO_CHARS, so memory does
+        not grow with the trace.  A line's fault is a function of its text
+        alone, so the first line of its chunk with that text is the one
+        named.
+        """
         path = self.path
-        cycle = 0
+        memo = {}
+        get = memo.get
+
+        def address(tok):
+            a = int(tok, 0)
+            if len(memo) < _MEMO_TOKENS and len(tok) <= _MEMO_CHARS:
+                memo[tok] = a
+            return a
+        cycle = lineno = 0
         try:
             with open(path) as fh:
-                for lineno, line in enumerate(fh, 1):
-                    toks = line.split()
-                    if not toks or toks[0][0] == "#":
-                        continue
-                    op = toks[0]
-                    try:
-                        if op == "W":
-                            a, b = int(toks[1], 0), int(toks[2], 16)
-                            if b < 0:
-                                raise TraceError("write data must be non-negative")
-                            if len(toks) > 3:
-                                raise TraceError(f"extra token {toks[3]!r}")
-                            yield cycle, "W", a, b
-                        elif op == "R":
-                            if len(toks) > 2:
-                                raise TraceError(f"extra token {toks[2]!r}")
-                            yield cycle, "R", int(toks[1], 0), 0
-                        elif op == "WIN":
-                            if len(toks) > 3:
-                                raise TraceError(f"extra token {toks[3]!r}")
-                            yield cycle, "WIN", int(toks[1], 0), int(toks[2], 0)
-                        elif op == "IDLE":
-                            if len(toks) > 1:
-                                raise TraceError(f"extra token {toks[1]!r}")
-                            yield cycle, "IDLE", 0, 0
-                        else:
-                            raise TraceError(f"unknown op {op!r}")
-                    except (IndexError, ValueError) as e:
-                        raise TraceError(f"{path}:{lineno}: {e}") from None
-                    cycle += 1
+                while lines := fh.readlines(1 << 16):
+                    for line in lines:
+                        toks = line.split()
+                        if not toks:
+                            continue
+                        op = toks[0]
+                        try:
+                            if op == "W":
+                                a = get(toks[1])
+                                if a is None:
+                                    a = address(toks[1])
+                                b = int(toks[2], 16)
+                                if b < 0:
+                                    raise TraceError("write data must be non-negative")
+                                if len(toks) > 3:
+                                    raise TraceError(f"extra token {toks[3]!r}")
+                                write(cycle, a, b)
+                            elif op == "R":
+                                if len(toks) > 2:
+                                    raise TraceError(f"extra token {toks[2]!r}")
+                                a = get(toks[1])
+                                if a is None:
+                                    a = address(toks[1])
+                                read(cycle, a)
+                            elif op == "WIN":
+                                if len(toks) > 3:
+                                    raise TraceError(f"extra token {toks[3]!r}")
+                                x = get(toks[1])
+                                if x is None:
+                                    x = address(toks[1])
+                                y = get(toks[2])
+                                if y is None:
+                                    y = address(toks[2])
+                                window(cycle, x, y)
+                            elif op == "IDLE":
+                                if len(toks) > 1:
+                                    raise TraceError(f"extra token {toks[1]!r}")
+                                if idle:
+                                    idle(cycle)
+                            elif op[0] == "#":
+                                continue
+                            else:
+                                raise TraceError(f"unknown op {op!r}")
+                        except SimError:
+                            raise   # the engine's, not the line's
+                        except (IndexError, ValueError) as e:
+                            raise TraceError(f"{path}:{lineno + lines.index(line) + 1}: "
+                                             f"{e}") from None
+                        cycle += 1
+                    lineno += len(lines)
+                    yield
         except UnicodeDecodeError as e:
             raise TraceError(undecodable_line(path, e)) from None
         finally:
@@ -351,7 +430,7 @@ def sram_geometry(meta: dict) -> tuple:
     return factors, explorer.AddressMap.of(R, K, B, M), C * W // M
 
 
-def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
+def _sim_sram(ir: netlist.NetlistIR, by_kind: dict, emit):
     (R, C, K, M, B, W), amap, bits = sram_geometry(ir.meta)
     words = R * K * B * M
     _check_rdata(ir, bits)
@@ -372,47 +451,49 @@ def _sim_sram(ir: netlist.NetlistIR, trace, by_kind: dict, emit):
     addr_reads: dict[int, int] = {}
     addr_writes: dict[int, int] = {}
 
-    cycle = -1
-    for cycle, kind, a, b in trace:
-        if kind == "R":
-            if not 0 <= a < words:
-                raise SimError(f"cycle {cycle}: read address {a} out of range")
-            v = mem.get(a)
-            if v is None:
-                v = poison
-                warnings.append((cycle, a))
-            emit((cycle + 1, v))
-            addr_reads[a] = addr_reads.get(a, 0) + 1
-        elif kind == "W":
-            if not 0 <= a < words:
-                raise SimError(f"cycle {cycle}: write address {a} out of range")
-            if b > poison:
-                raise SimError(f"cycle {cycle}: write data wider than {bits} bits")
-            mem[a] = b
-            addr_writes[a] = addr_writes.get(a, 0) + 1
-        elif kind == "WIN":
-            raise SimError("window reads apply to parallel-access designs only")
+    def read(cycle, a):
+        if not 0 <= a < words:
+            raise SimError(f"cycle {cycle}: read address {a} out of range")
+        v = mem.get(a)
+        if v is None:
+            v = poison
+            warnings.append((cycle, a))
+        emit((cycle + 1, v))
+        addr_reads[a] = addr_reads.get(a, 0) + 1
 
-    reads = sum(addr_reads.values())
-    ops = reads + sum(addr_writes.values())
-    act = {"__wire__": ops, "dec": ops}
-    if M > 1:
-        act["mux"] = reads
-        act["sel_reg"] = reads
-    for addr_map, suffix in ((addr_reads, ":read"), (addr_writes, ":write")):
-        # (bank row, macro) -> accesses, in order of first access
-        rk_map: dict[tuple, int] = {}
-        for a, n in addr_map.items():
-            r, k, _row, _s = amap.split(a)
-            rk_map[r, k] = rk_map.get((r, k), 0) + n
-        for rk, n in rk_map.items():
-            for wlg, ba, tri in slot_cells[rk]:
-                act[wlg] = act.get(wlg, 0) + n
-                ba += suffix
-                act[ba] = act.get(ba, 0) + n
-                if suffix == ":read":
-                    act[tri] = act.get(tri, 0) + n
-    return act, Warnings(warnings, _read_warning, len(warnings)), cycle + 1
+    def write(cycle, a, b):
+        if not 0 <= a < words:
+            raise SimError(f"cycle {cycle}: write address {a} out of range")
+        if b > poison:
+            raise SimError(f"cycle {cycle}: write data wider than {bits} bits")
+        mem[a] = b
+        addr_writes[a] = addr_writes.get(a, 0) + 1
+
+    def window(cycle, x, y):
+        raise SimError("window reads apply to parallel-access designs only")
+
+    def finish(cycles):
+        reads = sum(addr_reads.values())
+        ops = reads + sum(addr_writes.values())
+        act = {"__wire__": ops, "dec": ops}
+        if M > 1:
+            act["mux"] = reads
+            act["sel_reg"] = reads
+        for addr_map, suffix in ((addr_reads, ":read"), (addr_writes, ":write")):
+            # (bank row, macro) -> accesses, in order of first access
+            rk_map: dict[tuple, int] = {}
+            for a, n in addr_map.items():
+                r, k, _row, _s = amap.split(a)
+                rk_map[r, k] = rk_map.get((r, k), 0) + n
+            for rk, n in rk_map.items():
+                for wlg, ba, tri in slot_cells[rk]:
+                    act[wlg] = act.get(wlg, 0) + n
+                    ba += suffix
+                    act[ba] = act.get(ba, 0) + n
+                    if suffix == ":read":
+                        act[tri] = act.get(tri, 0) + n
+        return act, Warnings(warnings, _read_warning, len(warnings)), cycles
+    return read, write, window, finish
 
 
 def _read_warning(record, prefix) -> str:
@@ -422,7 +503,7 @@ def _read_warning(record, prefix) -> str:
 
 # -- parallel-access engines -------------------------------------------------
 
-def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
+def _sim_pa(ir: netlist.NetlistIR, by_kind: dict, emit, mode: str):
     _check_figures(ir.meta, "netlist meta", "m", "n", "a", "b", "pixel_bits")
     spec = pa._spec_from_meta(ir.meta)
     lanes, sm = spec.lanes, mode == "sm"
@@ -476,66 +557,70 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
     bank_flags = [fields[bi][2] for bi, _, _ in banks]
     bank_writes = [0] * lanes
 
-    cycle = -1
-    for cycle, kind, xa, yb in trace:
-        if kind == "WIN":
-            (x, gx, rws), (y, gy, cws) = plan(xa, yb)
-            bias, groups = aligners[gx + gy]
-            out = 0
-            if unwritten:
-                poisoned = 0
-                for i, j, mask, flags, up in groups:
-                    word = mem[rws[i] + cws[j]]
-                    out |= (word & mask) << up
-                    poisoned |= word & flags
-                if poisoned:
-                    unset = named.get(poisoned)
-                    if unset is None:
-                        unset = named[poisoned] = tuple(
-                            compress(labels, map(poisoned.__and__, bank_flags)))
-                    warnings.append((cycle, x, y, unset))
-                    unset_lanes += len(unset)
-            else:
-                for i, j, mask, _flags, up in groups:
-                    out |= (mem[rws[i] + cws[j]] & mask) << up
-            emit((cycle + 1, out >> bias))
-            reads += 1
-        elif kind == "W":
-            x, y = xa >> n, xa & ym
-            if not (0 <= x <= xm and 0 <= y <= ym):
-                raise SimError(f"cycle {cycle}: pixel write ({x},{y}) off-surface")
-            if yb > pmask:
-                raise SimError(f"cycle {cycle}: write data wider than {P} bits")
-            (kx, i), (ky, j) = wxs[x], wys[y]
-            k, w = kx + ky, i + j
-            up, keep, flag = fields[k]
-            word = mem[w]
-            if unwritten and word & flag:
-                unwritten -= 1
-            mem[w] = word & keep | yb << up
-            bank_writes[k] += 1
-        elif kind == "R":
-            raise SimError("single-address reads apply to 1R-1W designs only")
-
-    ops = reads + sum(bank_writes)
-    act = {"__wire__": ops, "align": reads}
-    if lanes > 1:
-        act["rot_reg"] = reads
-    for bi, (first, second, wlg, tri, ba), _ in banks:
-        accessed = reads + bank_writes[bi]
-        if sm:
-            act[first] = act[second] = reads
+    def window(cycle, xa, yb):
+        nonlocal reads, unset_lanes
+        (x, gx, rws), (y, gy, cws) = plan(xa, yb)
+        bias, groups = aligners[gx + gy]
+        out = 0
+        if unwritten:
+            poisoned = 0
+            for i, j, mask, flags, up in groups:
+                word = mem[rws[i] + cws[j]]
+                out |= (word & mask) << up
+                poisoned |= word & flags
+            if poisoned:
+                unset = named.get(poisoned)
+                if unset is None:
+                    unset = named[poisoned] = tuple(
+                        compress(labels, map(poisoned.__and__, bank_flags)))
+                warnings.append((cycle, x, y, unset))
+                unset_lanes += len(unset)
         else:
-            # every private tree decodes on reads; writes decode in one bank
-            act[first] = ops
-            act[second] = accessed
-        act[wlg] = accessed
-        act[tri] = reads
-        act[f"{ba}:read"] = reads
-        if bank_writes[bi]:
-            act[f"{ba}:write"] = bank_writes[bi]
-    if sm:
-        act["xdec"] = act["ydec"] = ops
+            for i, j, mask, _flags, up in groups:
+                out |= (mem[rws[i] + cws[j]] & mask) << up
+        emit((cycle + 1, out >> bias))
+        reads += 1
+
+    def write(cycle, xa, yb):
+        nonlocal unwritten
+        x, y = xa >> n, xa & ym
+        if not (0 <= x <= xm and 0 <= y <= ym):
+            raise SimError(f"cycle {cycle}: pixel write ({x},{y}) off-surface")
+        if yb > pmask:
+            raise SimError(f"cycle {cycle}: write data wider than {P} bits")
+        (kx, i), (ky, j) = wxs[x], wys[y]
+        k, w = kx + ky, i + j
+        up, keep, flag = fields[k]
+        word = mem[w]
+        if unwritten and word & flag:
+            unwritten -= 1
+        mem[w] = word & keep | yb << up
+        bank_writes[k] += 1
+
+    def read(cycle, a):
+        raise SimError("single-address reads apply to 1R-1W designs only")
+
+    def finish(cycles):
+        ops = reads + sum(bank_writes)
+        act = {"__wire__": ops, "align": reads}
+        if lanes > 1:
+            act["rot_reg"] = reads
+        for bi, (first, second, wlg, tri, ba), _ in banks:
+            accessed = reads + bank_writes[bi]
+            if sm:
+                act[first] = act[second] = reads
+            else:
+                # every private tree decodes on reads; writes decode in one bank
+                act[first] = ops
+                act[second] = accessed
+            act[wlg] = accessed
+            act[tri] = reads
+            act[f"{ba}:read"] = reads
+            if bank_writes[bi]:
+                act[f"{ba}:write"] = bank_writes[bi]
+        if sm:
+            act["xdec"] = act["ydec"] = ops
+        return act, Warnings(warnings, render, unset_lanes), cycles
 
     def render(record, prefix) -> str:
         # the window's part of the text is formatted once
@@ -544,15 +629,16 @@ def _sim_pa(ir: netlist.NetlistIR, trace, by_kind: dict, emit, mode: str):
         tail = f") in window at ({x},{y})\n"
         return head + (tail + head).join(unset) + tail
 
-    return act, Warnings(warnings, render, unset_lanes), cycle + 1
+    return read, write, window, finish
 
 
-def _run(ir: netlist.NetlistIR, trace, emit):
-    """Check `ir`'s structure, then run the ops of `trace` on it in one
-    pass, handing each read's (cycle, value) to `emit` as it is made.
-
-    Returns (activity, warnings, cycles).  The engines read each op once,
-    in order, so a TraceFile streams from its file.
+def _steps(ir: netlist.NetlistIR, emit):
+    """Check `ir`'s structure, then return its engine as steps (read,
+    write, window, finish).  read(cycle, a), write(cycle, a, b) and
+    window(cycle, x, y) each run one op, given in evaluation order, and
+    hand each read's (cycle, value) to `emit` as it is made; an op for
+    the other kind of design raises SimError.  finish(cycles) returns
+    (activity, warnings, cycles).
     """
     design = ir.meta.get("design")
     if design not in ("sram_1r1w", "pa_sm", "pa_tm"):
@@ -560,8 +646,19 @@ def _run(ir: netlist.NetlistIR, trace, emit):
     by_kind = _check_cells(ir)
     _check_figures(ir.meta, "netlist meta", "e_wire_op_fj", "p_leak_nw", "t_cycle_ps")
     if design == "sram_1r1w":
-        return _sim_sram(ir, trace, by_kind, emit)
-    return _sim_pa(ir, trace, by_kind, emit, design[3:])
+        return _sim_sram(ir, by_kind, emit)
+    return _sim_pa(ir, by_kind, emit, design[3:])
+
+
+def _run(ir: netlist.NetlistIR, trace, emit):
+    """Check `ir`'s structure, then feed the ops of `trace` to its steps in
+    one pass, handing each read's (cycle, value) to `emit` as it is made.
+
+    Returns (activity, warnings, cycles).  A TraceFile streams from its
+    file.
+    """
+    read, write, window, finish = _steps(ir, emit)
+    return finish(trace.feed(read, write, window))
 
 
 def simulate(ir: netlist.NetlistIR, trace: SimTrace | TraceFile) -> SimResult:
@@ -619,19 +716,6 @@ def energy_report(result: SimResult, lib: Library | None = None) -> float:
 
 # -- exhaustive window verification -------------------------------------------
 
-class _Ops:
-    """The `count` ops that `make()` yields, made anew on each pass."""
-
-    def __init__(self, make, count: int):
-        self._make, self._count = make, count
-
-    def __iter__(self):
-        return self._make()
-
-    def __len__(self):
-        return self._count
-
-
 def _or_runs(runs: list, width: int):
     """The element-wise OR of the int sequences `runs`, the d-th shifted
     d * width bits up."""
@@ -668,6 +752,26 @@ def _expected_windows(img: list, cover, pixel_bits: int) -> list:
     return table
 
 
+def _load_and_sweep(img: list, n: int, steps) -> tuple:
+    """Run verify_pa's ops on an engine's `steps`, one op per cycle: every
+    pixel of `img`, a list of columns, written at address x << n | y, then
+    a window read at every corner.  Returns finish's (activity, warnings,
+    cycles); the engine's state is dropped with this call."""
+    _read, write, window, finish = steps
+    W, H = len(img), len(img[0])
+    cycle = 0
+    for x in range(W):
+        column, row = img[x], x << n
+        for y in range(H):
+            write(cycle, row | y, column[y])
+            cycle += 1
+    for x in range(W):
+        for y in range(H):
+            window(cycle, x, y)
+            cycle += 1
+    return finish(cycle)
+
+
 def verify_pa(spec: pa.PAWindowSpec, irs: dict, seed: int = 0) -> dict:
     """Load one pseudorandom image into each netlist of `irs` (name ->
     netlist of `spec`), read a window at every corner on the surface, and
@@ -695,20 +799,6 @@ def verify_pa(spec: pa.PAWindowSpec, irs: dict, seed: int = 0) -> dict:
     # random bits, drawn again while they reach 2^P
     pixels = filter((1 << P).__gt__, iter(partial(rng.getrandbits, P + 1), -1))
     img = [list(islice(pixels, H)) for _x in range(W)]
-    # every pixel written, then a window read at every origin, one op per
-    # cycle, made as the engine reads them
-    def ops():
-        cycle = 0
-        for x in range(W):
-            column = img[x]
-            for y in range(H):
-                yield cycle, "W", (x << spec.n) | y, column[y]
-                cycle += 1
-        for x in range(W):
-            for y in range(H):
-                yield cycle, "WIN", x, y
-                cycle += 1
-    trace = _Ops(ops, 2 * W * H)
     expected = _expected_windows(img, pa.window_cover(spec), P)
     designs = {}
     for name, ir in irs.items():
@@ -719,7 +809,7 @@ def verify_pa(spec: pa.PAWindowSpec, irs: dict, seed: int = 0) -> dict:
             # a read past the end of the table is a mismatch too
             if out != next(want, None):
                 miss()
-        _act, warnings, _cycles = _run(ir, trace, check)
+        _act, warnings, _cycles = _load_and_sweep(img, spec.n, _steps(ir, check))
         # and so is each expected read the engine never made
         designs[name] = {"mismatches": next(misses) + sum(1 for _ in table),
                          "warnings": len(warnings)}

@@ -208,9 +208,11 @@ def test_sim_leaves_pixel_placement_to_pa():
             and reads_layout(n, bound)] == []
 
 
-# the README's Library API: names a user calls that no src/ code calls
+# the README's Library API: names a user calls that no src/ code calls.
+# SimTrace.read, .write, .window and .idle are not here: src/ names the
+# engines' steps and the trace reader's IDLE step by those bare names
 _LIBRARY_API = {"traditional_baseline_ppa", "SimTrace.from_file",
-                "SimTrace.read", "SimTrace.idle", "SimTrace.to_file"}
+                "SimTrace.to_file"}
 
 
 def test_every_definition_has_a_caller_in_src():

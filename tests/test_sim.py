@@ -523,20 +523,32 @@ def test_verify_pa_frozen():
 
 
 def test_verify_pa_streams_its_trace(monkeypatch):
-    """verify_pa makes its 2·W·H ops as the engine reads them: on 6,6,1,1
-    its tracemalloc peak is 0.55 MiB, against 1.5 MiB with the ops in a
-    list.  Each design's engine run gets a trace whose len() is that op
-    count."""
+    """verify_pa hands its 2·W·H ops to the engine's steps as it makes
+    them: on 6,6,1,1 its tracemalloc peak is 0.55 MiB, against 1.5 MiB
+    with the ops in a list.  Each design's engine gets that many ops, and
+    finishes on that cycle count."""
     spec = PAWindowSpec(6, 6, 1, 1)
     irs = {mode: generate_pa(spec, mode) for mode in ("sm", "tm")}
     counted = []
-    run = sim._run
+    steps = sim._steps
 
-    def counting(ir, trace, emit):
-        res = run(ir, trace, emit)
-        counted.append(len(trace))
-        return res
-    monkeypatch.setattr(sim, "_run", counting)
+    def counting(ir, emit):
+        read, write, window, finish = steps(ir, emit)
+        ops = itertools.count()
+
+        def counted_write(cycle, a, b):
+            next(ops)
+            write(cycle, a, b)
+
+        def counted_window(cycle, x, y):
+            next(ops)
+            window(cycle, x, y)
+
+        def counted_finish(cycles):
+            counted.append((next(ops), cycles))
+            return finish(cycles)
+        return read, counted_write, counted_window, counted_finish
+    monkeypatch.setattr(sim, "_steps", counting)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -546,7 +558,7 @@ def test_verify_pa_streams_its_trace(monkeypatch):
         tracemalloc.stop()
     assert rep["origins"] == 64 * 64
     assert [d["mismatches"] for d in rep["designs"].values()] == [0, 0]
-    assert counted == [2 * 64 * 64] * 2
+    assert counted == [(2 * 64 * 64, 2 * 64 * 64)] * 2
     assert peak < 1 << 20, peak
 
 
@@ -575,18 +587,21 @@ def test_verify_pa_image_is_pinned(monkeypatch, seed, pixel_bits):
     random.Random(seed * 1000003 + m*17 + n*13 + a*5 + b).randrange(2^P)."""
     spec = PAWindowSpec(4, 3, 1, 1, pixel_bits=pixel_bits)
     writes = []
+    steps = sim._steps
 
-    run = sim._run
+    def capturing(ir, emit):
+        read, write, window, finish = steps(ir, emit)
 
-    def capturing(ir, trace, emit):
-        writes.extend(op for op in trace if op[1] == "W")
-        return run(ir, trace, emit)
-    monkeypatch.setattr(sim, "_run", capturing)
+        def captured(cycle, a, b):
+            writes.append((cycle, a, b))
+            write(cycle, a, b)
+        return read, captured, window, finish
+    monkeypatch.setattr(sim, "_steps", capturing)
     rep = verify_pa(spec, {"sm": generate_pa(spec, "sm")}, seed=seed)
     rng = random.Random(seed * 1000003 + 4 * 17 + 3 * 13 + 1 * 5 + 1)
     want = [(x * 8 + y, (x << 3) | y, rng.randrange(1 << pixel_bits))
             for x in range(16) for y in range(8)]
-    assert [(cycle, addr, v) for cycle, _, addr, v in writes] == want
+    assert writes == want
     assert rep["designs"]["sm"]["mismatches"] == 0
 
 
@@ -855,13 +870,13 @@ def test_verify_pa_counts_a_late_read(monkeypatch):
     spec = PAWindowSpec(4, 4, 1, 1)
     sim_pa = sim._sim_pa
 
-    def late_in_sm(ir, trace, by_kind, emit, mode):
+    def late_in_sm(ir, by_kind, emit, mode):
         if mode == "sm":
             # every third read arrives a cycle late
             def late(out, n=itertools.count().__next__):
                 emit((out[0] + 1, out[1]) if n() % 3 == 0 else out)
-            return sim_pa(ir, trace, by_kind, late, mode)
-        return sim_pa(ir, trace, by_kind, emit, mode)
+            return sim_pa(ir, by_kind, late, mode)
+        return sim_pa(ir, by_kind, emit, mode)
     monkeypatch.setattr(sim, "_sim_pa", late_in_sm)
     rep = verify_pa(spec, {mode: generate_pa(spec, mode) for mode in ("sm", "tm")})
     assert rep["designs"] == {"sm": {"mismatches": 86, "warnings": 0},
@@ -877,7 +892,7 @@ def test_verify_pa_sees_every_expected_read(monkeypatch, fault, sm_mismatches):
     spec = PAWindowSpec(3, 3, 1, 1)
     sim_pa = sim._sim_pa
 
-    def faulty_sm(ir, trace, by_kind, emit, mode):
+    def faulty_sm(ir, by_kind, emit, mode):
         if mode == "sm":
             if fault == "tail":
                 # every read after the 32nd of 64 is lost
@@ -888,8 +903,8 @@ def test_verify_pa_sees_every_expected_read(monkeypatch, fault, sm_mismatches):
                 def faulty(out):
                     emit(out)
                     emit(out)
-            return sim_pa(ir, trace, by_kind, faulty, mode)
-        return sim_pa(ir, trace, by_kind, emit, mode)
+            return sim_pa(ir, by_kind, faulty, mode)
+        return sim_pa(ir, by_kind, emit, mode)
     monkeypatch.setattr(sim, "_sim_pa", faulty_sm)
     rep = verify_pa(spec, {mode: generate_pa(spec, mode) for mode in ("sm", "tm")})
     assert rep["designs"] == {"sm": {"mismatches": sm_mismatches, "warnings": 0},
@@ -1273,6 +1288,85 @@ def test_non_utf8_trace_names_its_line(tmp_path, capsys, lineno, meta):
     assert capsys.readouterr().err == f"smemsynth sim: {msg}\n"
 
 
+@pytest.mark.parametrize("bad, msg", [
+    pytest.param(b"R 0x1g", "invalid literal for int() with base 0: '0x1g'", id="token"),
+    pytest.param(b"W 3 ff\xff", None, id="byte"),
+])
+def test_trace_reader_names_a_line_past_its_first_chunks(tmp_path, capsys, bad, msg):
+    """Line 20,001 of 30,000 starts past the first 170 KB, so a reader that
+    reads the file in chunks meets it several chunks in: a bad token, or
+    a byte no codec step decodes, is still named by its own line, through
+    SimTrace.from_file and through sim."""
+    path = tmp_path / "long.tr"
+    lines = [f"W {i % 2048} {i % 256:x}".encode() for i in range(30_000)]
+    lines[20_000] = bad
+    text = b"\n".join(lines) + b"\n"
+    assert text.index(bad) > 170_000
+    path.write_bytes(text)
+    with pytest.raises(TraceError) as exc:
+        SimTrace.from_file(path)
+    got = str(exc.value)
+    if msg is None:
+        assert got.startswith(f"{path}:20001: ") and "decode byte 0xff" in got
+    else:
+        assert got == f"{path}:20001: {msg}"
+    nl = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig("ba_32x8", 4, 4, 8, 2), small_lib()), nl)
+    assert main(["sim", str(nl), str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"smemsynth sim: {got}\n"
+
+
+# spellings that int(tok, 0) reads as a non-negative value
+SPELLINGS = (str, hex, lambda v: f"0x{v:04x}", lambda v: "_".join(str(v)))
+
+
+@pytest.mark.parametrize("design", ["sram", "pa_sm", "pa_tm"])
+def test_address_spellings_read_as_their_value(tmp_path, design):
+    """A trace that spells each address, and each non-negative window
+    corner, as 16, 0x10, 0x0010 or 1_6 at random runs as its all-decimal
+    twin: the reader converts each distinct token once, so every spelling
+    of a value must reach the engine as that value."""
+    rng = random.Random(f"spell:{design}")
+    if design == "sram":
+        ir = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+        read_kind, words = "R", 256
+    else:
+        ir = generate_pa(PAWindowSpec(4, 4, 1, 1), design[3:])
+        read_kind, words = "WIN", 256
+
+    def spelled(line):
+        toks = line.split()
+        return " ".join(toks[:1] + [rng.choice(SPELLINGS)(int(t)) if int(t) >= 0 else t
+                                    for t in toks[1:2 if toks[0] == "W" else 3]]
+                        + toks[2:] * (toks[0] == "W"))
+    decimal = _random_trace_text(rng, read_kind, words, 3000)
+    spelt = "".join((spelled(ln) if ln.split() and ln.split()[0] in ("R", "W", "WIN")
+                     else ln) + "\n" for ln in decimal.splitlines())
+    assert spelt != decimal
+    twin, path = tmp_path / "decimal.tr", tmp_path / "spelt.tr"
+    twin.write_text(decimal)
+    path.write_text(spelt)
+    got, want = simulate(ir, TraceFile(path)), simulate(ir, TraceFile(twin))
+    for field in ("outputs", "activity", "e_total_fj", "cycles", "warnings"):
+        assert getattr(got, field) == getattr(want, field), field
+    assert SimTrace.from_file(path).ops == SimTrace.from_file(twin).ops
+
+
+def test_leading_zero_decimal_is_refused_after_its_value_was_read(tmp_path, capsys):
+    """010 is not a spelling of 10, nor of 8, although 10 and 0x0a were
+    read before it: the line that holds it is named."""
+    path = tmp_path / "zero.tr"
+    path.write_text("W 10 1\nR 10\nR 0x0a\nW 8 2\nR 010\nIDLE\n")
+    msg = f"{path}:5: invalid literal for int() with base 0: '010'"
+    with pytest.raises(TraceError) as exc:
+        SimTrace.from_file(path)
+    assert str(exc.value) == msg
+    nl = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig("ba_32x8", 1, 1, 1, 1), small_lib()), nl)
+    assert main(["sim", str(nl), str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"smemsynth sim: {msg}\n"
+
+
 def _random_trace_text(rng, read_kind, words, n_lines):
     """Trace-file text of writes, reads, IDLE, blank lines and comments."""
     lines = []
@@ -1335,6 +1429,35 @@ def test_sim_memory_follows_the_outputs_not_the_trace(tmp_path):
         tracemalloc.stop()
     assert peak < 4 << 20, peak
     assert "# cycles 200000" in (tmp_path / "out" / "result.txt").read_text()
+
+
+def test_sim_memory_holds_a_bounded_memo_of_spellings(tmp_path):
+    """200k distinct spellings of address 16, as leading-zero hex with
+    underscores, each converted once: sim keeps a bounded memo of them,
+    so it peaks at a fraction of the 26 MiB that a memo of every spelling
+    takes."""
+    nl = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig("ba_32x8", 1, 1, 1, 1), small_lib()), nl)
+    digits = f"{16:019x}"
+
+    def spelling(i):
+        # an underscore after digit d for each set bit d of i
+        return "0x" + "".join(c + "_" * (i >> d & 1)
+                              for d, c in enumerate(digits[:-1])) + digits[-1]
+    path = tmp_path / "spelt.tr"
+    with open(path, "w") as fh:
+        for i in range(200_000):
+            fh.write(f"R {spelling(i)}\n" if i % 10_000 == 0 else
+                     f"W {spelling(i)} {i % 256:x}\n")
+    tracemalloc.start()
+    try:
+        assert main(["sim", str(nl), str(path), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    text = (tmp_path / "out" / "result.txt").read_text()
+    assert "# cycles 200000" in text and "OUT 10001 0f" in text
 
 
 def _lanes(cycle, corner, *labels):
