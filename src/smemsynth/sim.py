@@ -130,9 +130,6 @@ class SimTrace:
             tr._cycle, tr._used = ops[-1][0], _PORT[ops[-1][1]]
         return tr
 
-    def __iter__(self):
-        return iter(self.ops)
-
     def feed(self, read, write, window) -> int:
         """Call read(cycle, a), write(cycle, a, b) or window(cycle, x, y)
         for each op, in evaluation order; IDLE makes no call.  Returns the
