@@ -524,9 +524,9 @@ def test_verify_pa_frozen():
 
 def test_verify_pa_streams_its_trace(monkeypatch):
     """verify_pa hands its 2·W·H ops to the engine's steps as it makes
-    them: on 6,6,1,1 its tracemalloc peak is 0.55 MiB, against 1.5 MiB
-    with the ops in a list.  Each design's engine gets that many ops, and
-    finishes on that cycle count."""
+    them: on 6,6,1,1 its tracemalloc peak is 0.27 MiB, against 2.3 MiB
+    with the ops made into a list first.  Each design's engine gets that
+    many ops, and finishes on that cycle count."""
     spec = PAWindowSpec(6, 6, 1, 1)
     irs = {mode: generate_pa(spec, mode) for mode in ("sm", "tm")}
     counted = []
@@ -565,8 +565,8 @@ def test_verify_pa_streams_its_trace(monkeypatch):
 def test_verify_pa_holds_no_list_of_reads():
     """verify_pa compares each read as the engine makes it, against one
     table of expected windows both designs share: sm and tm of 8,8,1,1
-    peak at 3.7 MiB together under tracemalloc, where a list of one
-    design's 65,536 reads alone was 7.9 MiB."""
+    peak at 4.0 MiB together under tracemalloc, where keeping each
+    design's 65,536 reads in a list peaks at 19.9 MiB."""
     spec = PAWindowSpec(8, 8, 1, 1)
     irs = {mode: generate_pa(spec, mode) for mode in ("sm", "tm")}
     tracemalloc.start()
@@ -1334,14 +1334,18 @@ def test_address_spellings_read_as_their_value(tmp_path, design):
         ir = generate_pa(PAWindowSpec(4, 4, 1, 1), design[3:])
         read_kind, words = "WIN", 256
 
+    def spell(tok):
+        v = int(tok)
+        return rng.choice(SPELLINGS)(v) if v >= 0 else tok
+
     def spelled(line):
+        # the address of a W, or each operand of an R or a WIN
         toks = line.split()
-        return " ".join(toks[:1] + [rng.choice(SPELLINGS)(int(t)) if int(t) >= 0 else t
-                                    for t in toks[1:2 if toks[0] == "W" else 3]]
-                        + toks[2:] * (toks[0] == "W"))
+        end = {"W": 2, "R": 2, "WIN": 3}.get(toks[0] if toks else "", 1)
+        return " ".join(toks[:1] + [spell(t) for t in toks[1:end]] + toks[end:]) \
+            if end > 1 else line
     decimal = _random_trace_text(rng, read_kind, words, 3000)
-    spelt = "".join((spelled(ln) if ln.split() and ln.split()[0] in ("R", "W", "WIN")
-                     else ln) + "\n" for ln in decimal.splitlines())
+    spelt = "".join(spelled(ln) + "\n" for ln in decimal.splitlines())
     assert spelt != decimal
     twin, path = tmp_path / "decimal.tr", tmp_path / "spelt.tr"
     twin.write_text(decimal)
