@@ -113,6 +113,12 @@ CASES = {
     # M > 1 with R and K > 1, and M = 1 with a tall bank column
     "sram_ba_32x8_2_2_2_2": _sram_case("ba_32x8,2,2,2,2", 256, 8),
     "sram_ba_8x8_1_8_64_1": _sram_case("ba_8x8,1,8,64,1", 512, 64),
+    # one slot: no bank, ba or msel selects
+    "sram_ba_32x8_1_1_1_1": _sram_case("ba_32x8,1,1,1,1", 32, 8),
+    # R > 1 with K = 1
+    "sram_ba_32x8_4_1_1_1": _sram_case("ba_32x8,4,1,1,1", 128, 8),
+    # M > 1 across 8 columns
+    "sram_ba_64x64_1_8_4_8": _sram_case("ba_64x64,1,8,4,8", 2048, 64),
     "pa": ({}, [
         ["pa", "--spec", spec, "--boundary", boundary,
          "--out", f"pa_{spec.replace(',', '')}_{boundary}"]
