@@ -229,7 +229,7 @@ def cmd_synth(args) -> int:
     emit_hdl(ir, out / f"{ir.name}.v")
     floorplan.export_text(fp, out / f"{ir.name}.fp")
     note = " (AR-MISS)" if fp.ar_miss else ""
-    print(f"{ir.name}: {len(ir.cells)} cells, die "
+    print(f"{ir.name}: {ir.cell_count()} cells, die "
           f"{fp.die_w}x{fp.die_h} nm{note}")
     return 0
 

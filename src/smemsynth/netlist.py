@@ -5,13 +5,18 @@ endpoints as (cell, pin) pairs.  Hierarchy is the '/' in cell and net names:
 a cell's scope is its name up to the last '/'.  A port is the net of the same
 name plus a direction.  Select buses are one-hot (width = line count);
 address ports are binary, split as explorer.AddressMap says.
+
+An SRAM's R*C*K BA+ slots are held once, as a SlotArray: one slot recorded
+from the generator's own slot body, and one binding per slot.  emit_netlist,
+check_wellformed and NetlistIR.cell_count read it as it is; the first read
+of `cells` or `nets` expands it into the flat IR.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice, starmap
 from typing import Callable, NamedTuple
 
 from . import explorer, floorplan
@@ -82,6 +87,39 @@ class NetlistIR:
         self.ports: dict[str, str] = {}  # name -> "in" | "out"; width on the net
         self.cells: dict[str, Cell] = {}
         self.nets: dict[str, Net] = {}
+        self.slots: SlotArray | None = None
+
+    def hold_slots(self, body, bindings: list) -> None:
+        """Add one slot per binding `(scope, suffix, *values, out)`, where
+        `body(ir, *binding)` adds one slot flat.  The slots are held as a
+        SlotArray after the cells and nets added so far, or added flat now
+        when their text cannot be stamped from one recorded slot."""
+        slots = SlotArray(self.cells, self.nets, body, bindings)
+        if slots.text is None:
+            for b in bindings:
+                body(self, *b)
+            return
+        del self.cells, self.nets
+        self.slots = slots
+        self.__class__ = _HeldIR
+
+    def expand(self) -> None:
+        """Make a held SlotArray flat: each slot is added by its body, after
+        the cells and nets added before it, as if it had never been held."""
+        slots, self.slots = self.slots, None
+        if slots is None:
+            return
+        self.__class__ = NetlistIR
+        self.cells, self.nets = slots.cells, slots.nets
+        for b in slots.bindings:
+            slots.body(self, *b)
+
+    def cell_count(self) -> int:
+        """len(self.cells), without expanding held slots."""
+        slots = self.slots
+        if slots is None:
+            return len(self.cells)
+        return len(slots.cells) + len(slots.rec.cells) * len(slots.bindings)
 
     # -- construction -----------------------------------------------------
     def add_port(self, name: str, direction: str, width: int) -> Net:
@@ -135,32 +173,61 @@ class NetlistIR:
         return "sink"
 
 
-def check_wellformed(ir: NetlistIR) -> list[str]:
-    """Violation strings for the structural invariants; empty when clean."""
+class _HeldIR(NetlistIR):
+    """A NetlistIR that holds a SlotArray.  Its first read of `cells` or
+    `nets` expands it into a plain NetlistIR, so a flat IR's `cells` and
+    `nets` are instance attributes that no class attribute shadows."""
+
+    @property
+    def cells(self):
+        self.expand()
+        return self.cells
+
+    @property
+    def nets(self):
+        self.expand()
+        return self.nets
+
+
+def _net_faults(ports: dict, nets, kind) -> list[str]:
+    """Violation strings of each (name, drivers, sinks) in `nets`; `kind`
+    gives a driver cell's kind."""
     v = []
-    for net in ir.nets.values():
-        pdir = ir.ports.get(net.name)
+    for name, drivers, sinks in nets:
+        pdir = ports.get(name)
         if pdir is None:
-            if not net.drivers:
-                v.append(f"net {net.name}: no driver")
-            if not net.sinks:
-                v.append(f"net {net.name}: no sink")
+            if not drivers:
+                v.append(f"net {name}: no driver")
+            if not sinks:
+                v.append(f"net {name}: no sink")
         elif pdir == "in":
-            if net.drivers:
-                v.append(f"net {net.name}: input port must not have internal drivers")
-            if not net.sinks:
-                v.append(f"net {net.name}: dangling input port")
+            if drivers:
+                v.append(f"net {name}: input port must not have internal drivers")
+            if not sinks:
+                v.append(f"net {name}: dangling input port")
         else:
-            if not net.drivers:
-                v.append(f"net {net.name}: undriven output port")
-        if len(net.drivers) > 1:
-            for cell, _pin in net.drivers:
-                if ir.cells[cell].kind != "tristate_driver":
-                    v.append(f"net {net.name}: multiple drivers include "
+            if not drivers:
+                v.append(f"net {name}: undriven output port")
+        if len(drivers) > 1:
+            for cell, _pin in drivers:
+                if kind(cell) != "tristate_driver":
+                    v.append(f"net {name}: multiple drivers include "
                              f"non-tristate {cell}")
+    return v
+
+
+def check_wellformed(ir: NetlistIR) -> list[str]:
+    """Violation strings for the structural invariants; empty when clean.
+    A held SlotArray is checked as it is; if that finds a fault, the IR is
+    expanded and its flat violations returned."""
+    if ir.slots is not None and ir.slots.clean(ir.ports):
+        return []
+    cells = ir.cells
+    v = _net_faults(ir.ports, ((n.name, n.drivers, n.sinks) for n in ir.nets.values()),
+                    lambda cell: cells[cell].kind)
     # in net order, and without a set copy of every name
     v += [f"name {n!r} used for both a cell and a net"
-          for n in ir.nets if n in ir.cells]
+          for n in ir.nets if n in cells]
     return v
 
 
@@ -206,6 +273,126 @@ def add_slot(ir: NetlistIR, scope: str, suffix: str, macro: BAPlusMacro,
     return tri
 
 
+# -- the slots held once ------------------------------------------------------
+
+# the scope, suffix and out net a SlotArray records its one slot under
+_SCOPE, _SUFFIX, _OUT = "slotscope", "slotsuffix", "slotout"
+
+
+class _Field:
+    """A binding value, held by the recorded slot as its format field."""
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+
+def _literal(v) -> str:
+    """`v` as netlist text, or its format field; braces doubled for str.format."""
+    if isinstance(v, _Field):
+        return f"{{{v.index}}}"
+    return _fmt_param(v).replace("{", "{{").replace("}", "}}")
+
+
+class SlotArray:
+    """Slots held once, after a head: the cells and nets added before them.
+
+    `body(ir, scope, suffix, *values, out)` adds one slot flat, and each
+    binding holds those arguments for one slot.  `rec` is one slot, made by
+    `body` on an IR of the head's nets, under placeholder scope, suffix and
+    out net, with a _Field for each value.  `text` holds its lines as
+    str.format templates over a binding: "cells", "nets" and "conns" (of
+    the slot's own nets), and (net, role) for its conns on a head net, _OUT
+    standing for the binding's out.  `text` is None, and the slots are
+    added flat, when a slot name is not `<scope>/<part><suffix>`, when one
+    part starts another (a cell of one slot could then share a name with a
+    net of another), when an out net is not in the head, or when a slot
+    reaches its out net both directly and by `out` (its conns there would
+    then interleave)."""
+
+    def __init__(self, cells: dict, nets: dict, body, bindings: list):
+        self.cells, self.nets, self.body, self.bindings = cells, nets, body, bindings
+        self.by_out = {}                # out net -> its bindings, in order
+        for b in bindings:
+            self.by_out.setdefault(b[-1], []).append(b)
+        rec = self.rec = NetlistIR("slot")
+        for net in nets.values():
+            rec.add_net(net.name, net.width)
+        rec.add_net(_OUT, 1)
+        last = len(bindings[0]) - 1
+        body(rec, _SCOPE, _SUFFIX, *map(_Field, range(2, last)), _OUT)
+        self.own = [n for n in rec.nets.values() if n.name not in nets and n.name != _OUT]
+        self.text = self._templates(f"{{{last}}}")
+
+    def _templates(self, out_field: str) -> dict | None:
+        rec, own = self.rec, [n.name for n in self.own]
+        parts = {name: name[len(_SCOPE) + 1:-len(_SUFFIX)] for name in chain(rec.cells, own)}
+        if any(f"{_SCOPE}/{p}{_SUFFIX}" != name or _SCOPE in p or _SUFFIX in p
+               for name, p in parts.items()):
+            return None
+        if any(parts[a].startswith(parts[b]) or parts[b].startswith(parts[a])
+               for a in rec.cells for b in own):
+            return None
+        fields = {name: "{0}/" + p + "{1}" for name, p in parts.items()} | {_OUT: out_field}
+
+        def conns(net, role):
+            ends = net.drivers if role == "drive" else net.sinks
+            name = fields.get(net.name, net.name)
+            return [f"conn {name} {fields[cell]}.{_literal(pin)} {role}" for cell, pin in ends]
+
+        text = {
+            "cells": [_cell_line(fields[c.name], c.kind, c.params, _literal)
+                      for c in rec.cells.values()],
+            "nets": [f"net {fields[n.name]} {n.width}" for n in self.own],
+            "conns": [line for n in self.own for line in conns(n, "drive") + conns(n, "sink")],
+        }
+        for net in rec.nets.values():
+            if net.name not in parts:           # a head net, or _OUT
+                text[net.name, "drive"] = conns(net, "drive")
+                text[net.name, "sink"] = conns(net, "sink")
+        if any(out not in self.nets or text[out, role] and text[_OUT, role]
+               for out in self.by_out for role in ("drive", "sink")):
+            return None
+        self.height = max(map(len, text.values()))
+        return {key: "\n".join(lines) for key, lines in text.items() if lines}
+
+    def stamps(self, key, bindings=None):
+        """text[key] stamped with each binding (default: all): one item per
+        binding, of up to `height` lines."""
+        fmt = self.text.get(key)
+        if fmt is None:
+            return ()
+        return starmap(fmt.format, self.bindings if bindings is None else bindings)
+
+    def head_stamps(self, net: str, role: str):
+        """The slots' conns on head net `net` in `role`, in binding order."""
+        return chain(self.stamps((net, role)),
+                     self.stamps((_OUT, role), self.by_out.get(net, ())))
+
+    def clean(self, ports: dict) -> bool:
+        """Whether the expanded IR passes check_wellformed, from the head, the
+        recorded slot and the nets they share.  A head net's ends stand with
+        each slot's counted at most twice, which keeps every rule's outcome;
+        every slot's own nets are the recorded slot's.  A slot name starts
+        with its scope and a '/', and no scope holds one (generate_sram's
+        are bank_<r>_<c>), so a head name without '/' names no slot's cell
+        or net."""
+        rec, n = self.rec, min(len(self.bindings), 2)
+        out = rec.nets[_OUT]
+
+        def ends(net, role):
+            return (getattr(net, role) + getattr(rec.nets[net.name], role) * n
+                    + getattr(out, role) * min(len(self.by_out.get(net.name, ())), 2))
+
+        nets = chain(((net.name, ends(net, "drivers"), ends(net, "sinks"))
+                      for net in self.nets.values()),
+                     ((net.name, net.drivers, net.sinks) for net in self.own))
+        return (not _net_faults(ports, nets,
+                                lambda c: (self.cells.get(c) or rec.cells[c]).kind)
+                and not any(name in self.cells or "/" in name for name in self.nets)
+                and not any("/" in name for name in self.cells))
+
+
 # -- 1R-1W SRAM generator --------------------------------------------------
 
 def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
@@ -215,7 +402,8 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     selects; each macro sits in an add_slot, whose wordline gate
     clock-gates the row bundle; the slot tristates of a bank column share
     one global read bitline; an M-way column mux (with a one-cycle select
-    pipeline register) produces rdata.
+    pipeline register) produces rdata.  The slots are held once, as a
+    SlotArray over this function's slot body.
     """
     cfg.validate(lib)
     macro = lib[cfg.variant]
@@ -282,14 +470,20 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         ir.connect("rdata", "mux", "out")
 
     wsel = "w_msel" if amap.lM else None
+
+    def slot(ir, bank, suffix, r, k, c, out):
+        tri = add_slot(ir, bank, suffix, macro, c, selects, wsel, bank_row=r, ba=k)
+        ir.connect(out, tri, "out")
+
+    outs = [f"col_bl_{c}" if cfg.M > 1 else "rdata" for c in range(cfg.C)]
+    suffixes = [f"_{k}" for k in range(cfg.K)]
+    bindings = []
     for r in range(cfg.R):
         for c in range(cfg.C):
             bank = f"bank_{r}_{c}"
-            out = f"col_bl_{c}" if cfg.M > 1 else "rdata"
-            for k in range(cfg.K):
-                tri = add_slot(ir, bank, f"_{k}", macro, c, selects, wsel,
-                               bank_row=r, ba=k)
-                ir.connect(out, tri, "out")
+            bindings += [(bank, suffix, r, k, c, outs[c])
+                         for k, suffix in enumerate(suffixes)]
+    ir.hold_slots(slot, bindings)
     return ir
 
 
@@ -301,39 +495,57 @@ def _fmt_param(v) -> str:
     return str(v)
 
 
+def _cell_line(name: str, kind: str, params: dict, text=_fmt_param) -> str:
+    return f"cell {name} {kind}" + "".join(f" {k}={text(v)}" for k, v in params.items())
+
+
 # lines per write of emit_netlist: the text held at once stays a few
 # hundred KiB, however large the design
 _EMIT_CHUNK = 4096
 
 
 def _netlist_lines(ir: NetlistIR):
-    """The lines of `ir`'s text, in emit order, made one at a time."""
+    """The lines of `ir`'s text, in emit order, made one at a time; a held
+    SlotArray's come as one item per slot and section."""
+    slots = ir.slots
+    cells, nets = (ir.cells, ir.nets) if slots is None else (slots.cells, slots.nets)
     yield f"# smemsynth netlist {ir.name}"
     if ir.meta:
         kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in ir.meta.items())
         yield f"# meta {kv}"
     for name, d in ir.ports.items():
-        yield f"port {name} {d} {ir.nets[name].width}"
-    for c in ir.cells.values():
-        kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in c.params.items())
-        yield f"cell {c.name} {c.kind}{' ' + kv if kv else ''}"
-    for n in ir.nets.values():
+        yield f"port {name} {d} {nets[name].width}"
+    for c in cells.values():
+        yield _cell_line(c.name, c.kind, c.params)
+    if slots:
+        yield from slots.stamps("cells")
+    for n in nets.values():
         if n.name not in ir.ports:
             yield f"net {n.name} {n.width}"
-    for n in ir.nets.values():
+    if slots:
+        yield from slots.stamps("nets")
+    for n in nets.values():
         for cell, pin in n.drivers:
             yield f"conn {n.name} {cell}.{pin} drive"
+        if slots:
+            yield from slots.head_stamps(n.name, "drive")
         for cell, pin in n.sinks:
             yield f"conn {n.name} {cell}.{pin} sink"
+        if slots:
+            yield from slots.head_stamps(n.name, "sink")
+    if slots:
+        yield from slots.stamps("conns")
 
 
 def emit_netlist(ir: NetlistIR, path) -> None:
     """Line-oriented netlist text; see parse_netlist for the grammar.  It is
-    written _EMIT_CHUNK lines at a time, so memory follows the IR, not a
-    copy of its text."""
+    written _EMIT_CHUNK lines at a time, or as many slot items as hold at
+    most that many, so memory follows the IR, not a copy of its text; a
+    held SlotArray is written without expanding it."""
     lines = _netlist_lines(ir)
+    step = _EMIT_CHUNK // ir.slots.height if ir.slots else _EMIT_CHUNK
     with open(path, "w") as fh:
-        while chunk := list(islice(lines, _EMIT_CHUNK)):
+        while chunk := list(islice(lines, step)):
             fh.write("\n".join(chunk) + "\n")
 
 

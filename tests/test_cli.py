@@ -344,16 +344,17 @@ def test_sim_passes_a_trace_that_counts_its_ops(tmp_path, monkeypatch):
 
 
 def test_synth_and_sim_hold_the_design_once(tmp_path, capsys):
-    """On the 6,000-cell sram_tall config ba_16x8,2,4,256,1, synth peaks at
-    1.3 times the generated IR's size and sim at 1.2 times (tracemalloc).
-    A whole-file join of the .nl text, or a parse that copies a name per
-    connection, takes each past 1.8 times."""
+    """On the 6,000-cell sram_tall config ba_16x8,2,4,256,1, synth peaks
+    well under the expanded IR's size, as it holds the slots once, and sim
+    at 1.2 times it (tracemalloc).  A whole-file join of the .nl text, or a
+    parse that copies a name per connection, takes each past 1.8 times."""
     config = "ba_16x8,2,4,256,1"
     variant, *factors = config.split(",")
     lib = smemsynth.default_library()
     tracemalloc.start()
     try:
         ir = smemsynth.generate_sram(smemsynth.MemoryConfig(variant, *map(int, factors)), lib)
+        ir.expand()
         design = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -376,6 +377,24 @@ def test_synth_and_sim_hold_the_design_once(tmp_path, capsys):
     assert peak(["sim", str(next(out.glob("*.nl"))), str(tr),
                  "--out", str(tmp_path / "m")]) < 1.5
     assert "1000 outputs over 2000 cycles" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("config", ["ba_8x8,1,8,512,1", "ba_64x64,1,8,4,8"])
+def test_synth_never_expands(tmp_path, monkeypatch, config):
+    """synth generates, checks, emits and counts a tall SRAM and one with
+    M > 1 from its held slots, never their expansion; sim of its .nl runs."""
+    def refuse(ir):
+        raise AssertionError(f"{ir.name} was expanded")
+    monkeypatch.setattr(smemsynth.netlist.NetlistIR, "expand", refuse)
+    out = tmp_path / "s"
+    assert main(["synth", "--config", config, "--out", str(out)]) == 0
+    tr = tmp_path / "ops.tr"
+    tr.write_text("W 5 1f\nR 5\nIDLE\nR 6\n")
+    assert main(["sim", str(next(out.glob("*.nl"))), str(tr),
+                 "--out", str(tmp_path / "m")]) == 0
+    outs = [line.split()[1:] for line in (tmp_path / "m" / "result.txt").open()
+            if line.startswith("OUT")]
+    assert [(int(c), int(d, 16)) for c, d in outs] == [(2, 0x1f), (4, (1 << 64) - 1)]
 
 
 def test_sim_empty_trace_leakage_only(tmp_path):

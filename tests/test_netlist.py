@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
+from smemsynth import netlist
 from smemsynth.cli import main
 from smemsynth.explorer import AddressMap, MemoryConfig, UserSpec, enumerate_configs
 from smemsynth.netlist import (_EMIT_CHUNK, CELL_KINDS, Cell, NetlistError, NetlistIR,
@@ -300,22 +301,33 @@ def test_endpoints_hold_the_cells_own_names(tmp_path):
         assert len({id(pin) for _, pin in pairs}) == len({pin for _, pin in pairs})
 
 
+def _expanded(cfg, lib):
+    ir = generate_sram(cfg, lib)
+    ir.expand()
+    return ir
+
+
 def test_netlist_text_path_holds_the_design_once(tmp_path):
-    """On a 3,000-cell SRAM (1 MB of text), emit_netlist holds one chunk
-    of text at a time, not the 4 MiB of the whole text's lines; the parsed
-    IR has about the generated one's size, not 1.66 times it, because a
-    conn shares its cell's name and its pin's string; check_wellformed
-    copies no names."""
+    """On a 3,000-cell SRAM (1 MB of text), generate_sram holds its slots
+    once, in under a tenth of the expanded IR; emit_netlist writes that held
+    IR one chunk of text at a time, not the 4 MiB of the whole text's lines;
+    check_wellformed copies no names; the parsed IR has about the expanded
+    one's size, not 1.66 times it, because a conn shares its cell's name
+    and its pin's string."""
     cfg = MemoryConfig("ba_8x8", 1, 8, 128, 1)
     lib = default_library()
-    generate_sram(cfg, lib)                 # warm the models' caches
-    ir, _, generated = _traced(generate_sram, cfg, lib)
+    _expanded(cfg, lib)                     # warm the models' caches
+    held, _, templated = _traced(generate_sram, cfg, lib)
+    ir, _, generated = _traced(_expanded, cfg, lib)
+    assert held.slots is not None and ir.slots is None
+    assert templated < generated / 10, (templated, generated)
     path = tmp_path / "m.nl"
-    _, emit_peak, _ = _traced(emit_netlist, ir, path)
+    _, emit_peak, _ = _traced(emit_netlist, held, path)
     assert emit_peak < 2 << 20, emit_peak
-    _, check_peak, _ = _traced(check_wellformed, ir)
+    _, check_peak, _ = _traced(check_wellformed, held)
     assert check_peak < 64 << 10, check_peak
-    del ir
+    assert held.slots is not None
+    del ir, held
     back, _, parsed = _traced(parse_netlist, path)
     assert len(back.cells) == 3 * 8 * 128 + 1
     assert parsed < 1.3 * generated, (parsed, generated)
@@ -895,3 +907,174 @@ def test_dropped_connection_names_its_pin(design, net, cell, pin):
     ir.nets[net].sinks.remove((cell, pin))
     assert check_wellformed(ir) == []
     assert _pin_faults(ir) == [f"{cell}.{pin}: connected 0 times"]
+
+
+# -- slots held once --------------------------------------------------------------
+
+def _held_and_flat(config):
+    """generate_sram of `config` twice: as generated, with its slots held,
+    and expanded."""
+    variant, *factors = config.split(",")
+    lib = small_lib() if variant == "ba_32x8" else default_library()
+    cfg = MemoryConfig(variant, *map(int, factors))
+    held, flat = generate_sram(cfg, lib), generate_sram(cfg, lib)
+    flat.expand()
+    assert held.slots is not None and flat.slots is None
+    return held, flat
+
+
+def _same_through_text(tmp_path, held, flat):
+    """The held IR and its flat twin write the same bytes, count the same
+    cells, nets and conns, check the same, and parse to the same IR."""
+    emit_netlist(held, tmp_path / "held.nl")
+    emit_netlist(flat, tmp_path / "flat.nl")
+    text = (tmp_path / "held.nl").read_text()
+    assert text == (tmp_path / "flat.nl").read_text()
+    heads = [line.split()[0] for line in text.splitlines()]
+    assert held.cell_count() == heads.count("cell") == len(flat.cells)
+    assert heads.count("port") + heads.count("net") == len(flat.nets)
+    assert heads.count("conn") == sum(len(n.drivers) + len(n.sinks)
+                                      for n in flat.nets.values())
+    assert check_wellformed(held) == check_wellformed(flat)
+    back = parse_netlist(tmp_path / "held.nl")
+    assert _structure(back) == _structure(flat)
+    emit_netlist(back, tmp_path / "back.nl")
+    assert (tmp_path / "back.nl").read_text() == text
+
+
+@pytest.mark.parametrize("config", [
+    "ba_32x8,1,1,1,1", "ba_32x8,4,1,1,1", "ba_32x8,1,1,4,1", "ba_32x8,2,2,2,1",
+    "ba_32x8,1,2,1,2", "ba_32x8,2,2,2,2", "ba_32x8,4,1,2,8", "ba_64x64,1,8,4,8",
+    "ba_8x8,1,8,128,1"])
+def test_held_slots_match_their_expansion(tmp_path, config):
+    """Over M = 1 and M > 1, and R and K both 1 and greater than 1, a held
+    IR is its expanded twin for every reader; only the first read of
+    `cells` or `nets` expands it."""
+    held, flat = _held_and_flat(config)
+    _same_through_text(tmp_path, held, flat)
+    assert held.slots is not None
+    assert _structure(held) == _structure(flat)
+    assert held.slots is None
+
+
+def _dropping(add_slot, part, pin):
+    """add_slot without the connection of its `part` cell's `pin`."""
+    def faulty(ir, scope, suffix, *args, **kwargs):
+        connect, skip = ir.connect, (f"{scope}/{part}{suffix}", pin)
+        ir.connect = lambda net, *end: "sink" if end == skip else connect(net, *end)
+        try:
+            return add_slot(ir, scope, suffix, *args, **kwargs)
+        finally:
+            del ir.connect
+    return faulty
+
+
+@pytest.mark.parametrize("part, kind, pin, violations", [
+    ("tri", "tristate_driver", "en", 0), ("ba", "baplus_instance", "clk", 0),
+    ("tri", "tristate_driver", "in", 8)])
+def test_a_slot_fault_reaches_both_forms(tmp_path, monkeypatch, part, kind, pin,
+                                         violations):
+    """A connection dropped in add_slot is dropped from the held slots and
+    from their expansion alike: the same text, the same violations (none
+    for an enable or a clock, one per slot for a q without its sink) and
+    the same missing pin in every slot."""
+    monkeypatch.setattr(netlist, "add_slot", _dropping(netlist.add_slot, part, pin))
+    held, flat = _held_and_flat("ba_32x8,2,2,2,2")
+    assert len(check_wellformed(flat)) == violations
+    _same_through_text(tmp_path, held, flat)
+    faults = _pin_faults(flat)
+    assert faults == [f"{c.name}.{pin}: connected 0 times"
+                      for c in cells_of_kind(flat, kind)]
+    assert _pin_faults(parse_netlist(tmp_path / "held.nl")) == faults
+    assert _pin_faults(held) == faults
+
+
+@pytest.mark.parametrize("cell, net, direct, held", [
+    ("{s}/g{x}", "{s}/n{x}", False, True),
+    ("{s}_g{x}", "{s}/n{x}", False, False),      # a cell outside its scope
+    ("{s}/n{x}", "{s}/n_{x}", False, False),     # a cell's part starts a net's
+    ("{s}/g{x}", "{s}/n{x}", True, False)])      # a slot drives its out net twice
+def test_slots_held_only_when_stamped_alike(tmp_path, cell, net, direct, held):
+    """hold_slots holds the slots only when each slot's text is the recorded
+    slot's with its scope, suffix and out put in; otherwise it adds them
+    flat.  Either way the IR is the one adding each slot makes."""
+    def body(ir, scope, suffix, out):
+        g, n = cell.format(s=scope, x=suffix), net.format(s=scope, x=suffix)
+        ir.add_cell(g, "tristate_driver")
+        ir.add_net(n, 1)
+        ir.connect(n, g, "in")
+        ir.connect("clk", g, "clk")
+        ir.connect(out, g, "out")
+        if direct:
+            ir.connect("o", g, "en")
+            ir.connect("o", g, "out")
+    irs = [NetlistIR("t"), NetlistIR("t")]
+    for ir in irs:
+        ir.add_port("clk", "in", 1)
+        ir.add_port("o", "out", 1)
+    # with "{s}/n{x}" cells, the first slot's net is the second slot's cell
+    bindings = [("b", "1", "o"), ("b", "_1", "o"), ("c", "_1", "o")]
+    irs[0].hold_slots(body, bindings)
+    for b in bindings:
+        body(irs[1], *b)
+    assert (irs[0].slots is not None) == held
+    for i, ir in enumerate(irs):
+        emit_netlist(ir, tmp_path / f"{i}.nl")
+    assert (tmp_path / "0.nl").read_text() == (tmp_path / "1.nl").read_text()
+    assert check_wellformed(irs[0]) == check_wellformed(irs[1])
+    assert _structure(irs[0]) == _structure(irs[1])
+
+
+@pytest.mark.parametrize("shared, outs", [(False, ["o", "o"]), (True, ["o", "p"])])
+def test_held_check_counts_a_driver_per_slot(shared, outs):
+    """A column mux that each slot puts on one net, through the slots' out
+    net or directly, is a fault with two slots and not with one; the held
+    check sees it as the flat one does."""
+    def body(ir, scope, suffix, out):
+        g = f"{scope}/g{suffix}"
+        ir.add_cell(g, "column_mux")
+        ir.connect("clk", g, "sel")
+        ir.connect(out, g, "out")
+        if shared:
+            ir.connect("w", g, "out")
+    for n_slots in (1, 2):
+        bindings = [(f"b{i}", "_0", out) for i, out in enumerate(outs[:n_slots])]
+        irs = [NetlistIR("t"), NetlistIR("t")]
+        for ir in irs:
+            ir.add_port("clk", "in", 1)
+            for out in sorted(set(outs[:n_slots])):
+                ir.add_port(out, "out", 1)
+            if shared:
+                ir.add_net("w", 1)
+                ir.add_cell("h", "output_reg")
+                ir.connect("w", "h", "d")
+        irs[0].hold_slots(body, bindings)
+        for b in bindings:
+            body(irs[1], *b)
+        assert irs[0].slots is not None
+        faults = check_wellformed(irs[1])
+        assert check_wellformed(irs[0]) == faults
+        assert faults == [f"net {'w' if shared else 'o'}: multiple drivers include "
+                          f"non-tristate b{i}/g_0" for i in range(n_slots) if n_slots > 1]
+
+
+def test_held_check_sees_a_head_net_named_as_a_slot_cell():
+    def body(ir, scope, suffix, out):
+        g = f"{scope}/g{suffix}"
+        ir.add_cell(g, "tristate_driver")
+        ir.connect("clk", g, "clk")
+        ir.connect(out, g, "out")
+    irs = [NetlistIR("t"), NetlistIR("t")]
+    for ir in irs:
+        ir.add_port("clk", "in", 1)
+        ir.add_port("o", "out", 1)
+        ir.add_net("b/g_0", 1)
+        ir.add_cell("h", "output_reg")
+        ir.add_cell("k", "output_reg")
+        ir.connect("b/g_0", "h", "q")
+        ir.connect("b/g_0", "k", "d")
+    irs[0].hold_slots(body, [("b", "_0", "o")])
+    body(irs[1], "b", "_0", "o")
+    assert irs[0].slots is not None
+    assert check_wellformed(irs[0]) == check_wellformed(irs[1]) \
+        == ["name 'b/g_0' used for both a cell and a net"]
