@@ -292,7 +292,8 @@ def cmd_sim(args) -> int:
         for _op in trace:
             pass
         raise
-    digits = max(1, (ir.nets["rdata"].width + 3) // 4)
+    # rdata's width, which the engine checked in the head
+    digits = max(1, (ir.head()[1]["rdata"].width + 3) // 4)
     leak = sim.leak_fj(ir.meta, res.cycles)
 
     out = Path(args.out)

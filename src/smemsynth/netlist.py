@@ -14,9 +14,11 @@ of `cells` or `nets` expands it into the flat IR.
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from itertools import chain, islice, starmap
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from . import explorer, floorplan
@@ -95,10 +97,14 @@ class NetlistIR:
         SlotArray after the cells and nets added so far, or added flat now
         when their text cannot be stamped from one recorded slot."""
         slots = SlotArray(self.cells, self.nets, body, bindings)
-        if slots.text is None:
+        if slots.text is None or not slots.in_head():
             for b in bindings:
                 body(self, *b)
             return
+        self._hold(slots)
+
+    def _hold(self, slots: SlotArray) -> None:
+        """Hold `slots`, whose head is this IR's cells and nets."""
         del self.cells, self.nets
         self.slots = slots
         self.__class__ = _HeldIR
@@ -114,12 +120,26 @@ class NetlistIR:
         for b in slots.bindings:
             slots.body(self, *b)
 
+    def head(self) -> tuple[dict, dict]:
+        """(cells, nets) added before held slots: all of a flat IR's."""
+        slots = self.slots
+        return (self.cells, self.nets) if slots is None else (slots.cells, slots.nets)
+
     def cell_count(self) -> int:
         """len(self.cells), without expanding held slots."""
         slots = self.slots
         if slots is None:
             return len(self.cells)
         return len(slots.cells) + len(slots.rec.cells) * len(slots.bindings)
+
+    def find_cell(self, name: str):
+        """(cell, binding) of the cell `name` without expanding held slots:
+        a flat or head cell with None, or a held slot's recorded cell with
+        its slot's binding (see SlotArray.params); None if there is none."""
+        if self.slots is not None:
+            return self.slots.find(name)
+        cell = self.cells.get(name)
+        return None if cell is None else (cell, None)
 
     # -- construction -----------------------------------------------------
     def add_port(self, name: str, direction: str, width: int) -> Net:
@@ -294,35 +314,64 @@ def _literal(v) -> str:
     return _fmt_param(v).replace("{", "{{").replace("}", "}}")
 
 
+class _Recorder(NetlistIR):
+    """The IR a SlotArray records its slot on: a net the slot connects to
+    without adding it is a head net, added on first use and listed in
+    `outer`."""
+
+    def __init__(self):
+        super().__init__("slot")
+        self.outer = []
+
+    def connect(self, net: str, cell: str, pin: str) -> str:
+        if net not in self.nets:
+            self.add_net(net, 1)
+            self.outer.append(net)
+        return super().connect(net, cell, pin)
+
+
 class SlotArray:
     """Slots held once, after a head: the cells and nets added before them.
 
     `body(ir, scope, suffix, *values, out)` adds one slot flat, and each
     binding holds those arguments for one slot.  `rec` is one slot, made by
-    `body` on an IR of the head's nets, under placeholder scope, suffix and
-    out net, with a _Field for each value.  `text` holds its lines as
-    str.format templates over a binding: "cells", "nets" and "conns" (of
-    the slot's own nets), and (net, role) for its conns on a head net, _OUT
-    standing for the binding's out.  `text` is None, and the slots are
-    added flat, when a slot name is not `<scope>/<part><suffix>`, when one
+    `body` under placeholder scope, suffix and out net, with a _Field for
+    each value; the head nets it connects to are its `outer` nets.  `text`
+    holds its lines as str.format templates over a binding: "cells",
+    "nets" and "conns" (of the slot's own nets), and (net, role) for its
+    conns on a head net, _OUT standing for the binding's out.  `text` is
+    None, and the slots are added flat, when recording fails, when a scope
+    holds a '/', when a slot name is not `<scope>/<part><suffix>`, when one
     part starts another (a cell of one slot could then share a name with a
-    net of another), when an out net is not in the head, or when a slot
-    reaches its out net both directly and by `out` (its conns there would
-    then interleave)."""
+    net of another), or when a slot reaches its out net both directly and
+    by `out` (its conns there would then interleave).  The slots are held
+    only while in_head() holds."""
 
     def __init__(self, cells: dict, nets: dict, body, bindings: list):
         self.cells, self.nets, self.body, self.bindings = cells, nets, body, bindings
         self.by_out = {}                # out net -> its bindings, in order
         for b in bindings:
             self.by_out.setdefault(b[-1], []).append(b)
-        rec = self.rec = NetlistIR("slot")
-        for net in nets.values():
-            rec.add_net(net.name, net.width)
+        self._names = None              # find()'s index, made on first use
+        self._bound = {}                # params() of each cell and field values
+        rec = self.rec = _Recorder()
         rec.add_net(_OUT, 1)
         last = len(bindings[0]) - 1
-        body(rec, _SCOPE, _SUFFIX, *map(_Field, range(2, last)), _OUT)
-        self.own = [n for n in rec.nets.values() if n.name not in nets and n.name != _OUT]
-        self.text = self._templates(f"{{{last}}}")
+        self.text = None
+        try:
+            body(rec, _SCOPE, _SUFFIX, *map(_Field, range(2, last)), _OUT)
+        except NetlistError:
+            return                      # the flat body raises it again
+        outer = set(rec.outer)
+        # each recorded cell's fields, as (param, binding index), and the
+        # getter of their values from a binding
+        self.fields = {}
+        for c in rec.cells.values():
+            fields = [(k, v.index) for k, v in c.params.items() if isinstance(v, _Field)]
+            self.fields[c.name] = fields, fields and itemgetter(*(i for _, i in fields))
+        self.own = [n for n in rec.nets.values() if n.name not in outer and n.name != _OUT]
+        if not any("/" in b[0] for b in bindings):
+            self.text = self._templates(f"{{{last}}}")
 
     def _templates(self, out_field: str) -> dict | None:
         rec, own = self.rec, [n.name for n in self.own]
@@ -333,6 +382,7 @@ class SlotArray:
         if any(parts[a].startswith(parts[b]) or parts[b].startswith(parts[a])
                for a in rec.cells for b in own):
             return None
+        self.parts = parts
         fields = {name: "{0}/" + p + "{1}" for name, p in parts.items()} | {_OUT: out_field}
 
         def conns(net, role):
@@ -350,11 +400,17 @@ class SlotArray:
             if net.name not in parts:           # a head net, or _OUT
                 text[net.name, "drive"] = conns(net, "drive")
                 text[net.name, "sink"] = conns(net, "sink")
-        if any(out not in self.nets or text[out, role] and text[_OUT, role]
+        if any(text.get((out, role)) and text[_OUT, role]
                for out in self.by_out for role in ("drive", "sink")):
             return None
         self.height = max(map(len, text.values()))
         return {key: "\n".join(lines) for key, lines in text.items() if lines}
+
+    def in_head(self) -> bool:
+        """Whether every head net a slot names, as an outer net of `rec` or
+        as its out, is a net of the head, and no head net is named _OUT."""
+        nets = self.nets
+        return _OUT not in nets and all(n in nets for n in chain(self.rec.outer, self.by_out))
 
     def stamps(self, key, bindings=None):
         """text[key] stamped with each binding (default: all): one item per
@@ -369,19 +425,56 @@ class SlotArray:
         return chain(self.stamps((net, role)),
                      self.stamps((_OUT, role), self.by_out.get(net, ())))
 
+    # -- the slots' cells, read without expanding -------------------------
+
+    def find(self, name: str):
+        """NetlistIR.find_cell of a held IR: (head cell, None), (recorded
+        cell, binding) of a slot's cell, or None.  The first call indexes
+        every cell's name: a string and a pair each, not a Cell."""
+        if self._names is None:
+            cells = [(self.parts[c], cell) for c, cell in self.rec.cells.items()]
+            self._names = {name: (cell, None) for name, cell in self.cells.items()}
+            self._names.update((f"{b[0]}/{part}{b[1]}", (cell, b))
+                               for b in self.bindings for part, cell in cells)
+        return self._names.get(name)
+
+    def name(self, cell: Cell, binding: tuple) -> str:
+        """The name of recorded `cell` in the slot of `binding`."""
+        return f"{binding[0]}/{self.parts[cell.name]}{binding[1]}"
+
+    def params(self, cell: Cell, binding: tuple) -> dict:
+        """The params of recorded `cell` in the slot of `binding`: one dict
+        per cell and values of its fields, not to be changed."""
+        fields, values = self.fields[cell.name]
+        if not fields:
+            return cell.params
+        key = (cell.name, values(binding))
+        bound = self._bound.get(key)
+        if bound is None:
+            bound = self._bound[key] = cell.params | {k: binding[i] for k, i in fields}
+        return bound
+
+    def values(self, cell: Cell, key: str) -> set:
+        """The distinct values of recorded `cell`'s param `key` over the
+        slots (None where it has none): its literal, or each binding's."""
+        v = cell.params.get(key)
+        if isinstance(v, _Field):
+            return {b[v.index] for b in self.bindings}
+        return {v}
+
     def clean(self, ports: dict) -> bool:
         """Whether the expanded IR passes check_wellformed, from the head, the
         recorded slot and the nets they share.  A head net's ends stand with
         each slot's counted at most twice, which keeps every rule's outcome;
         every slot's own nets are the recorded slot's.  A slot name starts
-        with its scope and a '/', and no scope holds one (generate_sram's
-        are bank_<r>_<c>), so a head name without '/' names no slot's cell
-        or net."""
+        with its scope and a '/', and no scope holds one, so a head name
+        without '/' names no slot's cell or net."""
         rec, n = self.rec, min(len(self.bindings), 2)
         out = rec.nets[_OUT]
 
         def ends(net, role):
-            return (getattr(net, role) + getattr(rec.nets[net.name], role) * n
+            slot = rec.nets.get(net.name)
+            return (getattr(net, role) + (getattr(slot, role) * n if slot else [])
                     + getattr(out, role) * min(len(self.by_out.get(net.name, ())), 2))
 
         nets = chain(((net.name, ends(net, "drivers"), ends(net, "sinks"))
@@ -395,6 +488,39 @@ class SlotArray:
 
 # -- 1R-1W SRAM generator --------------------------------------------------
 
+def _sram_slots(R: int, C: int, K: int, M: int, macro: BAPlusMacro) -> tuple:
+    """generate_sram's slots: (selects, body, bindings).  `selects` are the
+    (name, width) of the one-hot select nets the decoder drives for the
+    wordline gates, in the order it adds them; `body` adds one slot, and
+    each binding (bank, suffix, bank row, macro, column, out net) is one
+    slot's.  parse_netlist runs the same to fold a netlist's text."""
+    amap = explorer.AddressMap.of(R, K, macro.B, M)
+    selects = []
+    for prefix in ("r", "w"):
+        if amap.lR:
+            selects.append((f"{prefix}_bank", R))
+        if amap.lK:
+            selects.append((f"{prefix}_ba", K))
+        selects.append((f"{prefix}_row", macro.B))
+    # each wordline gate's (net, pin)s
+    gate_in = [("re", "re"), ("we", "we")] + [(name, name) for name, _ in selects]
+    wsel = "w_msel" if amap.lM else None
+
+    def slot(ir, bank, suffix, r, k, c, out):
+        tri = add_slot(ir, bank, suffix, macro, c, gate_in, wsel, bank_row=r, ba=k)
+        ir.connect(out, tri, "out")
+
+    outs = [f"col_bl_{c}" if M > 1 else "rdata" for c in range(C)]
+    suffixes = [f"_{k}" for k in range(K)]
+    bindings = []
+    for r in range(R):
+        for c in range(C):
+            bank = f"bank_{r}_{c}"
+            bindings += [(bank, suffix, r, k, c, outs[c])
+                         for k, suffix in enumerate(suffixes)]
+    return selects, slot, bindings
+
+
 def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     """Structural netlist for a 1R-1W memory config.
 
@@ -403,7 +529,7 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     clock-gates the row bundle; the slot tristates of a bank column share
     one global read bitline; an M-way column mux (with a one-cycle select
     pipeline register) produces rdata.  The slots are held once, as a
-    SlotArray over this function's slot body.
+    SlotArray over _sram_slots' slot body.
     """
     cfg.validate(lib)
     macro = lib[cfg.variant]
@@ -435,27 +561,13 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     for p in ("raddr", "waddr", "re", "we"):
         ir.connect(p, "dec", p)
 
-    def dec_out(name: str, width: int) -> str:
+    selects, slot, bindings = _sram_slots(cfg.R, cfg.C, cfg.K, cfg.M, macro)
+    for name, width in selects + ([("r_msel", cfg.M), ("w_msel", cfg.M)] if amap.lM else []):
         ir.add_net(name, width)
         ir.connect(name, "dec", name)
-        return name
-
-    selects = [("re", "re"), ("we", "we")]  # each wordline gate's (net, pin)s
-
-    def select(name: str, width: int) -> None:
-        selects.append((dec_out(name, width), name))
-
-    for prefix in ("r", "w"):
-        if amap.lR:
-            select(f"{prefix}_bank", cfg.R)
-        if amap.lK:
-            select(f"{prefix}_ba", cfg.K)
-        select(f"{prefix}_row", macro.B)
     if amap.lM:
-        dec_out("r_msel", cfg.M)
-        dec_out("w_msel", cfg.M)
         ir.add_net("r_msel_q", cfg.M)
-        reg = ir.add_cell("sel_reg", "output_reg", role="mux_sel_pipeline")
+        ir.add_cell("sel_reg", "output_reg", role="mux_sel_pipeline")
         ir.connect("clk", "sel_reg", "clk")
         ir.connect("r_msel", "sel_reg", "d")
         ir.connect("r_msel_q", "sel_reg", "q")
@@ -469,20 +581,6 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
         ir.connect("r_msel_q", "mux", "sel")
         ir.connect("rdata", "mux", "out")
 
-    wsel = "w_msel" if amap.lM else None
-
-    def slot(ir, bank, suffix, r, k, c, out):
-        tri = add_slot(ir, bank, suffix, macro, c, selects, wsel, bank_row=r, ba=k)
-        ir.connect(out, tri, "out")
-
-    outs = [f"col_bl_{c}" if cfg.M > 1 else "rdata" for c in range(cfg.C)]
-    suffixes = [f"_{k}" for k in range(cfg.K)]
-    bindings = []
-    for r in range(cfg.R):
-        for c in range(cfg.C):
-            bank = f"bank_{r}_{c}"
-            bindings += [(bank, suffix, r, k, c, outs[c])
-                         for k, suffix in enumerate(suffixes)]
     ir.hold_slots(slot, bindings)
     return ir
 
@@ -508,7 +606,7 @@ def _netlist_lines(ir: NetlistIR):
     """The lines of `ir`'s text, in emit order, made one at a time; a held
     SlotArray's come as one item per slot and section."""
     slots = ir.slots
-    cells, nets = (ir.cells, ir.nets) if slots is None else (slots.cells, slots.nets)
+    cells, nets = ir.head()
     yield f"# smemsynth netlist {ir.name}"
     if ir.meta:
         kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in ir.meta.items())
@@ -560,75 +658,224 @@ def _parse_value(tok: str):
         return tok
 
 
+class _FlatReader:
+    """parse_netlist's line reader: one IR, built line by line by
+    add_port/add_net/add_cell/connect, so every line gets their checks and
+    messages, prefixed by `path:lineno`."""
+
+    def __init__(self, path):
+        self.path = path
+        self.ir = NetlistIR("netlist")
+        self.params_of = {}  # "key=value" token -> (key, value), converted once
+        self.pins = {}  # one string per distinct pin, as a generated IR has
+
+    def cell_params(self, toks: list) -> dict:
+        """The params of a `cell` line's tokens."""
+        params_of = self.params_of
+        params = {}
+        for tok in toks[3:]:
+            kv = params_of.get(tok)
+            if kv is None:
+                k, eq, v = tok.partition("=")
+                if not eq:
+                    raise NetlistError(f"param {tok!r} is not key=value")
+                kv = params_of[tok] = (k, _parse_value(v))
+            params[kv[0]] = kv[1]
+        if len(params) < len(toks) - 3:
+            keys = [params_of[tok][0] for tok in toks[3:]]
+            twice = next(k for k in keys if keys.count(k) > 1)
+            raise NetlistError(f"param {twice!r} given twice")
+        return params
+
+    def read(self, numbered) -> None:
+        """Add each (lineno, line) of `numbered` to the IR."""
+        ir, path, pins = self.ir, self.path, self.pins
+        add_cell, connect, cell_params = ir.add_cell, ir.connect, self.cell_params
+        for lineno, line in numbered:
+            toks = line.split()
+            if not toks:
+                continue
+            head = toks[0]
+            try:
+                if head == "conn":
+                    cell, _, pin = toks[2].rpartition(".")
+                    role = toks[3]
+                    pin = pins.setdefault(pin, pin)
+                    want = connect(toks[1], cell, pin)
+                    if role != want:
+                        raise NetlistError(f"{cell}.{pin} of a {ir.cells[cell].kind} "
+                                           f"takes role {want!r}, not {role!r}")
+                    if len(toks) > 4:
+                        raise NetlistError(f"extra token {toks[4]!r}")
+                elif head == "cell":
+                    add_cell(toks[1], toks[2], **cell_params(toks))
+                elif head == "net":
+                    ir.add_net(toks[1], int(toks[2]))
+                    if len(toks) > 3:
+                        raise NetlistError(f"extra token {toks[3]!r}")
+                elif head == "port":
+                    ir.add_port(toks[1], toks[2], int(toks[3]))
+                    if len(toks) > 4:
+                        raise NetlistError(f"extra token {toks[4]!r}")
+                elif head[0] == "#":
+                    body = line.strip()[1:].strip()
+                    if body.startswith("smemsynth netlist "):
+                        ir.name = body.split()[-1]
+                    elif body.startswith("meta "):
+                        for tok in body[5:].split():
+                            k, eq, v = tok.partition("=")
+                            if not eq:
+                                raise NetlistError(f"meta {tok!r} is not key=value")
+                            ir.meta[k] = _parse_value(v)
+                else:
+                    raise NetlistError(f"unknown directive {head!r}")
+            except (IndexError, ValueError) as e:
+                raise NetlistError(f"{path}:{lineno}: {e}") from None
+
+
 def parse_netlist(path) -> NetlistIR:
     """Read the text written by emit_netlist; one streamed pass, one line at
     a time.  A `conn` must follow the `port`/`net` and `cell` it names, and
     its role must be the one the cell's kind gives the pin.
 
     Every line is built by add_port/add_net/add_cell/connect, so it gets
-    their checks and messages, prefixed by `path:lineno`.
+    their checks and messages, prefixed by `path:lineno`.  The exception
+    is the text emit_netlist writes for a held sram_1r1w IR, decided on
+    its two comment lines: _fold reads it back held, and at its first
+    difference from that text (or on any error) the whole file is read
+    again by _parse_flat, so every message is the flat reader's.
     """
-    ir = NetlistIR("netlist")
-    add_cell, connect = ir.add_cell, ir.connect
-    params_of = {}  # "key=value" token -> (key, value), converted once
-    pins = {}  # one string per distinct pin, as a generated IR has
-    with open(path) as fh:
-        try:
-            for lineno, line in enumerate(fh, 1):
-                toks = line.split()
-                if not toks:
-                    continue
-                head = toks[0]
-                try:
-                    if head == "conn":
-                        cell, _, pin = toks[2].rpartition(".")
-                        role = toks[3]
-                        pin = pins.setdefault(pin, pin)
-                        want = connect(toks[1], cell, pin)
-                        if role != want:
-                            raise NetlistError(f"{cell}.{pin} of a {ir.cells[cell].kind} "
-                                               f"takes role {want!r}, not {role!r}")
-                        if len(toks) > 4:
-                            raise NetlistError(f"extra token {toks[4]!r}")
-                    elif head == "cell":
-                        params = {}
-                        for tok in toks[3:]:
-                            kv = params_of.get(tok)
-                            if kv is None:
-                                k, eq, v = tok.partition("=")
-                                if not eq:
-                                    raise NetlistError(f"param {tok!r} is not key=value")
-                                kv = params_of[tok] = (k, _parse_value(v))
-                            params[kv[0]] = kv[1]
-                        if len(params) < len(toks) - 3:
-                            keys = [params_of[tok][0] for tok in toks[3:]]
-                            twice = next(k for k in keys if keys.count(k) > 1)
-                            raise NetlistError(f"param {twice!r} given twice")
-                        add_cell(toks[1], toks[2], **params)
-                    elif head == "net":
-                        ir.add_net(toks[1], int(toks[2]))
-                        if len(toks) > 3:
-                            raise NetlistError(f"extra token {toks[3]!r}")
-                    elif head == "port":
-                        ir.add_port(toks[1], toks[2], int(toks[3]))
-                        if len(toks) > 4:
-                            raise NetlistError(f"extra token {toks[4]!r}")
-                    elif head[0] == "#":
-                        body = line.strip()[1:].strip()
-                        if body.startswith("smemsynth netlist "):
-                            ir.name = body.split()[-1]
-                        elif body.startswith("meta "):
-                            for tok in body[5:].split():
-                                k, eq, v = tok.partition("=")
-                                if not eq:
-                                    raise NetlistError(f"meta {tok!r} is not key=value")
-                                ir.meta[k] = _parse_value(v)
-                    else:
-                        raise NetlistError(f"unknown directive {head!r}")
-                except (IndexError, ValueError) as e:
-                    raise NetlistError(f"{path}:{lineno}: {e}") from None
-        except UnicodeDecodeError as e:
-            raise NetlistError(undecodable_line(path, e)) from None
+    reader = _FlatReader(path)
+    try:
+        with open(path) as fh:
+            top = list(islice(fh, 2))
+            reader.read(enumerate(top, 1))
+            if not (len(top) == 2 and all(line.startswith("#") for line in top)
+                    and reader.ir.meta.get("design") == "sram_1r1w"):
+                reader.read(enumerate(fh, len(top) + 1))
+                return reader.ir
+            try:
+                held = _fold(reader, _Ahead(fh))
+            except Exception:
+                # the fold only saves time: whatever stops it, the flat
+                # reader reads the text and names any fault in it
+                held = None
+    except UnicodeDecodeError as e:
+        raise NetlistError(undecodable_line(path, e)) from None
+    return _parse_flat(path) if held is None else held
+
+
+def _parse_flat(path) -> NetlistIR:
+    """parse_netlist's flat reader: every line read by a _FlatReader."""
+    reader = _FlatReader(path)
+    try:
+        with open(path) as fh:
+            reader.read(enumerate(fh, 1))
+    except UnicodeDecodeError as e:
+        raise NetlistError(undecodable_line(path, e)) from None
+    return reader.ir
+
+
+class _Ahead:
+    """A text file being matched against the text emit_netlist would write:
+    `ahead` is text read from `fh` and not yet matched."""
+
+    def __init__(self, fh):
+        self.fh, self.ahead = fh, ""
+
+    def peek(self) -> str:
+        """The next line ("" at the end of the file), not consumed."""
+        if not self.ahead:
+            self.ahead = self.fh.readline()
+        end = self.ahead.find("\n") + 1
+        return self.ahead[:end] if end else self.ahead
+
+    def skip(self) -> str:
+        """Consume the next line and return it."""
+        line = self.peek()
+        self.ahead = self.ahead[len(line):]
+        return line
+
+    def take(self, items, step: int) -> bool:
+        """Consume the lines of `items` (each one or more lines, without
+        the last newline) if they come next: compared `step` items at a
+        time, so no more than that is held."""
+        items = iter(items)
+        while batch := list(islice(items, step)):
+            want = "\n".join(batch) + "\n"
+            n = min(len(want), len(self.ahead))
+            if want[:n] != self.ahead[:n]:
+                return False
+            self.ahead = self.ahead[n:]
+            if n < len(want) and self.fh.read(len(want) - n) != want[n:]:
+                return False
+        return True
+
+
+# the cell lines of a slot's text that parse_netlist reads for its macro
+_MACRO_LINES = 8
+# a slot's text is hundreds of bytes: a meta that claims more slots than
+# this many per byte of its file is not emit_netlist's, and is read flat
+# before a binding is made for it
+_SLOT_BYTES = 64
+
+
+def _fold(reader: _FlatReader, text: _Ahead) -> NetlistIR | None:
+    """The held IR whose emit_netlist text `text` holds, after its two
+    comment lines, which `reader` has read; None at the first line that
+    differs from that text.
+
+    A line without '/' is the head's and is read by `reader` where
+    emit_netlist writes it: ports and head cells, then (after the slot
+    cells) head nets, then each head net's conns, drivers before sinks.
+    Every other line is a slot's, and must be the one stamped from the
+    SlotArray that generate_sram would hold: its slot body and bindings
+    from _sram_slots over the meta's R, C, K and M and the macro of the
+    first baplus_instance line.  So the held IR is the flat one, held."""
+    ir = reader.ir
+    R, C, K, M = (ir.meta[k] for k in "RCKM")
+    if R * C * K * _SLOT_BYTES > os.fstat(text.fh.fileno()).st_size:
+        return None
+    while (line := text.peek()).startswith(("port ", "cell ")) and "/" not in line:
+        reader.read(((0, text.skip()),))
+    # the macro, from the first baplus_instance line, among the first
+    # slot's cell lines
+    toks = text.peek().split()
+    while toks[2:3] != ["baplus_instance"]:
+        if toks[:1] != ["cell"] or text.ahead.count("\n") == _MACRO_LINES:
+            return None
+        line = text.fh.readline()
+        text.ahead += line
+        toks = line.split()
+    p = reader.cell_params(toks)
+    # a cell line states no tracks or pitches, and a slot reads neither
+    macro = BAPlusMacro(p["variant"], p["B"], p["W"], p["B"], p["W"], p["t_access_ps"],
+                        p["e_read_fj"], p["e_write_fj"], p["p_leak_nw"])
+    _, body, bindings = _sram_slots(R, C, K, M, macro)
+    slots = SlotArray(ir.cells, ir.nets, body, bindings)
+    if slots.text is None:
+        return None
+    # the head's conns take the slot body's pin strings, as generate_sram's do
+    for net in slots.rec.nets.values():
+        for _, pin in chain(net.drivers, net.sinks):
+            reader.pins.setdefault(pin, pin)
+    step = max(1, _EMIT_CHUNK // slots.height)
+    if not text.take(slots.stamps("cells"), step):
+        return None
+    while (line := text.peek()).startswith("net ") and "/" not in line:
+        reader.read(((0, text.skip()),))
+    if not (text.take(slots.stamps("nets"), step) and slots.in_head()):
+        return None
+    for net in ir.nets:
+        for role in ("drive", "sink"):
+            while ((line := text.peek()).startswith("conn ") and "/" not in line
+                   and line.split()[1::2] == [net, role]):
+                reader.read(((0, text.skip()),))
+            if not text.take(slots.head_stamps(net, role), step):
+                return None
+    if not (text.take(slots.stamps("conns"), step) and text.peek() == ""):
+        return None
+    ir._hold(slots)
     return ir
 
 

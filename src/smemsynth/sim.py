@@ -336,12 +336,18 @@ def _require(cond: bool, msg: str) -> None:
         raise SimError(f"netlist structure: {msg}")
 
 
+def _params(ir: netlist.NetlistIR, cell, binding) -> dict:
+    """The params of a cell as NetlistIR.find_cell gives it."""
+    return cell.params if binding is None else ir.slots.params(cell, binding)
+
+
 def _check_decoder(ir: netlist.NetlistIR, name: str, in_bits: int, stages: int,
                    mux_bits: int = 0) -> None:
     """The decoder `name` must decode the width and depth it is priced by."""
-    d = ir.cells.get(name)
-    _require(d is not None and d.kind == "decoder", f"missing decoder {name}")
-    got = tuple(d.params.get(k) for k in ("in_bits", "stages", "mux_bits"))
+    found = ir.find_cell(name)
+    _require(found is not None and found[0].kind == "decoder", f"missing decoder {name}")
+    params = _params(ir, *found)
+    got = tuple(params.get(k) for k in ("in_bits", "stages", "mux_bits"))
     _require(got == (in_bits, stages, mux_bits), f"{name}: decoder width or depth mismatch")
 
 
@@ -361,20 +367,54 @@ def _check_figures(d: dict, what: str, *keys) -> None:
             raise SimError(f"{what} {k}={d[k]!r} is not a finite number >= 0")
 
 
+class _Cells:
+    """One kind's cells, in the flat IR's order: `head`, a flat IR's cells
+    or a held IR's head cells, then the recorded slot's `rec` once per
+    binding of `slots`.  len() counts them; iteration yields each one's
+    (name, params), a held slot's made from its recorded cell as it is
+    reached."""
+
+    def __init__(self, slots):
+        self.slots, self.head, self.rec = slots, [], []
+
+    def __len__(self):
+        return len(self.head) + (len(self.rec) * len(self.slots.bindings) if self.rec else 0)
+
+    def __iter__(self):
+        for cell in self.head:
+            yield cell.name, cell.params
+        slots = self.slots
+        for b in slots.bindings if self.rec else ():
+            for cell in self.rec:
+                yield slots.name(cell, b), slots.params(cell, b)
+
+    def values(self, key: str) -> set:
+        """The distinct values of param `key` (None where a cell has none):
+        a recorded cell's literal once, or each binding's value of it."""
+        values = {cell.params.get(key) for cell in self.head}
+        for cell in self.rec:
+            values |= self.slots.values(cell, key)
+        return values
+
+
 def _check_cells(ir: netlist.NetlistIR) -> dict:
-    """The cells of `ir` by kind, once _check_figures passes, naming the
-    cell, every param its kind is priced by and a priced kind's e_event_fj.
-    Like cells share figures, so a kind's cells are walked only when one
-    of a key's distinct values is not a figure."""
-    by_kind = {kind: [] for kind in netlist.CELL_KINDS}
-    for cell in ir.cells.values():
-        by_kind[cell.kind].append(cell)
+    """The cells of `ir` by kind, as _Cells, once _check_figures passes,
+    naming the cell, every param its kind is priced by and a priced kind's
+    e_event_fj.  Like cells share figures, so a kind's cells are walked
+    only when one of a key's distinct values is not a figure; held slots
+    are read from their recorded slot, without expanding."""
+    slots = ir.slots
+    by_kind = {kind: _Cells(slots) for kind in netlist.CELL_KINDS}
+    for cell in ir.head()[0].values():
+        by_kind[cell.kind].head.append(cell)
+    for cell in slots.rec.cells.values() if slots else ():
+        by_kind[cell.kind].rec.append(cell)
     for kind, cells in by_kind.items():
         entry = netlist.CELL_KINDS[kind]
         for k in entry.reads + (("e_event_fj",) if entry.price else ()):
-            if not all(map(_is_figure, {cell.params.get(k) for cell in cells})):
-                for cell in cells:
-                    _check_figures(cell.params, f"netlist cell {cell.name}", k)
+            if not all(map(_is_figure, cells.values(k))):
+                for name, params in cells:
+                    _check_figures(params, f"netlist cell {name}", k)
     return by_kind
 
 
@@ -384,25 +424,30 @@ def _census(by_kind: dict, B: int, W: int, **counts) -> None:
     for kind, cells in by_kind.items():
         n = counts.get(kind, 0)
         _require(len(cells) == n, f"expected {n} {kind} cells, found {len(cells)}")
-    for cell in by_kind["baplus_instance"]:
-        _require(cell.params.get("B") == B and cell.params.get("W") == W,
-                 f"{cell.name}: macro geometry mismatch")
+    macros = by_kind["baplus_instance"]
+    if not (macros.values("B") <= {B} and macros.values("W") <= {W}):
+        for name, params in macros:
+            _require(params.get("B") == B and params.get("W") == W,
+                     f"{name}: macro geometry mismatch")
 
 
 def _cell_names(ir: netlist.NetlistIR, names) -> list:
     """`names`, the cells an engine's activity will count, as `ir` holds
-    them, so the activity keys share the netlist's strings; SimError names
-    the first that is no cell of `ir`, so a cell renamed within the census
-    fails before the first op."""
-    try:
-        return [ir.cells[name].name for name in names]
-    except KeyError as e:
-        raise SimError("netlist structure: the activity counts cell "
-                       f"{e.args[0]!r}, which the netlist lacks") from None
+    them, so the activity keys share a flat netlist's strings; SimError
+    names the first that is no cell of `ir`, so a cell renamed within the
+    census fails before the first op."""
+    held = []
+    for name in names:
+        found = ir.find_cell(name)
+        if found is None:
+            raise SimError("netlist structure: the activity counts cell "
+                           f"{name!r}, which the netlist lacks")
+        held.append(name if found[1] else found[0].name)
+    return held
 
 
 def _check_rdata(ir: netlist.NetlistIR, bits: int) -> None:
-    _require(ir.ports.get("rdata") == "out" and ir.nets["rdata"].width == bits,
+    _require(ir.ports.get("rdata") == "out" and ir.head()[1]["rdata"].width == bits,
              f"rdata must be an out port of {bits} bits")
 
 
@@ -509,8 +554,8 @@ def _sim_pa(ir: netlist.NetlistIR, by_kind: dict, emit, mode: str):
             wordline_gate=lanes, tristate_driver=lanes, decoder=2 if sm else lanes,
             pa_increment=2 * lanes if sm else lanes, output_reg=int(lanes > 1),
             pa_align=1)
-    _require(by_kind["pa_align"][0].params.get("lanes") == lanes,
-             "aligner lane count mismatch")
+    (_, align), = by_kind["pa_align"]
+    _require(align.get("lanes") == lanes, "aligner lane count mismatch")
     if sm:
         _check_decoder(ir, "xdec", spec.m, spec.m - spec.a)
         _check_decoder(ir, "ydec", spec.n, spec.n - spec.b)
@@ -518,10 +563,10 @@ def _sim_pa(ir: netlist.NetlistIR, by_kind: dict, emit, mode: str):
         for p in range(spec.banks_x):
             for q in range(spec.banks_y):
                 _check_decoder(ir, f"bank_{p}_{q}/sram/dec", **spec.bank_map.decoder)
-    for c in by_kind["pa_increment"]:
+    for name, params in by_kind["pa_increment"]:
         # the mode an increment is priced by must be the design's
-        _require((c.params.get("mode") == "translate") != sm,
-                 f"{c.name}: {'unexpected' if sm else 'expected a'} "
+        _require((params.get("mode") == "translate") != sm,
+                 f"{name}: {'unexpected' if sm else 'expected a'} "
                  "translate-mode cell")
 
     parts = (("incx", "incy", "wlg", "tri", "ba") if sm else
@@ -677,28 +722,30 @@ def _price(ir: netlist.NetlistIR, activity: dict, cycles: int,
     its price.  A macro's read or write is priced by `lib`'s variant when
     `lib` holds it, else by the macro's own figure; another priced kind by
     its table price under `lib`'s technology, or without `lib` by the
-    e_event_fj the cell carries."""
+    e_event_fj the cell carries.  Held slots are priced without expanding."""
     total = leak_fj(ir.meta, cycles)
+    find = ir.find_cell
     for key, count in activity.items():
         if key == "__wire__":
             total += count * ir.meta["e_wire_op_fj"]
             continue
         name, _, event = key.partition(":")
-        cell = ir.cells[name]   # the engine checked it holds every name
+        cell, binding = find(name)   # the engine checked it holds every name
         price = netlist.CELL_KINDS[cell.kind].price
         if event:   # a macro's read or write
+            params = _params(ir, cell, binding)
             figure = f"e_{event}_fj"
-            variant = cell.params.get("variant")
+            variant = params.get("variant")
             if lib is not None and variant in lib:
                 e = getattr(lib[variant], figure)
             else:
-                e = cell.params[figure]
+                e = params[figure]
         elif price is None:
             e = 0.0
         elif lib is None:
-            e = cell.params["e_event_fj"]
+            e = _params(ir, cell, binding)["e_event_fj"]
         else:
-            e = price(cell.params, lib.tech)
+            e = price(_params(ir, cell, binding), lib.tech)
         total += count * e
     return total
 

@@ -311,9 +311,11 @@ def test_netlist_text_path_holds_the_design_once(tmp_path):
     """On a 3,000-cell SRAM (1 MB of text), generate_sram holds its slots
     once, in under a tenth of the expanded IR; emit_netlist writes that held
     IR one chunk of text at a time, not the 4 MiB of the whole text's lines;
-    check_wellformed copies no names; the parsed IR has about the expanded
+    check_wellformed copies no names; parse_netlist folds the text back as
+    it streams, under the same bound as the emit.  With one edit in its
+    last slot the text reads flat, and the parsed IR has about the expanded
     one's size, not 1.66 times it, because a conn shares its cell's name
-    and its pin's string."""
+    and its pin's string, and the failed fold keeps nothing."""
     cfg = MemoryConfig("ba_8x8", 1, 8, 128, 1)
     lib = default_library()
     _expanded(cfg, lib)                     # warm the models' caches
@@ -328,7 +330,17 @@ def test_netlist_text_path_holds_the_design_once(tmp_path):
     assert check_peak < 64 << 10, check_peak
     assert held.slots is not None
     del ir, held
+    back, fold_peak, folded = _traced(parse_netlist, path)
+    assert back.slots is not None
+    assert fold_peak < 2 << 20, fold_peak
+    assert folded < generated / 10, (folded, generated)
+    del back
+    lines = path.read_text().splitlines()
+    last = max(i for i, line in enumerate(lines) if " baplus_instance " in line)
+    lines[last] = lines[last].replace(" col=7 ", " col=6 ")
+    path.write_text("\n".join(lines) + "\n")
     back, _, parsed = _traced(parse_netlist, path)
+    assert back.slots is None
     assert len(back.cells) == 3 * 8 * 128 + 1
     assert parsed < 1.3 * generated, (parsed, generated)
 
@@ -910,6 +922,101 @@ def test_dropped_connection_names_its_pin(design, net, cell, pin):
 
 
 # -- slots held once --------------------------------------------------------------
+
+# every shape of test_parse_inverts_emit and of the golden manifest's SRAM
+# cases (one slot; R > 1 with K = 1; M > 1 across 8 columns), and 1,024 slots
+_FOLDED = sorted({*map(",".join, (map(str, c) for c in _ROUNDTRIP_SRAM)),
+                  "ba_32x8,2,2,2,2", "ba_8x8,1,8,64,1", "ba_32x8,1,1,1,1",
+                  "ba_32x8,4,1,1,1", "ba_64x64,1,8,4,8", "ba_8x8,1,8,128,1"})
+
+
+def _synth_text(tmp_path, config):
+    """The .nl of `config` as synth writes it, from its held slots."""
+    variant, *factors = config.split(",")
+    lib = small_lib() if variant == "ba_32x8" else default_library()
+    path = tmp_path / "m.nl"
+    emit_netlist(generate_sram(MemoryConfig(variant, *map(int, factors)), lib), path)
+    return path
+
+
+@pytest.mark.parametrize("config", _FOLDED)
+def test_parse_folds_what_synth_writes(tmp_path, config):
+    """parse_netlist reads a synth-written SRAM back held, and it expands
+    into the IR the flat reader makes of the same text, which it writes
+    back byte for byte."""
+    path = _synth_text(tmp_path, config)
+    held = parse_netlist(path)
+    assert held.slots is not None
+    emit_netlist(held, tmp_path / "back.nl")
+    assert (tmp_path / "back.nl").read_bytes() == path.read_bytes()
+    assert check_wellformed(held) == []
+    assert held.slots is not None
+    assert _structure(held) == _structure(netlist._parse_flat(path))
+
+
+def _edit_last_cell(lines):
+    i = max(i for i, line in enumerate(lines) if line.startswith("cell "))
+    lines[i] = lines[i].replace("registered_enable=1", "registered_enable=2")
+
+
+def _swap_slot_conns(lines):
+    """Swap the macro's and the tristate's sinks on the last slot's rwl."""
+    i = max(i for i, line in enumerate(lines) if line.endswith("tri_1.en sink"))
+    assert lines[i - 1].endswith("ba_1.rwl sink")
+    lines[i - 1], lines[i] = lines[i], lines[i - 1]
+
+
+def _repeat_last_line(lines):
+    lines.append(lines[-1])
+
+
+def _drop_a_select(lines):
+    """Drop the r_bank net, which every wordline gate takes, and its conns."""
+    lines[:] = [line for line in lines if " r_bank " not in line]
+
+
+def _drive_after_the_slots(lines):
+    """A second driver of col_bl_0, after the slots' tristates drive it."""
+    lines.insert(lines.index("conn col_bl_0 mux.in_0 sink") + 1,
+                 "conn col_bl_0 dec.r_bank drive")
+
+
+@pytest.mark.parametrize("edit", [_edit_last_cell, list.pop, _swap_slot_conns,
+                                  _repeat_last_line, _drop_a_select, _drive_after_the_slots],
+                         ids=["last-cell-param", "last-line-dropped", "slot-conns-swapped",
+                              "last-line-repeated", "select-net-dropped",
+                              "head-driver-after-slots"])
+def test_parse_reads_an_edited_text_flat(tmp_path, edit):
+    """A text that differs from synth's in its last slot's cell line, its
+    last line, the order of two slot conns, a line past its end, a head
+    net its slots take, or where a head conn stands is read flat, into the
+    IR the flat reader makes of it: the fold is checked, not inferred."""
+    path = _synth_text(tmp_path, "ba_32x8,2,2,2,2")
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    back = parse_netlist(path)
+    assert back.slots is None
+    assert _structure(back) == _structure(netlist._parse_flat(path))
+
+
+def test_a_dropped_enable_reads_flat_and_simulates_as_before(tmp_path, capsys):
+    """A .nl without its first slot's tristate enable (ROADMAP item 1's
+    miswire) is read flat, and sim writes the result.txt it writes for the
+    unedited netlist: the engine does not follow the wires."""
+    path = _synth_text(tmp_path, "ba_32x8,2,2,2,2")
+    trace = tmp_path / "ops.tr"
+    trace.write_text("W 0 5\nR 0\nW 17 a\nR 17\nR 3\n")
+    assert main(["sim", str(path), str(trace), "--out", str(tmp_path)]) == 0
+    want = (tmp_path / "result.txt").read_bytes()
+    text = path.read_text()
+    dropped = "conn bank_0_0/rwl_0 bank_0_0/tri_0.en sink\n"
+    assert text.count(dropped) == 1
+    path.write_text(text.replace(dropped, ""))
+    assert parse_netlist(path).slots is None
+    capsys.readouterr()
+    assert main(["sim", str(path), str(trace), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "result.txt").read_bytes() == want
 
 def _held_and_flat(config):
     """generate_sram of `config` twice: as generated, with its slots held,

@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from smemsynth import pa, sim
+from smemsynth import cli, netlist, pa, sim
 from smemsynth.baplus import Library, TechParams, default_library, generate_variant
 from smemsynth.cli import main
 from smemsynth.explorer import MemoryConfig, UserSpec, enumerate_configs, evaluate_ppa
@@ -1192,6 +1194,124 @@ def test_census_holds_for_generated_srams():
             last = ir.meta["words"] - 1
             res = simulate(ir, SimTrace().write(last, 1).read(last))
             assert res.outputs == [(2, 1)]
+
+
+# -- netlists held as slots ----------------------------------------------------
+
+LIB_32X8 = str(Path(sim.__file__).parent / "fixtures" / "lib_32x8.json")
+
+
+def _refuse_expand(monkeypatch):
+    def refuse(ir):
+        raise AssertionError(f"{ir.name} was expanded")
+    monkeypatch.setattr(netlist.NetlistIR, "expand", refuse)
+
+
+def _sim_text(tmp_path, capsys, nl, trace, lib_args):
+    """sim's exit code, stdout, stderr and result.txt bytes (None if none)."""
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    (out / "result.txt").unlink(missing_ok=True)
+    code = main(["sim", str(nl), str(trace), *lib_args, "--out", str(out)])
+    std = capsys.readouterr()
+    result = out / "result.txt"
+    return code, std.out, std.err, result.read_bytes() if result.exists() else None
+
+
+def test_held_cells_are_found_as_expanded():
+    """find_cell gives every cell of a held IR, head or slot, the kind and
+    (through sim's _params) the params, fields bound, of its expanded
+    twin's cell, and None for a name the IR lacks."""
+    held = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+    flat = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
+    flat.expand()
+    for name, cell in flat.cells.items():
+        found, binding = held.find_cell(name)
+        assert (found.kind, sim._params(held, found, binding)) == (cell.kind, cell.params)
+    assert [held.find_cell(n) for n in ("bank_2_0/ba_0", "bank_0_0/ba_2", "mux2")] \
+        == [None] * 3
+    assert held.slots is not None
+
+
+@pytest.mark.parametrize("config", ["ba_32x8,2,2,2,1", "ba_32x8,2,2,2,2"])
+def test_sim_reads_held_slots_as_their_expansion(tmp_path, monkeypatch, capsys, config):
+    """With M = 1 and M > 1, R and K both above 1, simulate of a held IR,
+    and sim of a synth-written .nl with and without --lib, never expand the
+    slots, and match the expanded twin bit for bit: outputs, warnings,
+    activity keys in their order, e_total_fj and the repriced energy; sim
+    writes the bytes it writes from the flat reader's IR, and leaves the
+    parsed IR held."""
+    variant, *factors = config.split(",")
+    cfg, lib = MemoryConfig(variant, *map(int, factors)), small_lib()
+    flat = generate_sram(cfg, lib)
+    flat.expand()
+    words, bits = flat.meta["words"], flat.meta["bits"]
+    rng = random.Random(config)
+    tr = SimTrace()
+    for a in rng.sample(range(words), 24):
+        tr.read(a).write(a, rng.getrandbits(bits)).read(a ^ rng.randrange(words))
+    want = simulate(flat, tr)
+    want_lib = energy_report(want, lib)
+    # every slot's gate, tristate and macro read and written
+    assert want.warnings and len(want.activity) >= 2 + 4 * 8
+
+    _refuse_expand(monkeypatch)
+    held = generate_sram(cfg, lib)
+    got = simulate(held, tr)
+    assert (got.outputs, list(got.warnings)) == (want.outputs, list(want.warnings))
+    assert list(got.activity.items()) == list(want.activity.items())
+    assert got.e_total_fj.hex() == want.e_total_fj.hex()
+    assert energy_report(got, lib).hex() == want_lib.hex()
+    assert held.slots is not None
+
+    assert main(["synth", "--config", config, "--lib", LIB_32X8,
+                 "--out", str(tmp_path)]) == 0
+    nl = next(tmp_path.glob("*.nl"))
+    trace = tmp_path / "ops.tr"
+    SimTrace.to_file(SimTrace().write(0, 1).read(0).read(words - 1).idle()
+                     .write(words - 1, 2).read(words - 1), trace)
+    parsed = []
+    monkeypatch.setattr(cli, "parse_netlist",
+                        lambda path: parsed.append(netlist.parse_netlist(path)) or parsed[-1])
+    capsys.readouterr()
+    runs = [_sim_text(tmp_path, capsys, nl, trace, a) for a in ([], ["--lib", LIB_32X8])]
+    assert [ir.slots is not None for ir in parsed] == [True, True]
+    monkeypatch.setattr(cli, "parse_netlist", netlist._parse_flat)
+    assert runs == [_sim_text(tmp_path, capsys, nl, trace, a)
+                    for a in ([], ["--lib", LIB_32X8])]
+    assert [code for code, *_ in runs] == [0, 0]
+    assert "energy_report cross-check" in runs[1][1]
+
+
+@pytest.mark.parametrize("pattern, value, message", [
+    (r"e_read_fj=\S+", "e_read_fj=nan",
+     "netlist cell bank_0_0/ba_0 e_read_fj=nan is not a finite number >= 0"),
+    (r" B=32 (?=W=8 words)", " B=16 ",
+     "netlist structure: bank_0_0/ba_0: macro geometry mismatch")],
+    ids=["macro-nan", "meta-B"])
+def test_sim_names_a_held_slot_it_refuses(tmp_path, monkeypatch, capsys, pattern, value,
+                                          message):
+    """A synth-written .nl whose macro lines all read e_read_fj=nan, or
+    whose meta gives the macros another B, still folds, and sim refuses
+    it, without expanding, with the flat reader's IR's message: the first
+    slot's macro is named."""
+    assert main(["synth", "--config", "ba_32x8,2,2,2,2", "--lib", LIB_32X8,
+                 "--out", str(tmp_path)]) == 0
+    nl = next(tmp_path.glob("*.nl"))
+    text, n = re.subn(pattern, value, nl.read_text())
+    assert n == (2 * 2 * 2 if value.startswith("e_") else 1)
+    nl.write_text(text)
+    assert parse_netlist(nl).slots is not None
+    trace = tmp_path / "ops.tr"
+    trace.write_text("W 0 1\nR 0\n")
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "parse_netlist", netlist._parse_flat)
+    want = _sim_text(tmp_path, capsys, nl, trace, [])
+    monkeypatch.setattr(cli, "parse_netlist", netlist.parse_netlist)
+    _refuse_expand(monkeypatch)
+    assert _sim_text(tmp_path, capsys, nl, trace, []) == want
+    assert want[0] == 2 and want[3] is None
+    assert want[2] == f"smemsynth sim: {message}\n"
 
 
 class _Censused(Exception):
