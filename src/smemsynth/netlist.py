@@ -8,8 +8,10 @@ address ports are binary, split as explorer.AddressMap says.
 
 An SRAM's R*C*K BA+ slots are held once, as a SlotArray: one slot recorded
 from the generator's own slot body, and one binding per slot.  emit_netlist,
-check_wellformed and NetlistIR.cell_count read it as it is; the first read
-of `cells` or `nets` expands it into the flat IR.
+check_wellformed and NetlistIR.cell_count read it as it is, parse_netlist
+reads the text synth writes back into it, and NetlistIR.find_cell looks a
+cell up in it; the first read of `cells` or `nets` expands it into the
+flat IR.
 """
 
 from __future__ import annotations
@@ -812,11 +814,11 @@ class _Ahead:
         return True
 
 
-# the cell lines of a slot's text that parse_netlist reads for its macro
+# at most this many of the first slot's lines are read for its macro
 _MACRO_LINES = 8
-# a slot's text is hundreds of bytes: a meta that claims more slots than
-# this many per byte of its file is not emit_netlist's, and is read flat
-# before a binding is made for it
+# a slot's text is hundreds of bytes: a meta that claims more than one
+# slot per this many bytes of its file is not emit_netlist's, and is read
+# flat before a binding is made for it
 _SLOT_BYTES = 64
 
 
