@@ -8,10 +8,11 @@ address ports are binary, split as explorer.AddressMap says.
 
 An SRAM's R*C*K BA+ slots are held once, as a SlotArray: one slot recorded
 from the generator's own slot body, and one binding per slot.  emit_netlist,
-check_wellformed and NetlistIR.cell_count read it as it is, parse_netlist
-reads the text synth writes back into it, and NetlistIR.find_cell looks a
-cell up in it; the first read of `cells` or `nets` expands it into the
-flat IR.
+check_wellformed and NetlistIR.cell_count read it as it is, and
+NetlistIR.find_cell looks a cell up in it; the first read of `cells` or
+`nets` expands it into the flat IR.  parse_netlist returns the held IR
+that generate_sram would build for a text only when emit_netlist of it
+writes that text back byte for byte.
 """
 
 from __future__ import annotations
@@ -99,14 +100,10 @@ class NetlistIR:
         SlotArray after the cells and nets added so far, or added flat now
         when their text cannot be stamped from one recorded slot."""
         slots = SlotArray(self.cells, self.nets, body, bindings)
-        if slots.text is None or not slots.in_head():
+        if slots.text is None:
             for b in bindings:
                 body(self, *b)
             return
-        self._hold(slots)
-
-    def _hold(self, slots: SlotArray) -> None:
-        """Hold `slots`, whose head is this IR's cells and nets."""
         del self.cells, self.nets
         self.slots = slots
         self.__class__ = _HeldIR
@@ -316,38 +313,22 @@ def _literal(v) -> str:
     return _fmt_param(v).replace("{", "{{").replace("}", "}}")
 
 
-class _Recorder(NetlistIR):
-    """The IR a SlotArray records its slot on: a net the slot connects to
-    without adding it is a head net, added on first use and listed in
-    `outer`."""
-
-    def __init__(self):
-        super().__init__("slot")
-        self.outer = []
-
-    def connect(self, net: str, cell: str, pin: str) -> str:
-        if net not in self.nets:
-            self.add_net(net, 1)
-            self.outer.append(net)
-        return super().connect(net, cell, pin)
-
-
 class SlotArray:
     """Slots held once, after a head: the cells and nets added before them.
 
     `body(ir, scope, suffix, *values, out)` adds one slot flat, and each
     binding holds those arguments for one slot.  `rec` is one slot, made by
-    `body` under placeholder scope, suffix and out net, with a _Field for
-    each value; the head nets it connects to are its `outer` nets.  `text`
-    holds its lines as str.format templates over a binding: "cells",
-    "nets" and "conns" (of the slot's own nets), and (net, role) for its
-    conns on a head net, _OUT standing for the binding's out.  `text` is
-    None, and the slots are added flat, when recording fails, when a scope
-    holds a '/', when a slot name is not `<scope>/<part><suffix>`, when one
-    part starts another (a cell of one slot could then share a name with a
-    net of another), or when a slot reaches its out net both directly and
-    by `out` (its conns there would then interleave).  The slots are held
-    only while in_head() holds."""
+    `body` on an IR of the head's nets, under placeholder scope, suffix and
+    out net, with a _Field for each value.  `text` holds its lines as
+    str.format templates over a binding: "cells", "nets" and "conns" (of
+    the slot's own nets), and (net, role) for its conns on a head net, _OUT
+    standing for the binding's out.  `text` is None, and the slots are
+    added flat, when recording fails (a slot names a net the head lacks,
+    or the head has a net named _OUT), when a scope holds a '/', when a
+    slot name is not `<scope>/<part><suffix>`, when one part starts another
+    (a cell of one slot could then share a name with a net of another),
+    when an out net is not in the head, or when a slot reaches its out net
+    both directly and by `out` (its conns there would then interleave)."""
 
     def __init__(self, cells: dict, nets: dict, body, bindings: list):
         self.cells, self.nets, self.body, self.bindings = cells, nets, body, bindings
@@ -356,22 +337,23 @@ class SlotArray:
             self.by_out.setdefault(b[-1], []).append(b)
         self._names = None              # find()'s index, made on first use
         self._bound = {}                # params() of each cell and field values
-        rec = self.rec = _Recorder()
-        rec.add_net(_OUT, 1)
+        rec = self.rec = NetlistIR("slot")
         last = len(bindings[0]) - 1
         self.text = None
         try:
+            for net in nets.values():
+                rec.add_net(net.name, net.width)
+            rec.add_net(_OUT, 1)
             body(rec, _SCOPE, _SUFFIX, *map(_Field, range(2, last)), _OUT)
         except NetlistError:
-            return                      # the flat body raises it again
-        outer = set(rec.outer)
+            return                      # added flat, where the body raises it again
         # each recorded cell's fields, as (param, binding index), and the
         # getter of their values from a binding
         self.fields = {}
         for c in rec.cells.values():
             fields = [(k, v.index) for k, v in c.params.items() if isinstance(v, _Field)]
             self.fields[c.name] = fields, fields and itemgetter(*(i for _, i in fields))
-        self.own = [n for n in rec.nets.values() if n.name not in outer and n.name != _OUT]
+        self.own = [n for n in rec.nets.values() if n.name not in nets and n.name != _OUT]
         if not any("/" in b[0] for b in bindings):
             self.text = self._templates(f"{{{last}}}")
 
@@ -390,29 +372,23 @@ class SlotArray:
         def conns(net, role):
             ends = net.drivers if role == "drive" else net.sinks
             name = fields.get(net.name, net.name)
-            return [f"conn {name} {fields[cell]}.{_literal(pin)} {role}" for cell, pin in ends]
+            return [_conn_line(name, fields[cell], _literal(pin), role) for cell, pin in ends]
 
         text = {
             "cells": [_cell_line(fields[c.name], c.kind, c.params, _literal)
                       for c in rec.cells.values()],
-            "nets": [f"net {fields[n.name]} {n.width}" for n in self.own],
+            "nets": [_net_line(fields[n.name], n.width) for n in self.own],
             "conns": [line for n in self.own for line in conns(n, "drive") + conns(n, "sink")],
         }
         for net in rec.nets.values():
             if net.name not in parts:           # a head net, or _OUT
                 text[net.name, "drive"] = conns(net, "drive")
                 text[net.name, "sink"] = conns(net, "sink")
-        if any(text.get((out, role)) and text[_OUT, role]
+        if any(out not in self.nets or text[out, role] and text[_OUT, role]
                for out in self.by_out for role in ("drive", "sink")):
             return None
         self.height = max(map(len, text.values()))
         return {key: "\n".join(lines) for key, lines in text.items() if lines}
-
-    def in_head(self) -> bool:
-        """Whether every head net a slot names, as an outer net of `rec` or
-        as its out, is a net of the head, and no head net is named _OUT."""
-        nets = self.nets
-        return _OUT not in nets and all(n in nets for n in chain(self.rec.outer, self.by_out))
 
     def stamps(self, key, bindings=None):
         """text[key] stamped with each binding (default: all): one item per
@@ -475,8 +451,7 @@ class SlotArray:
         out = rec.nets[_OUT]
 
         def ends(net, role):
-            slot = rec.nets.get(net.name)
-            return (getattr(net, role) + (getattr(slot, role) * n if slot else [])
+            return (getattr(net, role) + getattr(rec.nets[net.name], role) * n
                     + getattr(out, role) * min(len(self.by_out.get(net.name, ())), 2))
 
         nets = chain(((net.name, ends(net, "drivers"), ends(net, "sinks"))
@@ -490,39 +465,6 @@ class SlotArray:
 
 # -- 1R-1W SRAM generator --------------------------------------------------
 
-def _sram_slots(R: int, C: int, K: int, M: int, macro: BAPlusMacro) -> tuple:
-    """generate_sram's slots: (selects, body, bindings).  `selects` are the
-    (name, width) of the one-hot select nets the decoder drives for the
-    wordline gates, in the order it adds them; `body` adds one slot, and
-    each binding (bank, suffix, bank row, macro, column, out net) is one
-    slot's.  parse_netlist runs the same to fold a netlist's text."""
-    amap = explorer.AddressMap.of(R, K, macro.B, M)
-    selects = []
-    for prefix in ("r", "w"):
-        if amap.lR:
-            selects.append((f"{prefix}_bank", R))
-        if amap.lK:
-            selects.append((f"{prefix}_ba", K))
-        selects.append((f"{prefix}_row", macro.B))
-    # each wordline gate's (net, pin)s
-    gate_in = [("re", "re"), ("we", "we")] + [(name, name) for name, _ in selects]
-    wsel = "w_msel" if amap.lM else None
-
-    def slot(ir, bank, suffix, r, k, c, out):
-        tri = add_slot(ir, bank, suffix, macro, c, gate_in, wsel, bank_row=r, ba=k)
-        ir.connect(out, tri, "out")
-
-    outs = [f"col_bl_{c}" if M > 1 else "rdata" for c in range(C)]
-    suffixes = [f"_{k}" for k in range(K)]
-    bindings = []
-    for r in range(R):
-        for c in range(C):
-            bank = f"bank_{r}_{c}"
-            bindings += [(bank, suffix, r, k, c, outs[c])
-                         for k, suffix in enumerate(suffixes)]
-    return selects, slot, bindings
-
-
 def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     """Structural netlist for a 1R-1W memory config.
 
@@ -530,8 +472,8 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     selects; each macro sits in an add_slot, whose wordline gate
     clock-gates the row bundle; the slot tristates of a bank column share
     one global read bitline; an M-way column mux (with a one-cycle select
-    pipeline register) produces rdata.  The slots are held once, as a
-    SlotArray over _sram_slots' slot body.
+    pipeline register) produces rdata.  This adds the meta, the ports and
+    the head cells; _sram_wiring adds the rest.
     """
     cfg.validate(lib)
     macro = lib[cfg.variant]
@@ -560,31 +502,64 @@ def generate_sram(cfg: explorer.MemoryConfig, lib: Library) -> NetlistIR:
     ir.add_port("rdata", "out", bits)
 
     ir.add_priced_cell("dec", "decoder", tech, **amap.decoder, ports="rw")
-    for p in ("raddr", "waddr", "re", "we"):
-        ir.connect(p, "dec", p)
-
-    selects, slot, bindings = _sram_slots(cfg.R, cfg.C, cfg.K, cfg.M, macro)
-    for name, width in selects + ([("r_msel", cfg.M), ("w_msel", cfg.M)] if amap.lM else []):
-        ir.add_net(name, width)
-        ir.connect(name, "dec", name)
-    if amap.lM:
-        ir.add_net("r_msel_q", cfg.M)
+    if cfg.M > 1:
         ir.add_cell("sel_reg", "output_reg", role="mux_sel_pipeline")
+        ir.add_priced_cell("mux", "column_mux", tech, C=cfg.C, W=macro.W, M=cfg.M)
+    _sram_wiring(ir, cfg.R, cfg.C, cfg.K, cfg.M, macro)
+    return ir
+
+
+def _sram_wiring(ir: NetlistIR, R: int, C: int, K: int, M: int, macro: BAPlusMacro) -> None:
+    """generate_sram after its head cells: the head nets, the connects of
+    the ports and those nets to dec, sel_reg and mux, then the R*C*K BA+
+    slots, held once as a SlotArray.  parse_netlist runs it on the head it
+    reads, to fold a netlist's text."""
+    amap = explorer.AddressMap.of(R, K, macro.B, M)
+    # the one-hot select nets the decoder drives for the wordline gates
+    selects = []
+    for prefix in ("r", "w"):
+        if amap.lR:
+            selects.append((f"{prefix}_bank", R))
+        if amap.lK:
+            selects.append((f"{prefix}_ba", K))
+        selects.append((f"{prefix}_row", macro.B))
+    decoded = selects + ([("r_msel", M), ("w_msel", M)] if M > 1 else [])
+    outs = [f"col_bl_{c}" for c in range(C)] if M > 1 else ["rdata"] * C
+    for name, width in decoded:
+        ir.add_net(name, width)
+    if M > 1:
+        ir.add_net("r_msel_q", M)
+        for out in outs:
+            ir.add_net(out, macro.W)
+
+    for name in ("raddr", "waddr", "re", "we", *(name for name, _ in decoded)):
+        ir.connect(name, "dec", name)
+    if M > 1:
         ir.connect("clk", "sel_reg", "clk")
         ir.connect("r_msel", "sel_reg", "d")
         ir.connect("r_msel_q", "sel_reg", "q")
-
-    if cfg.M > 1:
-        for c in range(cfg.C):
-            ir.add_net(f"col_bl_{c}", macro.W)
-        ir.add_priced_cell("mux", "column_mux", tech, C=cfg.C, W=macro.W, M=cfg.M)
-        for c in range(cfg.C):
-            ir.connect(f"col_bl_{c}", "mux", f"in_{c}")
+        for c, out in enumerate(outs):
+            ir.connect(out, "mux", f"in_{c}")
         ir.connect("r_msel_q", "mux", "sel")
         ir.connect("rdata", "mux", "out")
 
+    # each wordline gate's (net, pin)s
+    gate_in = [("re", "re"), ("we", "we")] + [(name, name) for name, _ in selects]
+    wsel = "w_msel" if M > 1 else None
+
+    def slot(ir, bank, suffix, r, k, c, out):
+        tri = add_slot(ir, bank, suffix, macro, c, gate_in, wsel, bank_row=r, ba=k)
+        ir.connect(out, tri, "out")
+
+    # each slot's binding: (bank, suffix, bank row, macro, column, out net)
+    suffixes = [f"_{k}" for k in range(K)]
+    bindings = []
+    for r in range(R):
+        for c in range(C):
+            bank = f"bank_{r}_{c}"
+            bindings += [(bank, suffix, r, k, c, outs[c])
+                         for k, suffix in enumerate(suffixes)]
     ir.hold_slots(slot, bindings)
-    return ir
 
 
 # -- native text format ----------------------------------------------------
@@ -599,54 +574,69 @@ def _cell_line(name: str, kind: str, params: dict, text=_fmt_param) -> str:
     return f"cell {name} {kind}" + "".join(f" {k}={text(v)}" for k, v in params.items())
 
 
+def _net_line(name: str, width) -> str:
+    return f"net {name} {width}"
+
+
+def _conn_line(net: str, cell: str, pin: str, role: str) -> str:
+    return f"conn {net} {cell}.{pin} {role}"
+
+
 # lines per write of emit_netlist: the text held at once stays a few
 # hundred KiB, however large the design
 _EMIT_CHUNK = 4096
 
 
+def _no_stamps(*_) -> tuple:
+    return ()
+
+
 def _netlist_lines(ir: NetlistIR):
     """The lines of `ir`'s text, in emit order, made one at a time; a held
     SlotArray's come as one item per slot and section."""
-    slots = ir.slots
+    slots, ports = ir.slots, ir.ports
     cells, nets = ir.head()
-    yield f"# smemsynth netlist {ir.name}"
+    stamps = slots.stamps if slots else _no_stamps
+    head_stamps = slots.head_stamps if slots else _no_stamps
+    top = [f"# smemsynth netlist {ir.name}"]
     if ir.meta:
-        kv = " ".join(f"{k}={_fmt_param(v)}" for k, v in ir.meta.items())
-        yield f"# meta {kv}"
-    for name, d in ir.ports.items():
-        yield f"port {name} {d} {nets[name].width}"
-    for c in cells.values():
-        yield _cell_line(c.name, c.kind, c.params)
-    if slots:
-        yield from slots.stamps("cells")
-    for n in nets.values():
-        if n.name not in ir.ports:
-            yield f"net {n.name} {n.width}"
-    if slots:
-        yield from slots.stamps("nets")
-    for n in nets.values():
-        for cell, pin in n.drivers:
-            yield f"conn {n.name} {cell}.{pin} drive"
-        if slots:
-            yield from slots.head_stamps(n.name, "drive")
-        for cell, pin in n.sinks:
-            yield f"conn {n.name} {cell}.{pin} sink"
-        if slots:
-            yield from slots.head_stamps(n.name, "sink")
-    if slots:
-        yield from slots.stamps("conns")
+        top.append("# meta " + " ".join(f"{k}={_fmt_param(v)}" for k, v in ir.meta.items()))
+
+    def conns(net):
+        """A head net's conns: its drivers, then its sinks, each followed by
+        the slots' in the same role."""
+        name = net.name
+        return chain((_conn_line(name, cell, pin, "drive") for cell, pin in net.drivers),
+                     head_stamps(name, "drive"),
+                     (_conn_line(name, cell, pin, "sink") for cell, pin in net.sinks),
+                     head_stamps(name, "sink"))
+
+    return chain(
+        top,
+        (f"port {name} {d} {nets[name].width}" for name, d in ports.items()),
+        (_cell_line(c.name, c.kind, c.params) for c in cells.values()),
+        stamps("cells"),
+        (_net_line(n.name, n.width) for n in nets.values() if n.name not in ports),
+        stamps("nets"),
+        chain.from_iterable(map(conns, nets.values())),
+        stamps("conns"))
+
+
+def _text_chunks(ir: NetlistIR):
+    """`ir`'s text, as strings of _EMIT_CHUNK lines, or of as many slot items
+    as hold at most that many, so memory follows the IR, not a copy of its
+    text; a held SlotArray's is made without expanding it."""
+    lines = _netlist_lines(ir)
+    step = max(1, _EMIT_CHUNK // ir.slots.height) if ir.slots else _EMIT_CHUNK
+    while chunk := list(islice(lines, step)):
+        yield "\n".join(chunk) + "\n"
 
 
 def emit_netlist(ir: NetlistIR, path) -> None:
     """Line-oriented netlist text; see parse_netlist for the grammar.  It is
-    written _EMIT_CHUNK lines at a time, or as many slot items as hold at
-    most that many, so memory follows the IR, not a copy of its text; a
-    held SlotArray is written without expanding it."""
-    lines = _netlist_lines(ir)
-    step = _EMIT_CHUNK // ir.slots.height if ir.slots else _EMIT_CHUNK
+    written a _text_chunks chunk at a time."""
     with open(path, "w") as fh:
-        while chunk := list(islice(lines, step)):
-            fh.write("\n".join(chunk) + "\n")
+        fh.writelines(_text_chunks(ir))
 
 
 def _parse_value(tok: str):
@@ -742,14 +732,15 @@ def parse_netlist(path) -> NetlistIR:
 
     Every line is built by add_port/add_net/add_cell/connect, so it gets
     their checks and messages, prefixed by `path:lineno`.  The exception
-    is the text emit_netlist writes for a held sram_1r1w IR, decided on
-    its two comment lines: _fold reads it back held, and at its first
-    difference from that text (or on any error) the whole file is read
-    again by _parse_flat, so every message is the flat reader's.
+    is a sram_1r1w text, decided on its two comment lines: _fold reads it
+    back held when emit_netlist of the held IR is the file, byte for byte.
+    Otherwise (or on any error) the whole file is read again by
+    _parse_flat, so every message is the flat reader's.
     """
     reader = _FlatReader(path)
     try:
-        with open(path) as fh:
+        # lines as they are in the file, so the fold compares its bytes
+        with open(path, newline="") as fh:
             top = list(islice(fh, 2))
             reader.read(enumerate(top, 1))
             if not (len(top) == 2 and all(line.startswith("#") for line in top)
@@ -757,7 +748,7 @@ def parse_netlist(path) -> NetlistIR:
                 reader.read(enumerate(fh, len(top) + 1))
                 return reader.ir
             try:
-                held = _fold(reader, _Ahead(fh))
+                held = _fold(reader, fh)
             except Exception:
                 # the fold only saves time: whatever stops it, the flat
                 # reader reads the text and names any fault in it
@@ -778,42 +769,6 @@ def _parse_flat(path) -> NetlistIR:
     return reader.ir
 
 
-class _Ahead:
-    """A text file being matched against the text emit_netlist would write:
-    `ahead` is text read from `fh` and not yet matched."""
-
-    def __init__(self, fh):
-        self.fh, self.ahead = fh, ""
-
-    def peek(self) -> str:
-        """The next line ("" at the end of the file), not consumed."""
-        if not self.ahead:
-            self.ahead = self.fh.readline()
-        end = self.ahead.find("\n") + 1
-        return self.ahead[:end] if end else self.ahead
-
-    def skip(self) -> str:
-        """Consume the next line and return it."""
-        line = self.peek()
-        self.ahead = self.ahead[len(line):]
-        return line
-
-    def take(self, items, step: int) -> bool:
-        """Consume the lines of `items` (each one or more lines, without
-        the last newline) if they come next: compared `step` items at a
-        time, so no more than that is held."""
-        items = iter(items)
-        while batch := list(islice(items, step)):
-            want = "\n".join(batch) + "\n"
-            n = min(len(want), len(self.ahead))
-            if want[:n] != self.ahead[:n]:
-                return False
-            self.ahead = self.ahead[n:]
-            if n < len(want) and self.fh.read(len(want) - n) != want[n:]:
-                return False
-        return True
-
-
 # at most this many of the first slot's lines are read for its macro
 _MACRO_LINES = 8
 # a slot's text is hundreds of bytes: a meta that claims more than one
@@ -822,63 +777,39 @@ _MACRO_LINES = 8
 _SLOT_BYTES = 64
 
 
-def _fold(reader: _FlatReader, text: _Ahead) -> NetlistIR | None:
-    """The held IR whose emit_netlist text `text` holds, after its two
-    comment lines, which `reader` has read; None at the first line that
-    differs from that text.
+def _fold(reader: _FlatReader, fh) -> NetlistIR | None:
+    """The held IR that generate_sram would build for the text of `fh`,
+    whose two comment lines `reader` has read, if emit_netlist of it is
+    that text; else None.
 
-    A line without '/' is the head's and is read by `reader` where
-    emit_netlist writes it: ports and head cells, then (after the slot
-    cells) head nets, then each head net's conns, drivers before sinks.
-    Every other line is a slot's, and must be the one stamped from the
-    SlotArray that generate_sram would hold: its slot body and bindings
-    from _sram_slots over the meta's R, C, K and M and the macro of the
-    first baplus_instance line.  So the held IR is the flat one, held."""
+    `reader` reads the head: every line before the first that holds a '/',
+    which are the ports and the head cells.  The macro is the first slot's
+    baplus_instance cell, and _sram_wiring adds the rest over the meta's R,
+    C, K and M.  Past the head, only the lines up to that cell's are read,
+    for its params; every line is checked by comparing the whole file with
+    the held IR's emit, so the held IR is the flat one, held."""
     ir = reader.ir
     R, C, K, M = (ir.meta[k] for k in "RCKM")
-    if R * C * K * _SLOT_BYTES > os.fstat(text.fh.fileno()).st_size:
+    if R * C * K * _SLOT_BYTES > os.fstat(fh.fileno()).st_size:
         return None
-    while (line := text.peek()).startswith(("port ", "cell ")) and "/" not in line:
-        reader.read(((0, text.skip()),))
-    # the macro, from the first baplus_instance line, among the first
-    # slot's cell lines
-    toks = text.peek().split()
-    while toks[2:3] != ["baplus_instance"]:
-        if toks[:1] != ["cell"] or text.ahead.count("\n") == _MACRO_LINES:
-            return None
-        line = text.fh.readline()
-        text.ahead += line
+    while (line := fh.readline()) and "/" not in line:
+        reader.read(((0, line),))
+    for _ in range(_MACRO_LINES):
         toks = line.split()
+        if toks[2:3] == ["baplus_instance"] and toks[0] == "cell":
+            break
+        line = fh.readline()
+    else:
+        return None
     p = reader.cell_params(toks)
     # a cell line states no tracks or pitches, and a slot reads neither
     macro = BAPlusMacro(p["variant"], p["B"], p["W"], p["B"], p["W"], p["t_access_ps"],
                         p["e_read_fj"], p["e_write_fj"], p["p_leak_nw"])
-    _, body, bindings = _sram_slots(R, C, K, M, macro)
-    slots = SlotArray(ir.cells, ir.nets, body, bindings)
-    if slots.text is None:
-        return None
-    # the head's conns take the slot body's pin strings, as generate_sram's do
-    for net in slots.rec.nets.values():
-        for _, pin in chain(net.drivers, net.sinks):
-            reader.pins.setdefault(pin, pin)
-    step = max(1, _EMIT_CHUNK // slots.height)
-    if not text.take(slots.stamps("cells"), step):
-        return None
-    while (line := text.peek()).startswith("net ") and "/" not in line:
-        reader.read(((0, text.skip()),))
-    if not (text.take(slots.stamps("nets"), step) and slots.in_head()):
-        return None
-    for net in ir.nets:
-        for role in ("drive", "sink"):
-            while ((line := text.peek()).startswith("conn ") and "/" not in line
-                   and line.split()[1::2] == [net, role]):
-                reader.read(((0, text.skip()),))
-            if not text.take(slots.head_stamps(net, role), step):
-                return None
-    if not (text.take(slots.stamps("conns"), step) and text.peek() == ""):
-        return None
-    ir._hold(slots)
-    return ir
+    _sram_wiring(ir, R, C, K, M, macro)
+    fh.seek(0)
+    if all(fh.read(len(chunk)) == chunk for chunk in _text_chunks(ir)) and not fh.read(1):
+        return ir
+    return None
 
 
 # -- Verilog-2001 emission -------------------------------------------------

@@ -930,23 +930,41 @@ _FOLDED = sorted({*map(",".join, (map(str, c) for c in _ROUNDTRIP_SRAM)),
                   "ba_32x8,4,1,1,1", "ba_64x64,1,8,4,8", "ba_8x8,1,8,128,1"})
 
 
-def _synth_text(tmp_path, config):
-    """The .nl of `config` as synth writes it, from its held slots."""
+def _generated(config):
+    """generate_sram of `config`, "variant,R,C,K,M"."""
     variant, *factors = config.split(",")
     lib = small_lib() if variant == "ba_32x8" else default_library()
+    return generate_sram(MemoryConfig(variant, *map(int, factors)), lib)
+
+
+def _synth_text(tmp_path, config):
+    """The .nl of `config` as synth writes it, from its held slots."""
     path = tmp_path / "m.nl"
-    emit_netlist(generate_sram(MemoryConfig(variant, *map(int, factors)), lib), path)
+    emit_netlist(_generated(config), path)
     return path
+
+
+def _head(ir):
+    """The head's cells and nets, in order, with their params and ends."""
+    cells, nets = ir.head()
+    return ([(c.name, c.kind, [(k, type(v), v) for k, v in c.params.items()])
+             for c in cells.values()],
+            [(n.name, n.width, n.drivers, n.sinks) for n in nets.values()])
 
 
 @pytest.mark.parametrize("config", _FOLDED)
 def test_parse_folds_what_synth_writes(tmp_path, config):
-    """parse_netlist reads a synth-written SRAM back held, and it expands
-    into the IR the flat reader makes of the same text, which it writes
-    back byte for byte."""
+    """parse_netlist reads a synth-written SRAM back held, as the IR that
+    generate_sram holds: the same bindings, slot text and head, compared
+    without expanding either.  It expands into the IR the flat reader makes
+    of the same text, which it writes back byte for byte."""
     path = _synth_text(tmp_path, config)
-    held = parse_netlist(path)
+    held, generated = parse_netlist(path), _generated(config)
     assert held.slots is not None
+    assert held.slots.bindings == generated.slots.bindings
+    assert held.slots.text == generated.slots.text
+    assert _head(held) == _head(generated)
+    assert held.slots is not None and generated.slots is not None
     emit_netlist(held, tmp_path / "back.nl")
     assert (tmp_path / "back.nl").read_bytes() == path.read_bytes()
     assert check_wellformed(held) == []
@@ -981,17 +999,41 @@ def _drive_after_the_slots(lines):
                  "conn col_bl_0 dec.r_bank drive")
 
 
+def _drop_the_slots(lines):
+    """Every line from the first slot's on: the head alone is left."""
+    del lines[next(i for i, line in enumerate(lines) if "/" in line):]
+
+
+def _respell_the_meta(lines):
+    lines[1] = lines[1].replace(" R=2 ", " R=02 ")
+
+
+def _space_the_title(lines):
+    lines[0] = lines[0].replace("netlist ", "netlist  ")
+
+
+def _end_lines_in_crlf(lines):
+    lines[:] = [line + "\r" for line in lines]
+
+
 @pytest.mark.parametrize("edit", [_edit_last_cell, list.pop, _swap_slot_conns,
-                                  _repeat_last_line, _drop_a_select, _drive_after_the_slots],
+                                  _repeat_last_line, _drop_a_select, _drive_after_the_slots,
+                                  _drop_the_slots, _respell_the_meta, _space_the_title,
+                                  _end_lines_in_crlf],
                          ids=["last-cell-param", "last-line-dropped", "slot-conns-swapped",
                               "last-line-repeated", "select-net-dropped",
-                              "head-driver-after-slots"])
+                              "head-driver-after-slots", "slots-dropped", "meta-respelled",
+                              "title-spaced", "crlf-line-ends"])
 def test_parse_reads_an_edited_text_flat(tmp_path, edit):
     """A text that differs from synth's in its last slot's cell line, its
     last line, the order of two slot conns, a line past its end, a head
-    net its slots take, or where a head conn stands is read flat, into the
-    IR the flat reader makes of it: the fold is checked, not inferred."""
-    path = _synth_text(tmp_path, "ba_32x8,2,2,2,2")
+    net its slots take, where a head conn stands, its comment lines or its
+    line ends, or that stops after its head is read flat, into the IR the
+    flat reader makes of it: the fold is checked, not inferred.  The head
+    alone is a one-slot memory's, whose file is large enough for the fold
+    to read it to its end."""
+    path = _synth_text(tmp_path, "ba_32x8,1,1,1,1" if edit is _drop_the_slots
+                       else "ba_32x8,2,2,2,2")
     lines = path.read_text().splitlines()
     edit(lines)
     path.write_text("\n".join(lines) + "\n")
@@ -1021,10 +1063,7 @@ def test_a_dropped_enable_reads_flat_and_simulates_as_before(tmp_path, capsys):
 def _held_and_flat(config):
     """generate_sram of `config` twice: as generated, with its slots held,
     and expanded."""
-    variant, *factors = config.split(",")
-    lib = small_lib() if variant == "ba_32x8" else default_library()
-    cfg = MemoryConfig(variant, *map(int, factors))
-    held, flat = generate_sram(cfg, lib), generate_sram(cfg, lib)
+    held, flat = _generated(config), _generated(config)
     flat.expand()
     assert held.slots is not None and flat.slots is None
     return held, flat
