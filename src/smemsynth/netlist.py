@@ -9,10 +9,10 @@ address ports are binary, split as explorer.AddressMap says.
 An SRAM's R*C*K BA+ slots are held once, as a SlotArray: one slot recorded
 from the generator's own slot body, and one binding per slot.  emit_netlist,
 check_wellformed and NetlistIR.cell_count read it as it is, and
-NetlistIR.find_cell looks a cell up in it; the first read of `cells` or
-`nets` expands it into the flat IR.  parse_netlist returns the held IR
-that generate_sram would build for a text only when emit_netlist of it
-writes that text back byte for byte.
+NetlistIR.cell_table, sim's one view of the cells, names and binds them
+once; the first read of `cells` or `nets` expands it into the flat IR.
+parse_netlist returns the held IR that generate_sram would build for a
+text only when emit_netlist of it writes that text back byte for byte.
 """
 
 from __future__ import annotations
@@ -131,14 +131,13 @@ class NetlistIR:
             return len(self.cells)
         return len(slots.cells) + len(slots.rec.cells) * len(slots.bindings)
 
-    def find_cell(self, name: str):
-        """(cell, binding) of the cell `name` without expanding held slots:
-        a flat or head cell with None, or a held slot's recorded cell with
-        its slot's binding (see SlotArray.params); None if there is none."""
+    def cell_table(self) -> dict:
+        """name -> (kind, params) of each cell, in `cells` order, without
+        expanding held slots.  A flat IR's is built on each call, as the IR
+        can change; a held IR's is SlotArray.table."""
         if self.slots is not None:
-            return self.slots.find(name)
-        cell = self.cells.get(name)
-        return None if cell is None else (cell, None)
+            return self.slots.table()
+        return {name: (c.kind, c.params) for name, c in self.cells.items()}
 
     # -- construction -----------------------------------------------------
     def add_port(self, name: str, direction: str, width: int) -> Net:
@@ -335,8 +334,7 @@ class SlotArray:
         self.by_out = {}                # out net -> its bindings, in order
         for b in bindings:
             self.by_out.setdefault(b[-1], []).append(b)
-        self._names = None              # find()'s index, made on first use
-        self._bound = {}                # params() of each cell and field values
+        self._table = None              # table(), made on first use
         rec = self.rec = NetlistIR("slot")
         last = len(bindings[0]) - 1
         self.text = None
@@ -347,12 +345,6 @@ class SlotArray:
             body(rec, _SCOPE, _SUFFIX, *map(_Field, range(2, last)), _OUT)
         except NetlistError:
             return                      # added flat, where the body raises it again
-        # each recorded cell's fields, as (param, binding index), and the
-        # getter of their values from a binding
-        self.fields = {}
-        for c in rec.cells.values():
-            fields = [(k, v.index) for k, v in c.params.items() if isinstance(v, _Field)]
-            self.fields[c.name] = fields, fields and itemgetter(*(i for _, i in fields))
         self.own = [n for n in rec.nets.values() if n.name not in nets and n.name != _OUT]
         if not any("/" in b[0] for b in bindings):
             self.text = self._templates(f"{{{last}}}")
@@ -403,42 +395,31 @@ class SlotArray:
         return chain(self.stamps((net, role)),
                      self.stamps((_OUT, role), self.by_out.get(net, ())))
 
-    # -- the slots' cells, read without expanding -------------------------
-
-    def find(self, name: str):
-        """NetlistIR.find_cell of a held IR: (head cell, None), (recorded
-        cell, binding) of a slot's cell, or None.  The first call indexes
-        every cell's name: a string and a pair each, not a Cell."""
-        if self._names is None:
-            cells = [(self.parts[c], cell) for c, cell in self.rec.cells.items()]
-            self._names = {name: (cell, None) for name, cell in self.cells.items()}
-            self._names.update((f"{b[0]}/{part}{b[1]}", (cell, b))
-                               for b in self.bindings for part, cell in cells)
-        return self._names.get(name)
-
-    def name(self, cell: Cell, binding: tuple) -> str:
-        """The name of recorded `cell` in the slot of `binding`."""
-        return f"{binding[0]}/{self.parts[cell.name]}{binding[1]}"
-
-    def params(self, cell: Cell, binding: tuple) -> dict:
-        """The params of recorded `cell` in the slot of `binding`: one dict
-        per cell and values of its fields, not to be changed."""
-        fields, values = self.fields[cell.name]
-        if not fields:
-            return cell.params
-        key = (cell.name, values(binding))
-        bound = self._bound.get(key)
-        if bound is None:
-            bound = self._bound[key] = cell.params | {k: binding[i] for k, i in fields}
-        return bound
-
-    def values(self, cell: Cell, key: str) -> set:
-        """The distinct values of recorded `cell`'s param `key` over the
-        slots (None where it has none): its literal, or each binding's."""
-        v = cell.params.get(key)
-        if isinstance(v, _Field):
-            return {b[v.index] for b in self.bindings}
-        return {v}
+    def table(self) -> dict:
+        """NetlistIR.cell_table of a held IR, built on first use: the head's
+        cells, then each binding's recorded cells, each field bound.  There
+        is one (kind, params) per recorded cell and set of field values,
+        shared, and its params are not to be changed."""
+        if self._table is None:
+            # per recorded cell: its part, (kind, params), its fields as
+            # param -> binding index, the getter of their values from a
+            # binding, and its bound entries by those values
+            cells = []
+            for c in self.rec.cells.values():
+                fields = {k: v.index for k, v in c.params.items() if isinstance(v, _Field)}
+                cells.append((self.parts[c.name], (c.kind, c.params), fields,
+                              fields and itemgetter(*fields.values()), {}))
+            table = {name: (c.kind, c.params) for name, c in self.cells.items()}
+            for b in self.bindings:
+                for part, entry, fields, values, bound in cells:
+                    if fields:
+                        key = values(b)
+                        if key not in bound:
+                            bound[key] = (entry[0], entry[1] | {k: b[i] for k, i in fields.items()})
+                        entry = bound[key]
+                    table[f"{b[0]}/{part}{b[1]}"] = entry
+            self._table = table
+        return self._table
 
     def clean(self, ports: dict) -> bool:
         """Whether the expanded IR passes check_wellformed, from the head, the

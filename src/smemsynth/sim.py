@@ -336,17 +336,12 @@ def _require(cond: bool, msg: str) -> None:
         raise SimError(f"netlist structure: {msg}")
 
 
-def _params(ir: netlist.NetlistIR, cell, binding) -> dict:
-    """The params of a cell as NetlistIR.find_cell gives it."""
-    return cell.params if binding is None else ir.slots.params(cell, binding)
-
-
-def _check_decoder(ir: netlist.NetlistIR, name: str, in_bits: int, stages: int,
+def _check_decoder(table: dict, name: str, in_bits: int, stages: int,
                    mux_bits: int = 0) -> None:
-    """The decoder `name` must decode the width and depth it is priced by."""
-    found = ir.find_cell(name)
-    _require(found is not None and found[0].kind == "decoder", f"missing decoder {name}")
-    params = _params(ir, *found)
+    """The decoder `name` of cell table `table` must decode the width and
+    depth it is priced by."""
+    kind, params = table.get(name, (None, None))
+    _require(kind == "decoder", f"missing decoder {name}")
     got = tuple(params.get(k) for k in ("in_bits", "stages", "mux_bits"))
     _require(got == (in_bits, stages, mux_bits), f"{name}: decoder width or depth mismatch")
 
@@ -367,53 +362,19 @@ def _check_figures(d: dict, what: str, *keys) -> None:
             raise SimError(f"{what} {k}={d[k]!r} is not a finite number >= 0")
 
 
-class _Cells:
-    """One kind's cells, in the flat IR's order: `head`, a flat IR's cells
-    or a held IR's head cells, then the recorded slot's `rec` once per
-    binding of `slots`.  len() counts them; iteration yields each one's
-    (name, params), a held slot's made from its recorded cell as it is
-    reached."""
-
-    def __init__(self, slots):
-        self.slots, self.head, self.rec = slots, [], []
-
-    def __len__(self):
-        return len(self.head) + (len(self.rec) * len(self.slots.bindings) if self.rec else 0)
-
-    def __iter__(self):
-        for cell in self.head:
-            yield cell.name, cell.params
-        slots = self.slots
-        for b in slots.bindings if self.rec else ():
-            for cell in self.rec:
-                yield slots.name(cell, b), slots.params(cell, b)
-
-    def values(self, key: str) -> set:
-        """The distinct values of param `key` (None where a cell has none):
-        a recorded cell's literal once, or each binding's value of it."""
-        values = {cell.params.get(key) for cell in self.head}
-        for cell in self.rec:
-            values |= self.slots.values(cell, key)
-        return values
-
-
 def _check_cells(ir: netlist.NetlistIR) -> dict:
-    """The cells of `ir` by kind, as _Cells, once _check_figures passes,
-    naming the cell, every param its kind is priced by and a priced kind's
-    e_event_fj.  Like cells share figures, so a kind's cells are walked
-    only when one of a key's distinct values is not a figure; held slots
-    are read from their recorded slot, without expanding."""
-    slots = ir.slots
-    by_kind = {kind: _Cells(slots) for kind in netlist.CELL_KINDS}
-    for cell in ir.head()[0].values():
-        by_kind[cell.kind].head.append(cell)
-    for cell in slots.rec.cells.values() if slots else ():
-        by_kind[cell.kind].rec.append(cell)
+    """name -> params of each cell of `ir`, by kind, once _check_figures
+    passes, naming the cell, every param its kind is priced by and a priced
+    kind's e_event_fj.  Like cells share figures, so a kind's cells are
+    walked only when one of a key's distinct values is not a figure."""
+    by_kind = {kind: {} for kind in netlist.CELL_KINDS}
+    for name, (kind, params) in ir.cell_table().items():
+        by_kind[kind][name] = params
     for kind, cells in by_kind.items():
         entry = netlist.CELL_KINDS[kind]
         for k in entry.reads + (("e_event_fj",) if entry.price else ()):
-            if not all(map(_is_figure, cells.values(k))):
-                for name, params in cells:
+            if not all(map(_is_figure, {params.get(k) for params in cells.values()})):
+                for name, params in cells.items():
                     _check_figures(params, f"netlist cell {name}", k)
     return by_kind
 
@@ -424,26 +385,20 @@ def _census(by_kind: dict, B: int, W: int, **counts) -> None:
     for kind, cells in by_kind.items():
         n = counts.get(kind, 0)
         _require(len(cells) == n, f"expected {n} {kind} cells, found {len(cells)}")
-    macros = by_kind["baplus_instance"]
-    if not (macros.values("B") <= {B} and macros.values("W") <= {W}):
-        for name, params in macros:
-            _require(params.get("B") == B and params.get("W") == W,
-                     f"{name}: macro geometry mismatch")
+    for name, params in by_kind["baplus_instance"].items():
+        _require(params.get("B") == B and params.get("W") == W,
+                 f"{name}: macro geometry mismatch")
 
 
-def _cell_names(ir: netlist.NetlistIR, names) -> list:
-    """`names`, the cells an engine's activity will count, as `ir` holds
-    them, so the activity keys share a flat netlist's strings; SimError
-    names the first that is no cell of `ir`, so a cell renamed within the
-    census fails before the first op."""
-    held = []
+def _cell_names(table: dict, names) -> list:
+    """`names`, the cells an engine's activity will count, once each is a
+    cell of cell table `table`: SimError names the first that is not, so a
+    cell renamed within the census fails before the first op."""
     for name in names:
-        found = ir.find_cell(name)
-        if found is None:
+        if name not in table:
             raise SimError("netlist structure: the activity counts cell "
                            f"{name!r}, which the netlist lacks")
-        held.append(name if found[1] else found[0].name)
-    return held
+    return list(names)
 
 
 def _check_rdata(ir: netlist.NetlistIR, bits: int) -> None:
@@ -479,12 +434,13 @@ def _sim_sram(ir: netlist.NetlistIR, by_kind: dict, emit):
     slots, mux = R * C * K, int(M > 1)
     _census(by_kind, B, W, baplus_instance=slots, wordline_gate=slots,
             tristate_driver=slots, decoder=1, column_mux=mux, output_reg=mux)
-    _check_decoder(ir, "dec", **amap.decoder)
+    table = ir.cell_table()
+    _check_decoder(table, "dec", **amap.decoder)
     # each slot's wordline gate, macro and tristate, by (bank row, macro),
     # named once and checked before the first op
-    _cell_names(ir, ("dec", "mux", "sel_reg") if M > 1 else ("dec",))
-    slot_cells = {(r, k): [_cell_names(ir, (f"bank_{r}_{c}/wlg_{k}", f"bank_{r}_{c}/ba_{k}",
-                                            f"bank_{r}_{c}/tri_{k}")) for c in range(C)]
+    _cell_names(table, ("dec", "mux", "sel_reg") if M > 1 else ("dec",))
+    slot_cells = {(r, k): [_cell_names(table, (f"bank_{r}_{c}/wlg_{k}", f"bank_{r}_{c}/ba_{k}",
+                                               f"bank_{r}_{c}/tri_{k}")) for c in range(C)]
                   for r in range(R) for k in range(K)}
 
     mem: dict[int, int] = {}   # written words only: memory follows the trace
@@ -554,16 +510,17 @@ def _sim_pa(ir: netlist.NetlistIR, by_kind: dict, emit, mode: str):
             wordline_gate=lanes, tristate_driver=lanes, decoder=2 if sm else lanes,
             pa_increment=2 * lanes if sm else lanes, output_reg=int(lanes > 1),
             pa_align=1)
-    (_, align), = by_kind["pa_align"]
+    align, = by_kind["pa_align"].values()
     _require(align.get("lanes") == lanes, "aligner lane count mismatch")
+    table = ir.cell_table()
     if sm:
-        _check_decoder(ir, "xdec", spec.m, spec.m - spec.a)
-        _check_decoder(ir, "ydec", spec.n, spec.n - spec.b)
+        _check_decoder(table, "xdec", spec.m, spec.m - spec.a)
+        _check_decoder(table, "ydec", spec.n, spec.n - spec.b)
     else:
         for p in range(spec.banks_x):
             for q in range(spec.banks_y):
-                _check_decoder(ir, f"bank_{p}_{q}/sram/dec", **spec.bank_map.decoder)
-    for name, params in by_kind["pa_increment"]:
+                _check_decoder(table, f"bank_{p}_{q}/sram/dec", **spec.bank_map.decoder)
+    for name, params in by_kind["pa_increment"].items():
         # the mode an increment is priced by must be the design's
         _require((params.get("mode") == "translate") != sm,
                  f"{name}: {'unexpected' if sm else 'expected a'} "
@@ -575,11 +532,11 @@ def _sim_pa(ir: netlist.NetlistIR, by_kind: dict, emit, mode: str):
     # each bank's number, the cells of it the activity counts, and its
     # "p,q" for the warnings; every cell the activity counts is named once
     # and checked before the first op
-    banks = [(bi, _cell_names(ir, [f"bank_{p}_{q}/{part}" for part in parts]), f"{p},{q}")
+    banks = [(bi, _cell_names(table, [f"bank_{p}_{q}/{part}" for part in parts]), f"{p},{q}")
              for p, row in enumerate(pa.storage_map(spec)[2])
              for q, bi in enumerate(row)]
-    _cell_names(ir, ["align", *(["rot_reg"] if lanes > 1 else []),
-                     *(["xdec", "ydec"] if sm else [])])
+    _cell_names(table, ["align", *(["rot_reg"] if lanes > 1 else []),
+                        *(["xdec", "ydec"] if sm else [])])
 
     P = spec.pixel_bits
     n, xm, ym = spec.n, spec.image_w - 1, spec.image_h - 1
@@ -722,18 +679,17 @@ def _price(ir: netlist.NetlistIR, activity: dict, cycles: int,
     its price.  A macro's read or write is priced by `lib`'s variant when
     `lib` holds it, else by the macro's own figure; another priced kind by
     its table price under `lib`'s technology, or without `lib` by the
-    e_event_fj the cell carries.  Held slots are priced without expanding."""
+    e_event_fj the cell carries."""
     total = leak_fj(ir.meta, cycles)
-    find = ir.find_cell
+    table = ir.cell_table()
     for key, count in activity.items():
         if key == "__wire__":
             total += count * ir.meta["e_wire_op_fj"]
             continue
         name, _, event = key.partition(":")
-        cell, binding = find(name)   # the engine checked it holds every name
-        price = netlist.CELL_KINDS[cell.kind].price
+        kind, params = table[name]   # the engine checked it holds every name
+        price = netlist.CELL_KINDS[kind].price
         if event:   # a macro's read or write
-            params = _params(ir, cell, binding)
             figure = f"e_{event}_fj"
             variant = params.get("variant")
             if lib is not None and variant in lib:
@@ -743,9 +699,9 @@ def _price(ir: netlist.NetlistIR, activity: dict, cycles: int,
         elif price is None:
             e = 0.0
         elif lib is None:
-            e = _params(ir, cell, binding)["e_event_fj"]
+            e = params["e_event_fj"]
         else:
-            e = price(_params(ir, cell, binding), lib.tech)
+            e = price(params, lib.tech)
         total += count * e
     return total
 

@@ -1219,18 +1219,28 @@ def _sim_text(tmp_path, capsys, nl, trace, lib_args):
 
 
 def test_held_cells_are_found_as_expanded():
-    """find_cell gives every cell of a held IR, head or slot, the kind and
-    (through sim's _params) the params, fields bound, of its expanded
-    twin's cell, and None for a name the IR lacks."""
+    """The cell table of a held IR names every cell, head or slot, in its
+    expanded twin's order, with that cell's kind and params, fields bound,
+    and no cell the IR lacks; building it does not expand the IR."""
     held = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
     flat = generate_sram(MemoryConfig("ba_32x8", 2, 2, 2, 2), small_lib())
     flat.expand()
-    for name, cell in flat.cells.items():
-        found, binding = held.find_cell(name)
-        assert (found.kind, sim._params(held, found, binding)) == (cell.kind, cell.params)
-    assert [held.find_cell(n) for n in ("bank_2_0/ba_0", "bank_0_0/ba_2", "mux2")] \
-        == [None] * 3
+    table = held.cell_table()
+    assert list(table.items()) == [(n, (c.kind, c.params)) for n, c in flat.cells.items()]
+    assert not {"bank_2_0/ba_0", "bank_0_0/ba_2", "mux2"} & table.keys()
     assert held.slots is not None
+
+
+def test_flat_cell_table_follows_its_ir():
+    """A flat IR's cell table is read afresh: a cell added after one call
+    is in the next."""
+    ir = generate_pa(PAWindowSpec(2, 2, 1, 1), "sm")
+    before = ir.cell_table()
+    ir.add_cell("spare", "output_reg", role="spare")
+    after = ir.cell_table()
+    assert "spare" not in before
+    assert after["spare"] == ("output_reg", {"role": "spare"})
+    assert list(after) == list(ir.cells)
 
 
 @pytest.mark.parametrize("config", ["ba_32x8,2,2,2,1", "ba_32x8,2,2,2,2"])
